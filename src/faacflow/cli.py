@@ -23,6 +23,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -109,6 +110,22 @@ def _reading_schema(schema: SourceSchema) -> SourceSchema:
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", text)
+
+
+def _load_plan(path: Path) -> tuple[dict, Callable[[object], Path]]:
+    """The top-level mapping of a YAML plan and a resolver for paths relative to it."""
+    try:
+        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a mapping at top level")
+
+    def resolve(p: object) -> Path:
+        target = Path(str(p))
+        return target if target.is_absolute() else path.parent / target
+
+    return doc, resolve
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +282,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.config:
         raise ConfigError("evaluate requires --config pointing at an evaluation plan")
     cfg_path = Path(args.config)
-    try:
-        doc = yaml.safe_load(cfg_path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{cfg_path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{cfg_path}: expected a mapping at top level")
+    doc, resolve = _load_plan(cfg_path)
     settings = _settings_from_doc(doc)
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    base = cfg_path.parent
-
-    def resolve(p: str) -> Path:
-        path = Path(p)
-        return path if path.is_absolute() else base / path
-
     report = EvalReport()
     data_paths: list[Path] = []
     for entry in doc.get("single", []) or []:
         if isinstance(entry, str):
             entry = {"path": entry}
-        path = resolve(str(entry["path"]))
+        path = resolve(entry["path"])
         data_paths.append(path)
         ds = read_derived(path)
         part = run_single_dataset(
@@ -300,7 +306,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if transfer:
         datasets = {}
         for name, p in transfer.items():
-            path = resolve(str(p))
+            path = resolve(p)
             data_paths.append(path)
             datasets[str(name)] = read_derived(path)
         part = run_transfer_matrix(datasets, settings, seed=seed, n_threads=args.threads)
@@ -413,18 +419,7 @@ def orchestrate(
     resolve relative to the config file.
     """
     config_path = Path(config_path)
-    try:
-        doc = yaml.safe_load(config_path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{config_path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{config_path}: expected a mapping at top level")
-    base = config_path.parent
-
-    def resolve(p: str) -> Path:
-        path = Path(p)
-        return path if path.is_absolute() else base / path
-
+    doc, resolve = _load_plan(config_path)
     if "faac" not in doc or "sources" not in doc:
         raise ConfigError(f"{config_path}: pipeline needs 'faac' and 'sources' keys")
     if seed is None:
@@ -435,15 +430,15 @@ def orchestrate(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    faac_config = load_faac_config(resolve(str(doc["faac"])))
+    faac_config = load_faac_config(resolve(doc["faac"]))
     artifacts: dict[str, Path] = {}
-    config_files = [config_path, resolve(str(doc["faac"]))]
+    config_files = [config_path, resolve(doc["faac"])]
 
     derived: dict[str, "object"] = {}
     for name, src in doc["sources"].items():
         name = str(name)
-        schema = load_source_config(resolve(str(src)))
-        config_files.append(resolve(str(src)))
+        schema = load_source_config(resolve(src))
+        config_files.append(resolve(src))
         if schema.profile is None:
             raise ConfigError(f"source {name!r} has no synthetic profile to generate from")
         profile = replace(schema.profile, seed=derive_seed(seed, "synth", name))
@@ -461,8 +456,8 @@ def orchestrate(
         derived[name] = ds
 
     if "integration" in doc:
-        spec = load_integration_spec(resolve(str(doc["integration"])))
-        config_files.append(resolve(str(doc["integration"])))
+        spec = load_integration_spec(resolve(doc["integration"]))
+        config_files.append(resolve(doc["integration"]))
     else:
         spec = IntegrationSpec()
     merged = None

@@ -14,13 +14,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .errors import EvaluationError
 from .faac import DerivedDataset
-from .hyperopt import SearchSpace, TrialRow, default_space, optimize
+from .hyperopt import TrialRow, default_space, optimize
 from .learning import PipelineModel, fit_pipeline, resolve_hyperparams
 from .seeds import derive_seed
 
@@ -227,7 +227,7 @@ class EvalSettings:
 
     ``tune_once`` tunes at the first repetition and fold per model and
     reuses the winner elsewhere; fixed_hyper (model -> hyperparams) applies
-    when tuning is off. Spaces fall back to the built-in per-model spaces.
+    when tuning is off. Tuning searches the built-in space of each model.
     """
 
     k: int = 5
@@ -239,7 +239,6 @@ class EvalSettings:
     n_iter: int = 20
     n_candidates: int = 256
     fixed_hyper: dict = field(default_factory=dict)
-    spaces: dict = field(default_factory=dict)  # model -> SearchSpace
 
 
 @dataclass
@@ -255,13 +254,6 @@ class TrialRun:
 class EvalReport:
     rows: list[FoldResult] = field(default_factory=list)
     trial_runs: list[TrialRun] = field(default_factory=list)
-
-    def weighted_aucs(self, **match: object) -> list[FoldResult]:
-        out = []
-        for row in self.rows:
-            if all(getattr(row, k) == v for k, v in match.items()):
-                out.append(row)
-        return out
 
 
 def _tune_on_train(
@@ -285,7 +277,6 @@ def _tune_on_train(
     fit_mask = np.ones(len(y), dtype=bool)
     fit_mask[val_idx] = False
     fit_idx = np.flatnonzero(fit_mask)
-    space = settings.spaces.get(kind) or default_space(kind, X.shape[1])
 
     def objective(config: dict) -> float:
         model = fit_pipeline(
@@ -296,7 +287,7 @@ def _tune_on_train(
 
     result = optimize(
         objective,
-        space,
+        default_space(kind, X.shape[1]),
         seed=tune_seed,
         n_init=settings.n_init,
         n_iter=settings.n_iter,
@@ -309,13 +300,72 @@ def _dataset_name(ds: DerivedDataset) -> str:
     return "+".join(sorted(set(ds.origins))) if ds.origins else "empty"
 
 
+def _fit_and_score(
+    report: EvalReport,
+    setting: str,
+    names: tuple[str, str],
+    kind: str,
+    hyper: dict | None,
+    train: tuple[np.ndarray, np.ndarray],
+    test: tuple[np.ndarray, np.ndarray],
+    classes: Sequence[str],
+    settings: EvalSettings,
+    seed: int,
+    n_threads: int,
+    repetition: int = 1,
+    fold: int = 1,
+) -> dict:
+    """Tune (when ``hyper`` is None), fit, and score one model; append its row.
+
+    Seeds derive from (repetition, fold) in the single-dataset setting and
+    from the (train, test) names in the cross-dataset one. Returns the
+    configuration used, so a tuned one can be reused.
+    """
+    train_name, test_name = names
+    if setting == "single-dataset":
+        labels: tuple = (repetition, fold)
+        where, trial_label = f"repetition {repetition} fold {fold}", train_name
+    else:
+        labels = names
+        where, trial_label = f"transfer {train_name} to {test_name}", f"{train_name}-to-{test_name}"
+    try:
+        if hyper is None:
+            hyper, trials = _tune_on_train(
+                *train, classes, kind, settings,
+                tune_seed=derive_seed(seed, "tune", kind, *labels),
+                fit_seed=derive_seed(seed, "tune-fit", kind, *labels),
+                n_threads=n_threads,
+            )
+            report.trial_runs.append(
+                TrialRun(model=kind, repetition=repetition, fold=fold, trials=trials, label=trial_label)
+            )
+        resolved = resolve_hyperparams(kind, hyper)
+        model = fit_pipeline(
+            *train, classes, kind,
+            hyperparams=resolved,
+            seed=derive_seed(seed, "fit", kind, *labels),
+            n_threads=n_threads,
+            provenance={"dataset": train_name, "repetition": repetition, "fold": fold},
+        )
+        aucs, counts, wavg = score_fold(model, *test, classes)
+    except EvaluationError as exc:
+        raise EvaluationError(f"{where} model {kind}: {exc}") from exc
+    report.rows.append(
+        FoldResult(
+            setting=setting, model=kind, train_origin=train_name, test_origin=test_name,
+            repetition=repetition, fold=fold, class_aucs=aucs, class_counts=counts,
+            weighted_auc=wavg, hyperparams_json=json.dumps(resolved, sort_keys=True),
+        )
+    )
+    return hyper
+
+
 def run_single_dataset(
     dataset: DerivedDataset,
     settings: EvalSettings,
     seed: int,
     n_threads: int = 1,
     name: str | None = None,
-    progress: Callable[[str], None] | None = None,
 ) -> EvalReport:
     """Repeated stratified k-fold cross-validation on one dataset.
 
@@ -333,56 +383,15 @@ def run_single_dataset(
             train_mask[val_idx] = False
             train_idx = np.flatnonzero(train_mask)
             for kind in settings.models:
-                try:
-                    if settings.tune:
-                        if kind not in tuned or not settings.tune_once:
-                            config, trials = _tune_on_train(
-                                X[train_idx],
-                                y[train_idx],
-                                classes,
-                                kind,
-                                settings,
-                                tune_seed=derive_seed(seed, "tune", kind, r, f),
-                                fit_seed=derive_seed(seed, "tune-fit", kind, r, f),
-                                n_threads=n_threads,
-                            )
-                            tuned[kind] = config
-                            report.trial_runs.append(
-                                TrialRun(model=kind, repetition=r, fold=f, trials=trials, label=name)
-                            )
-                        hyper = tuned[kind]
-                    else:
-                        hyper = settings.fixed_hyper.get(kind, {})
-                    resolved = resolve_hyperparams(kind, hyper)
-                    model = fit_pipeline(
-                        X[train_idx],
-                        y[train_idx],
-                        classes,
-                        kind,
-                        hyperparams=resolved,
-                        seed=derive_seed(seed, "fit", kind, r, f),
-                        n_threads=n_threads,
-                        provenance={"dataset": name, "repetition": r, "fold": f},
-                    )
-                    aucs, counts, wavg = score_fold(model, X[val_idx], y[val_idx], classes)
-                except EvaluationError as exc:
-                    raise EvaluationError(f"repetition {r} fold {f} model {kind}: {exc}") from exc
-                report.rows.append(
-                    FoldResult(
-                        setting="single-dataset",
-                        model=kind,
-                        train_origin=name,
-                        test_origin=name,
-                        repetition=r,
-                        fold=f,
-                        class_aucs=aucs,
-                        class_counts=counts,
-                        weighted_auc=wavg,
-                        hyperparams_json=json.dumps(resolved, sort_keys=True),
-                    )
+                if not settings.tune:
+                    hyper = settings.fixed_hyper.get(kind, {})
+                else:
+                    hyper = tuned.get(kind) if settings.tune_once else None
+                tuned[kind] = _fit_and_score(
+                    report, "single-dataset", (name, name), kind, hyper,
+                    (X[train_idx], y[train_idx]), (X[val_idx], y[val_idx]), classes,
+                    settings, seed, n_threads, repetition=r, fold=f,
                 )
-            if progress:
-                progress(f"repetition {r}/{settings.repetitions} fold {f}/{settings.k} done")
     return report
 
 
@@ -431,56 +440,10 @@ def run_cross_dataset(
     tr, te, classes = _shared_class_views(train, test)
     report = EvalReport()
     for kind in settings.models:
-        try:
-            if settings.tune:
-                config, trials = _tune_on_train(
-                    tr.X,
-                    tr.y,
-                    classes,
-                    kind,
-                    settings,
-                    tune_seed=derive_seed(seed, "tune", kind, train_name, test_name),
-                    fit_seed=derive_seed(seed, "tune-fit", kind, train_name, test_name),
-                    n_threads=n_threads,
-                )
-                report.trial_runs.append(
-                    TrialRun(
-                        model=kind,
-                        repetition=1,
-                        fold=1,
-                        trials=trials,
-                        label=f"{train_name}-to-{test_name}",
-                    )
-                )
-            else:
-                config = settings.fixed_hyper.get(kind, {})
-            resolved = resolve_hyperparams(kind, config)
-            model = fit_pipeline(
-                tr.X,
-                tr.y,
-                classes,
-                kind,
-                hyperparams=resolved,
-                seed=derive_seed(seed, "fit", kind, train_name, test_name),
-                n_threads=n_threads,
-                provenance={"dataset": train_name, "repetition": 1, "fold": 1},
-            )
-            aucs, counts, wavg = score_fold(model, te.X, te.y, classes)
-        except EvaluationError as exc:
-            raise EvaluationError(f"transfer {train_name} to {test_name} model {kind}: {exc}") from exc
-        report.rows.append(
-            FoldResult(
-                setting="cross-dataset",
-                model=kind,
-                train_origin=train_name,
-                test_origin=test_name,
-                repetition=1,
-                fold=1,
-                class_aucs=aucs,
-                class_counts=counts,
-                weighted_auc=wavg,
-                hyperparams_json=json.dumps(resolved, sort_keys=True),
-            )
+        hyper = None if settings.tune else settings.fixed_hyper.get(kind, {})
+        _fit_and_score(
+            report, "cross-dataset", (train_name, test_name), kind, hyper,
+            (tr.X, tr.y), (te.X, te.y), classes, settings, seed, n_threads,
         )
     return report
 

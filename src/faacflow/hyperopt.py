@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -241,7 +240,6 @@ class TrialRow:
     trial: int
     config: dict
     score: float
-    seconds: float
 
     @property
     def config_json(self) -> str:
@@ -264,9 +262,9 @@ def write_trial_log(trials: Sequence[TrialRow], dest: str | Path | TextIO) -> No
             write_trial_log(trials, fh)
             return
     writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["trial", "config_json", "score", "seconds"])
+    writer.writerow(["trial", "config_json", "score"])
     for t in trials:
-        writer.writerow([t.trial, t.config_json, "%.9g" % t.score, "%.3f" % t.seconds])
+        writer.writerow([t.trial, t.config_json, "%.9g" % t.score])
 
 
 def optimize(
@@ -276,9 +274,6 @@ def optimize(
     n_init: int = 5,
     n_iter: int = 20,
     n_candidates: int = 256,
-    lengthscale: float = GP_LENGTHSCALE,
-    signal_var: float = GP_SIGNAL_VAR,
-    noise: float = GP_NOISE,
 ) -> OptResult:
     """Budgeted maximization of ``objective`` over ``space``.
 
@@ -307,14 +302,12 @@ def optimize(
         key = json.dumps(config, sort_keys=True)
         excluded.add(idx)
         seen_configs.add(key)
-        t0 = time.perf_counter()
         try:
             score = float(objective(config))
         except EvaluationError as exc:
             log.warning("trial %d failed: %s", len(trials) + 1, exc)
             score = float("-inf")
-        seconds = time.perf_counter() - t0
-        trials.append(TrialRow(trial=len(trials) + 1, config=config, score=score, seconds=seconds))
+        trials.append(TrialRow(trial=len(trials) + 1, config=config, score=score))
         # failed trials stay in the log but never feed the surrogate
         if math.isfinite(score):
             obs_X.append(candidates[idx])
@@ -339,7 +332,7 @@ def optimize(
             break
         run_trial(idx)
     for _ in range(n_iter):
-        gp = gp_fit(np.array(obs_X), np.array(obs_y), lengthscale, signal_var, noise) if obs_X else None
+        gp = gp_fit(np.array(obs_X), np.array(obs_y)) if obs_X else None
         idx = next_unseen(gp)
         if idx is None:
             log.warning("candidate set exhausted after %d trials", len(trials))

@@ -28,6 +28,7 @@ MODEL_FORMAT = "faacflow-model-v1"
 
 OPT_TOL = 1e-6
 MAX_SELECT_ITER = 10_000
+MAX_LR_ITER = 100
 SUPPORT_EPSILON = 1e-8
 
 DEFAULT_HYPER_LR = {"lambda": 0.1}
@@ -81,14 +82,6 @@ def logistic_nll_grad(beta: np.ndarray, X1: np.ndarray, y: np.ndarray) -> tuple[
     return nll, grad
 
 
-def _soft_threshold(v: float, thr: float) -> float:
-    if v > thr:
-        return v - thr
-    if v < -thr:
-        return v + thr
-    return 0.0
-
-
 def _kkt_violation(beta: np.ndarray, grad: np.ndarray, lam: float) -> float:
     """Largest first-order optimality violation; 0 at an exact optimum."""
     v = abs(float(grad[0]))
@@ -114,55 +107,10 @@ def _penalized_objective(beta: np.ndarray, X1: np.ndarray, y: np.ndarray, lam: f
     return nll + lam * float(np.sum(np.abs(beta[1:])))
 
 
-def _cd_quadratic(
-    beta0: np.ndarray, g: np.ndarray, G: np.ndarray, lam: float, tol: float, max_sweeps: int = 1000
-) -> np.ndarray:
-    """Minimize the local quadratic model with an l1 term by coordinate descent.
+def _pivot_quadratic(beta0: np.ndarray, g: np.ndarray, G: np.ndarray, lam: float) -> np.ndarray | None:
+    """Minimizer of the local l1 quadratic model by sign pivoting.
 
     Model: g.(b - beta0) + 0.5 (b - beta0)' G (b - beta0) + lam * |b[1:]|_1.
-    Maintains v = G (b - beta0) so one coordinate update costs O(p); G is
-    symmetric, so its rows serve as columns. Between full sweeps, only the
-    currently nonzero coordinates are cycled. Coordinates with no curvature
-    (all-zero columns) are left untouched.
-    """
-    beta = beta0.copy()
-    a = np.diag(G)
-    v = np.zeros_like(beta)
-    eligible = np.flatnonzero(a > 1e-12)
-
-    def sweep(cols: np.ndarray) -> float:
-        worst = 0.0
-        for j in cols:
-            d = g[j] + v[j]
-            if j == 0:
-                new = beta[0] - d / a[0]
-            else:
-                new = _soft_threshold(a[j] * beta[j] - d, lam) / a[j]
-            delta = new - beta[j]
-            if delta != 0.0:
-                v[:] += G[j] * delta
-                beta[j] = new
-                worst = max(worst, abs(delta) * a[j])
-        return worst
-
-    sweeps = 0
-    while sweeps < max_sweeps:
-        worst = sweep(eligible)
-        sweeps += 1
-        if worst <= tol:
-            break
-        active = eligible[(beta[eligible] != 0.0) | (eligible == 0)]
-        while sweeps < max_sweeps:
-            worst = sweep(active)
-            sweeps += 1
-            if worst <= tol:
-                break
-    return beta
-
-
-def _pivot_quadratic(beta0: np.ndarray, g: np.ndarray, G: np.ndarray, lam: float) -> np.ndarray | None:
-    """Minimizer of the same l1 quadratic model by sign pivoting.
-
     Maintains a free set with fixed signs, solves the reduced linear
     system (lightly ridged against near-singularity), then either pins the
     worst sign-crossing coordinate at zero or releases the worst
@@ -223,23 +171,15 @@ def _pivot_quadratic(beta0: np.ndarray, g: np.ndarray, G: np.ndarray, lam: float
     return None
 
 
-def fit_lasso(
-    Z: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    lam: float,
-    opt_tol: float = OPT_TOL,
-    max_iter: int = MAX_SELECT_ITER,
-    support_epsilon: float = SUPPORT_EPSILON,
-) -> LassoResult:
+def fit_lasso(Z: np.ndarray, y: np.ndarray, n_classes: int, lam: float) -> LassoResult:
     """One-vs-all l1 logistic regression solved by proximal Newton steps.
 
     Each outer iteration builds the local quadratic model at the current
-    point, solves it with coordinate descent, and line-searches on the true
+    point, solves it by sign pivoting, and line-searches on the true
     penalized objective. The penalty applies to coefficients only, never
     the intercept. A class converges when its largest first-order violation
-    drops to ``opt_tol``; the support is the union over classes of
-    coefficients above ``support_epsilon`` in magnitude.
+    drops to ``OPT_TOL``; the support is the union over classes of
+    coefficients above ``SUPPORT_EPSILON`` in magnitude.
     """
     if lam < 0:
         raise ConfigError(f"penalty weight must be non-negative, got {lam}")
@@ -258,12 +198,11 @@ def fit_lasso(
         obj = _penalized_objective(beta, X1, yc, lam)
         ok = False
         it = 0
-        for it in range(1, max_iter + 1):
+        for it in range(1, MAX_SELECT_ITER + 1):
             s = X1 @ beta
             prob = _sigmoid(s)
             grad = X1.T @ (prob - yc)
-            viol = _kkt_violation(beta, grad, lam)
-            if viol <= opt_tol:
+            if _kkt_violation(beta, grad, lam) <= OPT_TOL:
                 ok = True
                 it -= 1
                 break
@@ -271,8 +210,7 @@ def fit_lasso(
             G = X1.T @ (X1 * w[:, None])
             target = _pivot_quadratic(beta, grad, G, lam)
             if target is None:
-                # rare pivot-cycling fallback; tolerance scaled to progress
-                target = _cd_quadratic(beta, grad, G, lam, tol=max(0.1 * opt_tol, 1e-3 * viol))
+                raise EvaluationError(f"class {c} selection: sign pivoting found no stationary pattern")
             direction = target - beta
             # directional-derivative bound for the composite Armijo test
             dd = float(grad @ direction) + lam * (
@@ -292,16 +230,16 @@ def fit_lasso(
                 break  # no descent left at machine precision; re-check below
         if not ok:
             _, grad = logistic_nll_grad(beta, X1, yc)
-            ok = _kkt_violation(beta, grad, lam) <= opt_tol
+            ok = _kkt_violation(beta, grad, lam) <= OPT_TOL
         if not ok:
             log.warning(
-                "class %d selection stopped at %d iterations without reaching tol %.1e", c, it, opt_tol
+                "class %d selection stopped at %d iterations without reaching tol %.1e", c, it, OPT_TOL
             )
         betas[c] = beta
         converged.append(ok)
         iters.append(it)
 
-    support = sorted({j for c in range(n_classes) for j in range(p) if abs(betas[c, j + 1]) > support_epsilon})
+    support = sorted({j for c in range(n_classes) for j in range(p) if abs(betas[c, j + 1]) > SUPPORT_EPSILON})
     return LassoResult(
         betas=betas, support=tuple(support), converged=tuple(converged), n_iter=tuple(iters)
     )
@@ -311,13 +249,7 @@ def fit_lasso(
 # Logistic classifier (Newton iterations with step halving)
 
 
-def fit_lr(
-    Z: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    max_iter: int = 100,
-    grad_tol: float = OPT_TOL,
-) -> np.ndarray:
+def fit_lr(Z: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
     """Unpenalized one-vs-all logistic fits; returns (n_classes, p + 1) betas.
 
     Newton steps with step halving; an ill-conditioned Hessian falls back
@@ -334,8 +266,8 @@ def fit_lr(
         yc = (y == c).astype(np.float64)
         beta = np.zeros(p + 1)
         nll, grad = logistic_nll_grad(beta, X1, yc)
-        for _ in range(max_iter):
-            if float(np.max(np.abs(grad))) <= grad_tol:
+        for _ in range(MAX_LR_ITER):
+            if float(np.max(np.abs(grad))) <= OPT_TOL:
                 break
             s = X1 @ beta
             w = _sigmoid(s)

@@ -237,3 +237,20 @@ def test_orchestrate_produces_models_and_reports(cfg_dir, tmp_path, capsys):
     manifest = json.loads(artifacts["manifest"].read_text(encoding="utf-8"))
     assert manifest["command"] == "pipeline"
     assert "model_lr.json" in manifest["outputs"]
+
+
+def test_tuned_pipeline_runs_are_byte_identical(cfg_dir, tmp_path, capsys):
+    plan = tmp_path / "tuned.yaml"
+    plan.write_text(
+        f"seed: 5\nbatches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\n"
+        f"sources:\n  s1: {cfg_dir / 'source_s1.yaml'}\n  s2: {cfg_dir / 'source_s2.yaml'}\n"
+        "evaluation:\n  models: [lr]\n  k: 2\n  repetitions: 1\n  tune: true\n"
+        "  tune_once: false\n  n_init: 2\n  n_iter: 2\n  singles: [integrated]\n",
+        encoding="utf-8",
+    )
+    runs = [orchestrate(plan, tmp_path / name, seed=5) for name in ("a", "b")]
+    capsys.readouterr()
+    trial_logs = sorted(k for k in runs[0] if k.startswith("eval:trials_"))
+    assert len(trial_logs) == 2  # one search per fold
+    for key in trial_logs + ["manifest"]:
+        assert runs[0][key].read_bytes() == runs[1][key].read_bytes(), key

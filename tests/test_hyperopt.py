@@ -243,13 +243,13 @@ def test_tied_scores_pick_the_earliest_trial():
 
 def test_trial_log_format():
     trials = (
-        TrialRow(trial=0, config={"x": 0.5, "n": 3}, score=0.9, seconds=0.01),
-        TrialRow(trial=1, config={"x": 0.1, "n": 7}, score=float("-inf"), seconds=0.02),
+        TrialRow(trial=0, config={"x": 0.5, "n": 3}, score=0.9),
+        TrialRow(trial=1, config={"x": 0.1, "n": 7}, score=float("-inf")),
     )
     buf = io.StringIO()
     write_trial_log(trials, buf)
     lines = buf.getvalue().splitlines()
-    assert lines[0] == "trial,config_json,score,seconds"
+    assert lines[0] == "trial,config_json,score"
     assert len(lines) == 3
-    cfg = json.loads(lines[1].split(",", 1)[1].rsplit(",", 2)[0].strip('"').replace('""', '"'))
+    cfg = json.loads(lines[1].split(",", 1)[1].rsplit(",", 1)[0].strip('"').replace('""', '"'))
     assert cfg == {"n": 3, "x": 0.5}

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from faacflow import learning
 from faacflow.errors import ConfigError, DataError, EvaluationError
+from faacflow.hyperopt import Dimension, SearchSpace, optimize
 from faacflow.learning import (
     apply_tree,
     build_tree,
@@ -190,6 +192,27 @@ def test_lasso_input_contracts():
     bad[0, 0] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         fit_lasso(bad, y, 3, 0.1)
+
+
+def test_a_failed_pivot_is_an_evaluation_error(monkeypatch):
+    Z, y = lasso_instance()
+    monkeypatch.setattr(learning, "_pivot_quadratic", lambda *args: None)
+    with pytest.raises(EvaluationError, match="no stationary pattern"):
+        fit_lasso(Z, y, 3, 0.1)
+
+    # inside a search the failure scores the trial -inf instead of aborting
+    space = SearchSpace((Dimension("lambda", "float", 1e-3, 1.0, log=True),))
+
+    def objective(cfg):
+        if cfg["lambda"] < 0.03:
+            fit_lasso(Z, y, 3, cfg["lambda"])
+        return cfg["lambda"]
+
+    result = optimize(objective, space, seed=2, n_init=4, n_iter=2)
+    failed = [t for t in result.trials if t.score == float("-inf")]
+    assert failed
+    assert all(t.config["lambda"] < 0.03 for t in failed)
+    assert all(t.config["lambda"] >= 0.03 for t in result.trials if t not in failed)
 
 
 # ---------------------------------------------------------------------------
