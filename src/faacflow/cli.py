@@ -219,19 +219,16 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _settings_from_doc(doc: dict) -> EvalSettings:
-    known = {
-        "models",
-        "k",
-        "repetitions",
-        "tune",
-        "tune_once",
-        "n_init",
-        "n_iter",
-        "n_candidates",
-        "fixed_hyper",
-    }
-    fields = {k: doc[k] for k in known if k in doc}
+_SETTINGS_KEYS = ("models", "k", "repetitions", "tune", "tune_once", "n_init", "n_iter", "fixed_hyper")
+
+
+def _settings_from_doc(doc: dict, input_keys: tuple[str, ...]) -> EvalSettings:
+    """Evaluation settings from a plan whose other keys must be among ``input_keys``."""
+    known = _SETTINGS_KEYS + input_keys
+    unknown = [k for k in doc if k not in known]
+    if unknown:
+        raise ConfigError(f"unknown evaluation key {unknown[0]!r}; expected one of {', '.join(known)}")
+    fields = {k: doc[k] for k in _SETTINGS_KEYS if k in doc}
     if "models" in fields:
         fields["models"] = tuple(str(m) for m in fields["models"])
         for m in fields["models"]:
@@ -283,7 +280,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError("evaluate requires --config pointing at an evaluation plan")
     cfg_path = Path(args.config)
     doc, resolve = _load_plan(cfg_path)
-    settings = _settings_from_doc(doc)
+    settings = _settings_from_doc(doc, ("single", "transfer", "seed"))
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     report = EvalReport()
     data_paths: list[Path] = []
@@ -293,15 +290,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         path = resolve(entry["path"])
         data_paths.append(path)
         ds = read_derived(path)
-        part = run_single_dataset(
-            ds,
-            settings,
-            seed=seed,
-            n_threads=args.threads,
-            name=str(entry["name"]) if "name" in entry else None,
-        )
-        report.rows.extend(part.rows)
-        report.trial_runs.extend(part.trial_runs)
+        name = str(entry["name"]) if "name" in entry else None
+        report.extend(run_single_dataset(ds, settings, seed=seed, n_threads=args.threads, name=name))
     transfer = doc.get("transfer") or {}
     if transfer:
         datasets = {}
@@ -309,9 +299,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             path = resolve(p)
             data_paths.append(path)
             datasets[str(name)] = read_derived(path)
-        part = run_transfer_matrix(datasets, settings, seed=seed, n_threads=args.threads)
-        report.rows.extend(part.rows)
-        report.trial_runs.extend(part.trial_runs)
+        report.extend(run_transfer_matrix(datasets, settings, seed=seed, n_threads=args.threads))
     if not report.rows:
         raise ConfigError(f"{cfg_path}: no 'single' or 'transfer' inputs given")
 
@@ -427,6 +415,8 @@ def orchestrate(
     batches = int(doc.get("batches", 0))
     if batches < 1:
         raise ConfigError(f"{config_path}: 'batches' must be a positive target batch count")
+    eval_doc = doc.get("evaluation")
+    settings = _settings_from_doc(eval_doc, ("singles", "transfer")) if eval_doc else None
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -470,9 +460,7 @@ def orchestrate(
         _write_distribution_csv(merged, dist_path)
         artifacts["distribution:integrated"] = dist_path
 
-    eval_doc = doc.get("evaluation")
     if eval_doc:
-        settings = _settings_from_doc(eval_doc)
         report = EvalReport()
         for target in eval_doc.get("singles", []) or []:
             target = str(target)
@@ -484,13 +472,9 @@ def orchestrate(
                 ds = derived[target]
             else:
                 raise ConfigError(f"unknown evaluation target {target!r}")
-            part = run_single_dataset(ds, settings, seed=seed, n_threads=threads, name=target)
-            report.rows.extend(part.rows)
-            report.trial_runs.extend(part.trial_runs)
+            report.extend(run_single_dataset(ds, settings, seed=seed, n_threads=threads, name=target))
         if eval_doc.get("transfer", False):
-            part = run_transfer_matrix(dict(derived), settings, seed=seed, n_threads=threads)
-            report.rows.extend(part.rows)
-            report.trial_runs.extend(part.trial_runs)
+            report.extend(run_transfer_matrix(dict(derived), settings, seed=seed, n_threads=threads))
         if report.rows:
             for path in _write_eval_outputs(report, out):
                 artifacts[f"eval:{path.name}"] = path

@@ -237,7 +237,6 @@ class EvalSettings:
     tune_once: bool = True
     n_init: int = 5
     n_iter: int = 20
-    n_candidates: int = 256
     fixed_hyper: dict = field(default_factory=dict)
 
 
@@ -254,6 +253,11 @@ class TrialRun:
 class EvalReport:
     rows: list[FoldResult] = field(default_factory=list)
     trial_runs: list[TrialRun] = field(default_factory=list)
+
+    def extend(self, other: EvalReport) -> None:
+        """Append another report's rows and trial runs, in order."""
+        self.rows.extend(other.rows)
+        self.trial_runs.extend(other.trial_runs)
 
 
 def _tune_on_train(
@@ -291,7 +295,6 @@ def _tune_on_train(
         seed=tune_seed,
         n_init=settings.n_init,
         n_iter=settings.n_iter,
-        n_candidates=settings.n_candidates,
     )
     return result.best_config, result.trials
 
@@ -462,17 +465,17 @@ def run_transfer_matrix(
         for b in datasets:
             if a == b:
                 continue
-            part = run_cross_dataset(
-                datasets[a],
-                datasets[b],
-                settings,
-                seed,
-                n_threads=n_threads,
-                train_name=a,
-                test_name=b,
+            report.extend(
+                run_cross_dataset(
+                    datasets[a],
+                    datasets[b],
+                    settings,
+                    seed,
+                    n_threads=n_threads,
+                    train_name=a,
+                    test_name=b,
+                )
             )
-            report.rows.extend(part.rows)
-            report.trial_runs.extend(part.trial_runs)
     return report
 
 

@@ -1,11 +1,12 @@
-"""Hyperparameter search: GP surrogate over a unit cube, quasi-random candidates.
+"""Hyperparameter search: a greedy variance design over quasi-random candidates.
 
 The search space maps every dimension onto [0, 1] (log dimensions through
-their logarithm, integer dimensions by rounding on the way back). A
-zero-mean Gaussian process with a squared-exponential kernel is fit to the
-observed trials; the next trial is the candidate with the largest posterior
-variance, drawn from one seeded low-discrepancy candidate set that also
-provides the initial design.
+their logarithm, integer dimensions by rounding on the way back). One
+seeded Halton candidate set provides the initial design; after it, each
+trial takes the candidate with the largest posterior variance of a
+zero-mean Gaussian process with a squared-exponential kernel, observed at
+the trials that scored. That variance does not depend on the scores, so
+the trial sequence is fixed by the seed, the space and which trials fail.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import logging
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -28,7 +29,7 @@ log = logging.getLogger(__name__)
 GP_LENGTHSCALE = 0.2
 GP_SIGNAL_VAR = 1.0
 GP_NOISE = 1e-6
-INTERP_TOL = 1e-8
+N_CANDIDATES = 256
 
 
 @dataclass(frozen=True)
@@ -59,13 +60,6 @@ class Dimension:
             return int(min(max(round(value), math.ceil(self.lo)), math.floor(self.hi)))
         return value
 
-    def to_unit(self, value: float) -> float:
-        if self.log:
-            u = (math.log(value) - math.log(self.lo)) / (math.log(self.hi) - math.log(self.lo))
-        else:
-            u = (value - self.lo) / (self.hi - self.lo)
-        return min(max(u, 0.0), 1.0)
-
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -85,24 +79,21 @@ class SearchSpace:
     def decode(self, u: np.ndarray) -> dict[str, float | int]:
         return {d.name: d.from_unit(float(u[i])) for i, d in enumerate(self.dimensions)}
 
-    def encode(self, config: dict) -> np.ndarray:
-        return np.array([d.to_unit(float(config[d.name])) for d in self.dimensions])
-
 
 def default_space(kind: str, n_features: int) -> SearchSpace:
-    """Built-in search space per model kind over ``n_features`` input columns."""
+    """Built-in search space per model kind over ``n_features`` input columns.
+
+    With fewer than two columns the forest has no ``m_features`` to choose;
+    the fit's default then takes the one column there is.
+    """
     lam = Dimension("lambda", "float", 1e-4, 1e1, log=True)
     if kind == "lr":
         return SearchSpace((lam,))
     if kind == "rf":
-        return SearchSpace(
-            (
-                lam,
-                Dimension("n_trees", "int", 50, 300),
-                Dimension("max_depth", "int", 2, 20),
-                Dimension("m_features", "int", 1, max(1, n_features)),
-            )
-        )
+        dims = (lam, Dimension("n_trees", "int", 50, 300), Dimension("max_depth", "int", 2, 20))
+        if n_features >= 2:
+            dims += (Dimension("m_features", "int", 1, n_features),)
+        return SearchSpace(dims)
     raise ConfigError(f"no default search space for model kind {kind!r}")
 
 
@@ -136,48 +127,29 @@ def halton_candidates(n: int, d: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian process surrogate
+# Gaussian process posterior variance
 
 
-def _sq_exp_kernel(A: np.ndarray, B: np.ndarray, lengthscale: float, signal_var: float) -> np.ndarray:
+def _sq_exp_kernel(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d2 = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * (A @ B.T)
-    return signal_var * np.exp(-np.maximum(d2, 0.0) / (2.0 * lengthscale * lengthscale))
+    return GP_SIGNAL_VAR * np.exp(-np.maximum(d2, 0.0) / (2.0 * GP_LENGTHSCALE * GP_LENGTHSCALE))
 
 
-@dataclass(frozen=True)
-class GPSurrogate:
-    X: np.ndarray
-    y: np.ndarray
-    lengthscale: float
-    signal_var: float
-    noise: float
-    chol: np.ndarray = field(repr=False)
-    alpha: np.ndarray = field(repr=False)
+def posterior_variance(X_scored: np.ndarray, Xq: np.ndarray) -> np.ndarray:
+    """Posterior variance at ``Xq`` of the zero-mean GP observed at ``X_scored``.
 
-
-def gp_fit(
-    X: np.ndarray,
-    y: np.ndarray,
-    lengthscale: float = GP_LENGTHSCALE,
-    signal_var: float = GP_SIGNAL_VAR,
-    noise: float = GP_NOISE,
-) -> GPSurrogate:
-    """Fit the zero-mean GP; factorization jitter escalates only as needed.
-
-    With ``noise=0`` the posterior must interpolate the observations; a
-    residual above the tolerance after jitter means the kernel matrix is
-    numerically unusable, which is fatal rather than silently smoothed.
+    The variance depends only on where the GP has observed, never on the
+    observed values, so no scores are taken. Factorization jitter escalates
+    only as needed.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] != len(y):
-        raise EvaluationError("surrogate inputs and scores disagree on count")
-    K = _sq_exp_kernel(X, X, lengthscale, signal_var)
-    K[np.diag_indices_from(K)] += noise
+    X = np.atleast_2d(np.asarray(X_scored, dtype=np.float64))
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
+    K = _sq_exp_kernel(X, X)
+    K[np.diag_indices_from(K)] += GP_NOISE
     jitter = 0.0
     while True:
         try:
-            chol = np.linalg.cholesky(K + jitter * np.eye(len(y)))
+            chol = np.linalg.cholesky(K + jitter * np.eye(len(X)))
             break
         except np.linalg.LinAlgError:
             jitter = 1e-10 if jitter == 0.0 else jitter * 10.0
@@ -185,50 +157,8 @@ def gp_fit(
                 raise EvaluationError("kernel matrix is not positive definite even with jitter")
     if jitter > 0.0:
         log.debug("kernel factorization needed jitter %.1e", jitter)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y))
-    gp = GPSurrogate(
-        X=X, y=y, lengthscale=lengthscale, signal_var=signal_var, noise=noise, chol=chol, alpha=alpha
-    )
-    if noise == 0.0:
-        mean, _ = gp_predict(gp, X)
-        resid = float(np.max(np.abs(mean - y))) if len(y) else 0.0
-        if resid > INTERP_TOL:
-            raise EvaluationError(
-                f"noise-free surrogate fails to interpolate its observations (residual {resid:.2e})"
-            )
-    return gp
-
-
-def gp_predict(gp: GPSurrogate, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance of the latent function at query points."""
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=np.float64))
-    Ks = _sq_exp_kernel(gp.X, Xq, gp.lengthscale, gp.signal_var)
-    mean = Ks.T @ gp.alpha
-    V = np.linalg.solve(gp.chol, Ks)
-    var = gp.signal_var - np.sum(V * V, axis=0)
-    return mean, np.maximum(var, 0.0)
-
-
-def propose_next(
-    gp: GPSurrogate | None,
-    candidates: np.ndarray,
-    excluded: Sequence[int] = (),
-) -> int:
-    """Index of the most informative unexcluded candidate.
-
-    Without observations this is the first available candidate (the seeded
-    initial design is simply the front of the candidate set); with them it
-    is the posterior-variance maximizer, earliest index winning ties.
-    """
-    mask = np.ones(len(candidates), dtype=bool)
-    mask[list(excluded)] = False
-    avail = np.flatnonzero(mask)
-    if len(avail) == 0:
-        raise EvaluationError("candidate set exhausted; enlarge it or lower the budget")
-    if gp is None:
-        return int(avail[0])
-    _, var = gp_predict(gp, candidates[avail])
-    return int(avail[int(np.argmax(var))])
+    V = np.linalg.solve(chol, _sq_exp_kernel(X, Xq))
+    return np.maximum(GP_SIGNAL_VAR - np.sum(V * V, axis=0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +203,43 @@ def optimize(
     seed: int,
     n_init: int = 5,
     n_iter: int = 20,
-    n_candidates: int = 256,
 ) -> OptResult:
     """Budgeted maximization of ``objective`` over ``space``.
 
-    The first ``n_init`` trials take the head of the candidate set; each of
-    the ``n_iter`` refinement trials queries the surrogate. A configuration
-    is never evaluated twice: candidates decoding to an already-tried
-    configuration are skipped.
+    The first ``n_init`` trials, and any trial before one has scored, take
+    the first available candidate; every other trial takes the available
+    candidate of largest posterior variance given the scored trials, the
+    earliest index winning ties. A configuration is never evaluated twice:
+    candidates decoding to an already-tried configuration are skipped.
     """
     if n_init < 1:
         raise ConfigError(f"initial design needs at least one trial, got {n_init}")
     if n_iter < 0:
         raise ConfigError(f"refinement budget must be non-negative, got {n_iter}")
     total = n_init + n_iter
-    if total > n_candidates:
-        raise ConfigError(f"budget {total} exceeds the candidate set size {n_candidates}")
-    candidates = halton_candidates(n_candidates, space.n_dims, derive_seed(seed, "candidates"))
+    if total > N_CANDIDATES:
+        raise ConfigError(f"budget {total} exceeds the candidate set size {N_CANDIDATES}")
+    candidates = halton_candidates(N_CANDIDATES, space.n_dims, derive_seed(seed, "candidates"))
 
     trials: list[TrialRow] = []
     seen_configs: set[str] = set()
-    excluded: set[int] = set()
-    obs_X: list[np.ndarray] = []
-    obs_y: list[float] = []
-
-    def run_trial(idx: int) -> None:
+    available = np.ones(N_CANDIDATES, dtype=bool)
+    scored: list[int] = []  # candidate indices of the trials with a finite score
+    while len(trials) < total:
+        avail = np.flatnonzero(available)
+        if len(avail) == 0:
+            log.warning("candidate set exhausted after %d trials", len(trials))
+            break
+        if len(trials) < n_init or not scored:
+            idx = int(avail[0])
+        else:
+            var = posterior_variance(candidates[scored], candidates[avail])
+            idx = int(avail[int(np.argmax(var))])
+        available[idx] = False
         config = space.decode(candidates[idx])
         key = json.dumps(config, sort_keys=True)
-        excluded.add(idx)
+        if key in seen_configs:
+            continue
         seen_configs.add(key)
         try:
             score = float(objective(config))
@@ -308,36 +247,9 @@ def optimize(
             log.warning("trial %d failed: %s", len(trials) + 1, exc)
             score = float("-inf")
         trials.append(TrialRow(trial=len(trials) + 1, config=config, score=score))
-        # failed trials stay in the log but never feed the surrogate
+        # failed trials stay in the log but never feed the variance
         if math.isfinite(score):
-            obs_X.append(candidates[idx])
-            obs_y.append(score)
-
-    def next_unseen(start_gp: GPSurrogate | None) -> int | None:
-        # skip candidates whose decoded configuration was already tried
-        while True:
-            try:
-                idx = propose_next(start_gp, candidates, excluded=sorted(excluded))
-            except EvaluationError:
-                return None
-            key = json.dumps(space.decode(candidates[idx]), sort_keys=True)
-            if key in seen_configs:
-                excluded.add(idx)
-                continue
-            return idx
-
-    for _ in range(n_init):
-        idx = next_unseen(None)
-        if idx is None:
-            break
-        run_trial(idx)
-    for _ in range(n_iter):
-        gp = gp_fit(np.array(obs_X), np.array(obs_y)) if obs_X else None
-        idx = next_unseen(gp)
-        if idx is None:
-            log.warning("candidate set exhausted after %d trials", len(trials))
-            break
-        run_trial(idx)
+            scored.append(idx)
 
     finite = [t for t in trials if math.isfinite(t.score)]
     if not finite:

@@ -35,13 +35,12 @@ from faacflow.faac import (
     plan_batches,
 )
 from faacflow.hyperopt import (
+    N_CANDIDATES,
     Dimension,
     SearchSpace,
-    gp_fit,
-    gp_predict,
     halton_candidates,
     optimize,
-    propose_next,
+    posterior_variance,
 )
 from faacflow.ingest import FlowRecord, generate_synthetic, load_source_config
 from faacflow.integrate import IntegrationSpec, integrate
@@ -325,19 +324,11 @@ def test_criterion_07_surrogate_search():
             errors.append(abs(res.best_config["x"] - 0.3))
         assert float(np.median(errors)) <= 0.05
 
-        rng = np.random.default_rng(70)
-        Xp = rng.random((7, 1))
-        yp = np.sin(3.0 * Xp[:, 0])
-        gp = gp_fit(Xp, yp, noise=0.0)
-        mean, var = gp_predict(gp, Xp)
-        assert float(np.max(np.abs(mean - yp))) <= 1e-8
-
-        cands = halton_candidates(64, 1, seed=71)
-        gp = gp_fit(cands[:5], np.sin(2.0 * cands[:5, 0]))
-        pick = propose_next(gp, cands, excluded=range(5))
-        _, var = gp_predict(gp, cands)
+        res = optimize(lambda cfg: float(np.sin(2.0 * cfg["x"])), space, seed=71, n_init=5, n_iter=1)
+        cands = halton_candidates(N_CANDIDATES, 1, seed=derive_seed(71, "candidates"))
+        var = posterior_variance(cands[:5], cands)
         var[:5] = -1.0  # grid scan over the still-available candidates
-        assert pick == int(np.argmax(var))
+        assert res.trials[5].config == space.decode(cands[int(np.argmax(var))])
 
 
 def test_criterion_08_evaluation_bookkeeping():

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from faacflow.cli import main, orchestrate
+from faacflow.errors import ConfigError
 from faacflow.faac import read_derived
 from faacflow.learning import load_model
 
@@ -114,8 +117,11 @@ def sha256(path) -> str:
 
 
 def test_module_help_runs():
+    # a fresh interpreter does not see pytest's pythonpath; hand it the source tree
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "faacflow", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "faacflow", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "synth" in proc.stdout and "evaluate" in proc.stdout
@@ -179,6 +185,23 @@ def test_exit_codes(cfg_dir, tmp_path):
     empty = tmp_path / "empty_report.csv"
     empty.write_text("", encoding="utf-8")
     assert main(["report", "--input", str(empty), "--out", str(tmp_path)]) == 4
+
+
+def test_unknown_evaluation_keys_are_rejected(cfg_dir, tmp_path, capsys):
+    plan = tmp_path / "typo.yaml"
+    plan.write_text("repetiton: 3\nsingle: [missing.csv]\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(plan), "--out", str(tmp_path)]) == 2
+    assert "'repetiton'" in capsys.readouterr().err
+    # a removed setting fails too, before any source is synthesized
+    pipeline = tmp_path / "pipeline.yaml"
+    pipeline.write_text(
+        f"batches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\nsources:\n  s1: {cfg_dir / 'source_s1.yaml'}\n"
+        "evaluation:\n  models: [lr]\n  n_candidates: 64\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match="'n_candidates'"):
+        orchestrate(pipeline, tmp_path / "out", seed=5)
+    assert not (tmp_path / "out").exists()
 
 
 def test_declared_count_mismatch_is_a_data_error(cfg_dir, tmp_path):

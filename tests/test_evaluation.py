@@ -300,7 +300,7 @@ def test_tuning_runs_once_per_model_and_reuses_the_config():
     ds = counter_dataset(seed=25)
     settings_ = EvalSettings(
         k=3, repetitions=2, models=("lr",), tune=True, tune_once=True,
-        n_init=2, n_iter=2, n_candidates=32,
+        n_init=2, n_iter=2,
     )
     report = run_single_dataset(ds, settings_, seed=6, name="unit")
     assert len(report.trial_runs) == 1
@@ -309,6 +309,14 @@ def test_tuning_runs_once_per_model_and_reuses_the_config():
     assert len(run.trials) == 4
     tuned = {r.hyperparams_json for r in report.rows}
     assert len(tuned) == 1  # every fold reuses the tuned configuration
+
+
+def test_tuned_forest_runs_on_one_feature():
+    ds = counter_dataset(seed=31, p=1, classes=FULL[:2])
+    settings_ = EvalSettings(k=2, repetitions=1, models=("rf",), tune=True, n_init=2, n_iter=1)
+    report = run_single_dataset(ds, settings_, seed=4, name="unit")
+    assert len(report.rows) == 2
+    assert all("m_features" not in t.config for t in report.trial_runs[0].trials)
 
 
 def test_cross_dataset_scores_the_held_out_source():

@@ -1,4 +1,4 @@
-"""Search space arithmetic, GP surrogate numerics, and the trial loop."""
+"""Search space arithmetic, GP posterior variance, and the trial loop."""
 
 from __future__ import annotations
 
@@ -11,17 +11,20 @@ import pytest
 
 from faacflow.errors import ConfigError, EvaluationError
 from faacflow.hyperopt import (
+    GP_LENGTHSCALE,
+    GP_NOISE,
+    GP_SIGNAL_VAR,
+    N_CANDIDATES,
     Dimension,
     SearchSpace,
     TrialRow,
     default_space,
-    gp_fit,
-    gp_predict,
     halton_candidates,
     optimize,
-    propose_next,
+    posterior_variance,
     write_trial_log,
 )
+from faacflow.seeds import derive_seed
 
 from oracles import gp_posterior_dense
 
@@ -33,7 +36,6 @@ from oracles import gp_posterior_dense
 def test_float_dimension_interpolates_linearly():
     d = Dimension("x", "float", 0.0, 10.0)
     assert d.from_unit(0.25) == 2.5
-    assert d.to_unit(2.5) == 0.25
     assert d.from_unit(-0.5) == 0.0  # clamped
     assert d.from_unit(1.5) == 10.0
 
@@ -41,7 +43,6 @@ def test_float_dimension_interpolates_linearly():
 def test_log_dimension_interpolates_geometrically():
     d = Dimension("lam", "float", 1e-4, 1e0, log=True)
     assert d.from_unit(0.5) == pytest.approx(1e-2)
-    assert d.to_unit(1e-2) == pytest.approx(0.5)
     assert d.from_unit(0.0) == pytest.approx(1e-4)
 
 
@@ -62,13 +63,9 @@ def test_dimension_validation():
         Dimension("x", "float", 0, 1, log=True)
 
 
-def test_space_decode_encode_round_trip():
+def test_space_decode_and_validation():
     space = SearchSpace((Dimension("a", "float", 0, 1), Dimension("b", "int", 2, 8)))
-    u = np.array([0.3, 0.7])
-    cfg = space.decode(u)
-    back = space.encode(cfg)
-    assert back[0] == pytest.approx(0.3)
-    assert space.decode(back) == cfg
+    assert space.decode(np.array([0.3, 0.7])) == {"a": 0.3, "b": round(2 + 0.7 * 6)}
     with pytest.raises(ConfigError):
         SearchSpace(())
     with pytest.raises(ConfigError):
@@ -110,69 +107,74 @@ def test_halton_candidates_cover_the_cube_evenly():
 
 
 # ---------------------------------------------------------------------------
-# GP surrogate
+# GP posterior variance
 
 
 def test_gp_posterior_matches_dense_oracle():
     rng = np.random.default_rng(5)
     for d in (1, 2):
         X = rng.random((7, d))
-        y = rng.normal(0, 1, 7)
         Xq = rng.random((23, d))
-        gp = gp_fit(X, y, lengthscale=0.2, signal_var=1.0, noise=1e-6)
-        mean, var = gp_predict(gp, Xq)
-        mean_o, var_o = gp_posterior_dense(X, y, Xq, 0.2, 1.0, 1e-6)
-        assert np.allclose(mean, mean_o, atol=1e-8)
+        var = posterior_variance(X, Xq)
+        _, var_o = gp_posterior_dense(X, rng.normal(0, 1, 7), Xq, GP_LENGTHSCALE, GP_SIGNAL_VAR, GP_NOISE)
         assert np.allclose(var, var_o, atol=1e-8)
 
 
-def test_noise_free_gp_interpolates():
-    X = np.array([[0.1], [0.45], [0.8]])
-    y = np.array([1.0, -0.5, 0.25])
-    gp = gp_fit(X, y, noise=0.0)
-    mean, var = gp_predict(gp, X)
-    assert np.max(np.abs(mean - y)) <= 1e-8
-    assert np.all(var < 1e-6)
-
-
-def test_contradictory_noise_free_observations_are_fatal():
-    X = np.array([[0.5], [0.5]])
-    y = np.array([0.0, 1.0])
-    with pytest.raises(EvaluationError):
-        gp_fit(X, y, noise=0.0)
-
-
-def test_gp_fit_checks_lengths():
-    with pytest.raises(EvaluationError, match="count"):
-        gp_fit(np.zeros((3, 1)), np.zeros(2))
-
-
 # ---------------------------------------------------------------------------
-# Acquisition
+# Proposals
+
+
+def _candidate_index(space, candidates, config):
+    return next(i for i in range(len(candidates)) if space.decode(candidates[i]) == config)
 
 
 def test_proposal_is_the_variance_maximizer():
-    rng = np.random.default_rng(6)
-    grid = np.linspace(0, 1, 41)[:, None]
-    for trial in range(5):
-        X = rng.random((4, 1))
-        y = rng.normal(0, 1, 4)
-        gp = gp_fit(X, y)
-        _, var = gp_predict(gp, grid)
-        assert propose_next(gp, grid) == int(np.argmax(var))
+    """After the initial design, each trial takes the oracle's variance argmax.
+
+    The variance is that of the GP observed at the finitely scored earlier
+    trials, over the candidates not yet taken; before anything has scored,
+    a trial takes the first candidate not yet taken.
+    """
+    space = SearchSpace((Dimension("a", "float", 0.0, 1.0), Dimension("b", "float", -1.0, 1.0)))
+    cases = [
+        (11, 3, lambda n, cfg: False),
+        (12, 2, lambda n, cfg: cfg["a"] < 0.35),  # a failing region
+        (13, 2, lambda n, cfg: n <= 4),  # nothing scores until after the initial design
+    ]
+    for seed, n_init, fails in cases:
+        calls = []
+
+        def objective(cfg):
+            calls.append(cfg)
+            if fails(len(calls), cfg):
+                raise EvaluationError("unstable fit")
+            return math.sin(5.0 * cfg["a"]) + cfg["b"]
+
+        result = optimize(objective, space, seed=seed, n_init=n_init, n_iter=12)
+        cands = halton_candidates(N_CANDIDATES, space.n_dims, derive_seed(seed, "candidates"))
+        picks = [_candidate_index(space, cands, t.config) for t in result.trials]
+        assert len(picks) == n_init + 12
+        assert any(t.score == float("-inf") for t in result.trials) == (seed != 11)
+        for t, pick in enumerate(picks):
+            remaining = [i for i in range(N_CANDIDATES) if i not in picks[:t]]
+            scored = [p for p, tr in zip(picks[:t], result.trials) if math.isfinite(tr.score)]
+            if t < n_init or not scored:
+                assert pick == remaining[0]
+                continue
+            ys = np.zeros(len(scored))  # the variance never reads the scores
+            _, var = gp_posterior_dense(
+                cands[scored], ys, cands[remaining], GP_LENGTHSCALE, GP_SIGNAL_VAR, GP_NOISE
+            )
+            assert var[remaining.index(pick)] >= var.max() - 1e-9
 
 
-def test_proposal_respects_exclusions():
-    grid = np.linspace(0, 1, 9)[:, None]
-    assert propose_next(None, grid) == 0
-    assert propose_next(None, grid, excluded=[0, 1]) == 2
-    gp = gp_fit(np.array([[0.5]]), np.array([1.0]))
-    _, var = gp_predict(gp, grid)
-    best = int(np.argmax(var))
-    second = propose_next(gp, grid, excluded=[best])
-    assert second != best
-    with pytest.raises(EvaluationError, match="exhausted"):
-        propose_next(gp, grid, excluded=list(range(9)))
+def test_proposal_respects_exclusions(caplog):
+    # three integer values: candidates decoding to a tried value are skipped,
+    # and the search stops early once every value has been tried
+    space = SearchSpace((Dimension("n", "int", 1, 3),))
+    result = optimize(lambda cfg: float(cfg["n"]), space, seed=5, n_init=2, n_iter=4)
+    assert sorted(t.config["n"] for t in result.trials) == [1, 2, 3]
+    assert "candidate set exhausted after 3 trials" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +191,8 @@ def test_optimize_budget_validation():
         optimize(objective, quad_space(), seed=0, n_init=0)
     with pytest.raises(ConfigError):
         optimize(objective, quad_space(), seed=0, n_iter=-1)
-    with pytest.raises(ConfigError):
-        optimize(objective, quad_space(), seed=0, n_init=5, n_iter=20, n_candidates=10)
+    with pytest.raises(ConfigError, match="candidate set size"):
+        optimize(objective, quad_space(), seed=0, n_init=N_CANDIDATES, n_iter=1)
 
 
 def test_optimize_never_repeats_a_configuration():
