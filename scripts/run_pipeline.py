@@ -22,10 +22,9 @@ def main() -> int:
     ap.add_argument("--config", required=True, help="pipeline YAML (faac, sources, evaluation keys)")
     ap.add_argument("--out", required=True, help="output directory for all artifacts")
     ap.add_argument("--seed", type=int, default=None, help="root seed override (default: from config)")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads for forest fitting")
     args = ap.parse_args()
     try:
-        artifacts = orchestrate(args.config, args.out, seed=args.seed, threads=args.threads)
+        artifacts = orchestrate(args.config, args.out, seed=args.seed)
     except FaacflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

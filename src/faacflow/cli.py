@@ -291,7 +291,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         data_paths.append(path)
         ds = read_derived(path)
         name = str(entry["name"]) if "name" in entry else None
-        report.extend(run_single_dataset(ds, settings, seed=seed, n_threads=args.threads, name=name))
+        report.extend(run_single_dataset(ds, settings, seed=seed, name=name))
     transfer = doc.get("transfer") or {}
     if transfer:
         datasets = {}
@@ -299,7 +299,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             path = resolve(p)
             data_paths.append(path)
             datasets[str(name)] = read_derived(path)
-        report.extend(run_transfer_matrix(datasets, settings, seed=seed, n_threads=args.threads))
+        report.extend(run_transfer_matrix(datasets, settings, seed=seed))
     if not report.rows:
         raise ConfigError(f"{cfg_path}: no 'single' or 'transfer' inputs given")
 
@@ -395,6 +395,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 # One-config pipeline
 
 
+_PIPELINE_KEYS = ("seed", "batches", "faac", "sources", "integration", "evaluation")
+
+
 def orchestrate(
     config_path: str | Path,
     out_dir: str | Path,
@@ -406,8 +409,16 @@ def orchestrate(
     Returns the paths of everything written. Paths inside the config
     resolve relative to the config file.
     """
+    # forests grow serially; the keyword stays only for callers that pass threads=1
+    if threads != 1:
+        raise ConfigError(f"threads must be 1 (forests are grown serially), got {threads}")
     config_path = Path(config_path)
     doc, resolve = _load_plan(config_path)
+    unknown = [k for k in doc if k not in _PIPELINE_KEYS]
+    if unknown:
+        raise ConfigError(
+            f"{config_path}: unknown pipeline key {unknown[0]!r}; expected one of {', '.join(_PIPELINE_KEYS)}"
+        )
     if "faac" not in doc or "sources" not in doc:
         raise ConfigError(f"{config_path}: pipeline needs 'faac' and 'sources' keys")
     if seed is None:
@@ -472,9 +483,9 @@ def orchestrate(
                 ds = derived[target]
             else:
                 raise ConfigError(f"unknown evaluation target {target!r}")
-            report.extend(run_single_dataset(ds, settings, seed=seed, n_threads=threads, name=target))
+            report.extend(run_single_dataset(ds, settings, seed=seed, name=target))
         if eval_doc.get("transfer", False):
-            report.extend(run_transfer_matrix(dict(derived), settings, seed=seed, n_threads=threads))
+            report.extend(run_transfer_matrix(dict(derived), settings, seed=seed))
         if report.rows:
             for path in _write_eval_outputs(report, out):
                 artifacts[f"eval:{path.name}"] = path
@@ -491,7 +502,6 @@ def orchestrate(
                     kind,
                     hyperparams=resolve_hyperparams(kind, settings.fixed_hyper.get(kind)),
                     seed=derive_seed(seed, "final", kind),
-                    n_threads=threads,
                     provenance={"dataset": primary_name},
                 )
                 model_path = out / f"model_{kind}.json"
@@ -512,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to the command's YAML configuration")
     common.add_argument("--seed", type=int, default=None, help="root random seed")
     common.add_argument("--out", default=None, help="output directory (default: current)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for tree building")
 
     parser = argparse.ArgumentParser(
         prog="faacflow",

@@ -268,7 +268,6 @@ def _tune_on_train(
     settings: EvalSettings,
     tune_seed: int,
     fit_seed: int,
-    n_threads: int,
 ) -> tuple[dict, tuple[TrialRow, ...]]:
     """Pick hyperparameters by weighted AUC on an inner validation split.
 
@@ -283,9 +282,7 @@ def _tune_on_train(
     fit_idx = np.flatnonzero(fit_mask)
 
     def objective(config: dict) -> float:
-        model = fit_pipeline(
-            X[fit_idx], y[fit_idx], classes, kind, hyperparams=config, seed=fit_seed, n_threads=n_threads
-        )
+        model = fit_pipeline(X[fit_idx], y[fit_idx], classes, kind, hyperparams=config, seed=fit_seed)
         _, _, wavg = score_fold(model, X[val_idx], y[val_idx], classes)
         return wavg
 
@@ -314,7 +311,6 @@ def _fit_and_score(
     classes: Sequence[str],
     settings: EvalSettings,
     seed: int,
-    n_threads: int,
     repetition: int = 1,
     fold: int = 1,
 ) -> dict:
@@ -337,7 +333,6 @@ def _fit_and_score(
                 *train, classes, kind, settings,
                 tune_seed=derive_seed(seed, "tune", kind, *labels),
                 fit_seed=derive_seed(seed, "tune-fit", kind, *labels),
-                n_threads=n_threads,
             )
             report.trial_runs.append(
                 TrialRun(model=kind, repetition=repetition, fold=fold, trials=trials, label=trial_label)
@@ -347,7 +342,6 @@ def _fit_and_score(
             *train, classes, kind,
             hyperparams=resolved,
             seed=derive_seed(seed, "fit", kind, *labels),
-            n_threads=n_threads,
             provenance={"dataset": train_name, "repetition": repetition, "fold": fold},
         )
         aucs, counts, wavg = score_fold(model, *test, classes)
@@ -367,7 +361,6 @@ def run_single_dataset(
     dataset: DerivedDataset,
     settings: EvalSettings,
     seed: int,
-    n_threads: int = 1,
     name: str | None = None,
 ) -> EvalReport:
     """Repeated stratified k-fold cross-validation on one dataset.
@@ -393,7 +386,7 @@ def run_single_dataset(
                 tuned[kind] = _fit_and_score(
                     report, "single-dataset", (name, name), kind, hyper,
                     (X[train_idx], y[train_idx]), (X[val_idx], y[val_idx]), classes,
-                    settings, seed, n_threads, repetition=r, fold=f,
+                    settings, seed, repetition=r, fold=f,
                 )
     return report
 
@@ -431,7 +424,6 @@ def run_cross_dataset(
     test: DerivedDataset,
     settings: EvalSettings,
     seed: int,
-    n_threads: int = 1,
     train_name: str | None = None,
     test_name: str | None = None,
 ) -> EvalReport:
@@ -446,7 +438,7 @@ def run_cross_dataset(
         hyper = None if settings.tune else settings.fixed_hyper.get(kind, {})
         _fit_and_score(
             report, "cross-dataset", (train_name, test_name), kind, hyper,
-            (tr.X, tr.y), (te.X, te.y), classes, settings, seed, n_threads,
+            (tr.X, tr.y), (te.X, te.y), classes, settings, seed,
         )
     return report
 
@@ -455,7 +447,6 @@ def run_transfer_matrix(
     datasets: dict[str, DerivedDataset],
     settings: EvalSettings,
     seed: int,
-    n_threads: int = 1,
 ) -> EvalReport:
     """Every ordered train/test pair of distinct datasets."""
     if len(datasets) < 2:
@@ -471,7 +462,6 @@ def run_transfer_matrix(
                     datasets[b],
                     settings,
                     seed,
-                    n_threads=n_threads,
                     train_name=a,
                     test_name=b,
                 )

@@ -494,13 +494,23 @@ def read_derived(path: str | Path | TextIO, taxonomy: CanonicalTaxonomy | None =
     )
 
 
+# args each matcher kind reads, besides allow_overlap
+_MATCHER_ARGS = {EQUALS: ("value",), IN_SET: ("values",), NUMERIC_RANGE: ("lo", "hi"), MISSING: (), CATCH_ALL: ()}
+
+
 def _parse_matcher(node: dict) -> Matcher:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"matcher must be a mapping with a 'kind': {node!r}")
     kind = node["kind"]
+    if kind not in _MATCHER_ARGS:
+        raise ConfigError(f"unknown matcher kind {kind!r}")
     args = node.get("args") or {}
     if not isinstance(args, dict):
         raise ConfigError(f"matcher args must be a mapping: {args!r}")
+    known = _MATCHER_ARGS[kind] + ("allow_overlap",)
+    unknown = [k for k in args if k not in known]
+    if unknown:
+        raise ConfigError(f"unknown {kind} matcher arg {unknown[0]!r}; expected one of {', '.join(known)}")
     allow_overlap = bool(args.get("allow_overlap", False))
     if kind == EQUALS:
         if "value" not in args:
@@ -518,9 +528,7 @@ def _parse_matcher(node: dict) -> Matcher:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"numeric_range endpoints must be numbers: {exc}") from exc
         return Matcher(kind=NUMERIC_RANGE, lo=lo, hi=hi, allow_overlap=allow_overlap)
-    if kind in (MISSING, CATCH_ALL):
-        return Matcher(kind=kind, allow_overlap=allow_overlap)
-    raise ConfigError(f"unknown matcher kind {kind!r}")
+    return Matcher(kind=kind, allow_overlap=allow_overlap)
 
 
 def load_faac_config(path: str | Path) -> FaacConfig:

@@ -124,6 +124,9 @@ def load_integration_spec(path: str | Path) -> IntegrationSpec:
         return IntegrationSpec()
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a mapping at top level")
+    unknown = [k for k in doc if k != "shared_classes"]
+    if unknown:
+        raise ConfigError(f"{path}: unknown integration key {unknown[0]!r}; expected shared_classes")
     shared = doc.get("shared_classes")
     if shared is None:
         return IntegrationSpec()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -458,14 +457,8 @@ def fit_rf(
     m_features: int,
     min_leaf: int,
     seed: int,
-    n_threads: int = 1,
 ) -> ForestModel:
-    """Bootstrap forest; tree t draws all randomness from a seed derived for t.
-
-    Trees may build in parallel threads, but the result is identical for
-    any thread count because seeds are fixed per tree and collection keeps
-    submission order.
-    """
+    """Bootstrap forest; tree t draws all randomness from a seed derived for t."""
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y)
     if n_trees < 1:
@@ -479,15 +472,7 @@ def fit_rf(
         raise ConfigError(f"features per split must lie in [1, {p}], got {m_features}")
     m = m_features if p else 0
     seeds = tuple(derive_seed(seed, "tree", t) for t in range(n_trees))
-
-    def one(ts: int) -> dict:
-        return build_tree(Z, y, n_classes, ts, max_depth, m, min_leaf)
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            trees = tuple(pool.map(one, seeds))
-    else:
-        trees = tuple(one(ts) for ts in seeds)
+    trees = tuple(build_tree(Z, y, n_classes, ts, max_depth, m, min_leaf) for ts in seeds)
     return ForestModel(trees=trees, n_classes=n_classes, tree_seeds=seeds)
 
 
@@ -569,7 +554,6 @@ def fit_pipeline(
     kind: str,
     hyperparams: dict | None = None,
     seed: int = 0,
-    n_threads: int = 1,
     provenance: dict | None = None,
 ) -> PipelineModel:
     """Standardize, select features, and fit the classifier on the support."""
@@ -614,7 +598,6 @@ def fit_pipeline(
             m_features=m,
             min_leaf=int(hp["min_leaf"]),
             seed=seed,
-            n_threads=n_threads,
         )
     return model
 

@@ -204,6 +204,30 @@ def test_unknown_evaluation_keys_are_rejected(cfg_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_pipeline_keys_are_rejected(cfg_dir, tmp_path):
+    pipeline = tmp_path / "pipeline.yaml"
+    pipeline.write_text(
+        f"batches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\nsources:\n  s1: {cfg_dir / 'source_s1.yaml'}\n"
+        "integrations: integration.yaml\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match="'integrations'"):
+        orchestrate(pipeline, tmp_path / "out", seed=5)
+    assert not (tmp_path / "out").exists()
+
+
+def test_thread_counts_other_than_one_are_rejected(cfg_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(ConfigError, match="threads"):
+        orchestrate(cfg_dir / "pipeline.yaml", out, seed=5, threads=2)
+    assert list(out.iterdir()) == []
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_declared_count_mismatch_is_a_data_error(cfg_dir, tmp_path):
     out = tmp_path / "d"
     assert main(["synth", "--config", str(cfg_dir / "source_s1.yaml"),

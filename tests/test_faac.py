@@ -395,3 +395,14 @@ def test_reference_config_loads(config_dir):
     assert cfg.full_priority() == ("DoS", "PortScanning")
     assert cfg.aliases["sport"] == "src_port"
     assert cfg.aliases["protocol_type"] == "proto"
+
+
+def test_unknown_matcher_args_are_rejected(tmp_path):
+    path = tmp_path / "typo.yaml"
+    path.write_text(
+        "features:\n"
+        "  - {name: mid, variable: dst_port, matcher: {kind: numeric_range, args: {low: 5, hi: 10}}}\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match="'low'"):
+        load_faac_config(path)

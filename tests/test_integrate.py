@@ -119,3 +119,10 @@ def test_load_integration_spec(tmp_path, config_dir):
     bad.write_text("shared_classes: notalist\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_integration_spec(bad)
+
+
+def test_unknown_integration_keys_are_rejected(tmp_path):
+    typo = tmp_path / "typo.yaml"
+    typo.write_text("shared_clases: [Background, DoS]\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="'shared_clases'"):
+        load_integration_spec(typo)

@@ -270,13 +270,6 @@ def test_forest_seed_determinism_is_byte_exact():
     assert len({json.dumps(t) for t in a.trees}) > 1
 
 
-def test_thread_count_does_not_change_the_forest():
-    Z, y = lasso_instance(seed=13)
-    a = fit_rf(Z, y, 3, n_trees=8, max_depth=4, m_features=3, min_leaf=1, seed=1, n_threads=1)
-    b = fit_rf(Z, y, 3, n_trees=8, max_depth=4, m_features=3, min_leaf=1, seed=1, n_threads=4)
-    assert a == b
-
-
 def test_forest_hyperparameter_contracts():
     Z, y = lasso_instance()
     with pytest.raises(ConfigError):
