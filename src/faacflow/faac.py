@@ -531,6 +531,9 @@ def _parse_matcher(node: dict) -> Matcher:
     return Matcher(kind=kind, allow_overlap=allow_overlap)
 
 
+_CONFIG_KEYS = ("features", "taxonomy", "class_priority", "aliases")
+
+
 def load_faac_config(path: str | Path) -> FaacConfig:
     """Load a counter configuration from YAML."""
     path = Path(path)
@@ -540,6 +543,11 @@ def load_faac_config(path: str | Path) -> FaacConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(doc, dict) or "features" not in doc:
         raise ConfigError(f"{path}: expected a mapping with a 'features' list")
+    unknown = [k for k in doc if k not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(
+            f"{path}: unknown counter config key {unknown[0]!r}; expected one of {', '.join(_CONFIG_KEYS)}"
+        )
     features = []
     for node in doc["features"]:
         try:

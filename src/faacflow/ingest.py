@@ -477,6 +477,10 @@ def _parse_distribution(node: dict) -> Distribution:
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
+_SOURCE_KEYS = ("dataset", "columns", "label_column", "class_map", "taxonomy", "profile", "record_count_hint")
+_PROFILE_KEYS = ("proportions", "distributions", "variants", "burst", "seed", "total")
+
+
 def load_source_config(path: str | Path) -> SourceSchema:
     """Load a SourceSchema (and optional synthetic profile) from YAML."""
     path = Path(path)
@@ -486,6 +490,11 @@ def load_source_config(path: str | Path) -> SourceSchema:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a mapping at top level")
+    unknown = [k for k in doc if k not in _SOURCE_KEYS]
+    if unknown:
+        raise ConfigError(
+            f"{path}: unknown source key {unknown[0]!r}; expected one of {', '.join(_SOURCE_KEYS)}"
+        )
     try:
         dataset_id = str(doc["dataset"]["id"])
         columns = tuple(Column(name=str(c["name"]), kind=str(c["kind"])) for c in doc["columns"])
@@ -499,6 +508,13 @@ def load_source_config(path: str | Path) -> SourceSchema:
     profile = None
     if "profile" in doc:
         p = doc["profile"]
+        if not isinstance(p, dict):
+            raise ConfigError(f"{path}: malformed profile: expected a mapping")
+        unknown = [k for k in p if k not in _PROFILE_KEYS]
+        if unknown:
+            raise ConfigError(
+                f"{path}: unknown profile key {unknown[0]!r}; expected one of {', '.join(_PROFILE_KEYS)}"
+            )
         try:
             distributions = {
                 str(cls): {str(var): _parse_distribution(d) for var, d in per_class.items()}

@@ -329,53 +329,68 @@ def _leaf(counts: np.ndarray) -> dict:
     return {"n": [int(v) for v in counts]}
 
 
+def _code_columns(Z: np.ndarray) -> np.ndarray:
+    """Rank code of every value within its column: 0 for the smallest, and so on.
+
+    FaaC counters are multiples of 1/B, so a column holds few distinct
+    values and its codes index a short class histogram.
+    """
+    codes = np.empty(Z.shape, dtype=np.int64)
+    for j in range(Z.shape[1]):
+        codes[:, j] = np.unique(Z[:, j], return_inverse=True)[1]
+    return codes
+
+
 def _best_split(
-    Z: np.ndarray, yb: np.ndarray, idx: np.ndarray, feats: np.ndarray, n_classes: int, min_leaf: int
-) -> tuple[int, float] | None:
+    codes: np.ndarray,
+    yb: np.ndarray,
+    idx: np.ndarray,
+    counts: np.ndarray,
+    feats: np.ndarray,
+    min_leaf: int,
+) -> tuple[int, int] | None:
     """Split minimizing weighted child Gini impurity, decided exactly.
 
-    Impurity ranking reduces to maximizing (A(n-t) + Bt) / (t(n-t)) with
-    A, B the summed squared child class counts. Candidates near the float
-    maximum are re-compared with integer cross-multiplication, so the
-    winner (and the lowest-feature, lowest-threshold tie rule) never
-    depends on rounding.
+    One bincount builds the node's class histogram over every (feature,
+    code) cell; a cumulative sum along the codes gives the left-child class
+    counts of the cut after each occupied cell. Impurity ranking reduces to
+    maximizing (A(n-t) + Bt) / (t(n-t)) with A, B the summed squared child
+    class counts. Cells near the float maximum are re-compared in (feature,
+    code) order with integer cross-multiplication, so the winner (and the
+    lowest-feature, lowest-threshold tie rule) never depends on rounding.
+    Returns the feature and the code of the last value on the left.
     """
     n = len(idx)
-    y_node = yb[idx]
+    n_classes = len(counts)
+    cells = codes[idx][:, feats]
+    width = int(cells.max(initial=0)) + 1
+    cells += np.arange(len(feats)) * width
+    hist = np.bincount(
+        (cells * n_classes + yb[idx][:, None]).ravel(), minlength=len(feats) * width * n_classes
+    ).reshape(len(feats), width, n_classes)
+    left = np.cumsum(hist, axis=1)
+    t = left.sum(axis=2)
+    fpos, code = np.nonzero(hist.any(axis=2) & (t >= min_leaf) & (n - t >= min_leaf))
+    if len(fpos) == 0:
+        return None
+    left, t = left[fpos, code], t[fpos, code]
+    right = counts - left
+    num = np.sum(left * left, axis=1) * (n - t) + np.sum(right * right, axis=1) * t
+    den = t * (n - t)
+    q = num / den
     best_num = -1
     best_den = 1
-    best: tuple[int, float] | None = None
-    for fi in feats:
-        v = Z[idx, fi]
-        order = np.argsort(v, kind="stable")
-        sv = v[order]
-        cum = np.cumsum(np.eye(n_classes, dtype=np.int64)[y_node[order]], axis=0)
-        cut = np.flatnonzero(sv[:-1] != sv[1:])  # last index of each left group
-        if len(cut) == 0:
-            continue
-        t = cut + 1
-        ok = (t >= min_leaf) & (n - t >= min_leaf)
-        if not ok.any():
-            continue
-        cut, t = cut[ok], t[ok]
-        left = cum[cut]
-        right = cum[-1] - left
-        A = np.sum(left * left, axis=1)
-        B = np.sum(right * right, axis=1)
-        num = A * (n - t) + B * t
-        den = t * (n - t)
-        q = num / den
-        near = np.flatnonzero(q >= q.max() * (1.0 - 1e-9))
-        for k in near:
-            cnum, cden = int(num[k]), int(den[k])
-            if cnum * best_den > best_num * cden:
-                best_num, best_den = cnum, cden
-                best = (int(fi), float(sv[cut[k]]))
-    return best
+    best = 0
+    for k in np.flatnonzero(q >= q.max() * (1.0 - 1e-9)):
+        cnum, cden = int(num[k]), int(den[k])
+        if cnum * best_den > best_num * cden:
+            best_num, best_den, best = cnum, cden, int(k)
+    return int(feats[fpos[best]]), int(code[best])
 
 
 def _grow_tree(
     Z: np.ndarray,
+    codes: np.ndarray,
     yb: np.ndarray,
     idx: np.ndarray,
     depth: int,
@@ -398,14 +413,36 @@ def _grow_tree(
         feats = np.sort(rng.choice(p, size=m_features, replace=False))
     else:
         feats = np.arange(p)
-    split = _best_split(Z, yb, idx, feats, n_classes, min_leaf)
+    split = _best_split(codes, yb, idx, counts, feats, min_leaf)
     if split is None:
         return _leaf(counts)
-    fi, thr = split
-    mask = Z[idx, fi] <= thr
-    left = _grow_tree(Z, yb, idx[mask], depth + 1, rng, n_classes, max_depth, m_features, min_leaf)
-    right = _grow_tree(Z, yb, idx[~mask], depth + 1, rng, n_classes, max_depth, m_features, min_leaf)
+    fi, code = split
+    col = codes[idx, fi]
+    mask = col <= code
+    # the threshold is the last value on the left; taking it from the node's
+    # last row in that cell keeps the sign a -0.0 / 0.0 column had there
+    thr = float(Z[idx[col == code][-1], fi])
+    args = (rng, n_classes, max_depth, m_features, min_leaf)
+    left = _grow_tree(Z, codes, yb, idx[mask], depth + 1, *args)
+    right = _grow_tree(Z, codes, yb, idx[~mask], depth + 1, *args)
     return {"f": fi, "t": thr, "l": left, "r": right}
+
+
+def _build_coded_tree(
+    Z: np.ndarray,
+    codes: np.ndarray,
+    y: np.ndarray,
+    n_classes: int,
+    tree_seed: int,
+    max_depth: int,
+    m_features: int,
+    min_leaf: int,
+    bootstrap: bool,
+) -> dict:
+    rng = np.random.default_rng(tree_seed)
+    n = Z.shape[0]
+    idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    return _grow_tree(Z, codes, y, idx, 0, rng, n_classes, max_depth, m_features, min_leaf)
 
 
 def build_tree(
@@ -419,10 +456,9 @@ def build_tree(
     bootstrap: bool = True,
 ) -> dict:
     """One decision tree on a bootstrap resample drawn from ``tree_seed``."""
-    rng = np.random.default_rng(tree_seed)
-    n = Z.shape[0]
-    idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-    return _grow_tree(Z, np.asarray(y), idx, 0, rng, n_classes, max_depth, m_features, min_leaf)
+    return _build_coded_tree(
+        Z, _code_columns(Z), np.asarray(y), n_classes, tree_seed, max_depth, m_features, min_leaf, bootstrap
+    )
 
 
 def apply_tree(node: dict, Z: np.ndarray) -> np.ndarray:
@@ -472,7 +508,10 @@ def fit_rf(
         raise ConfigError(f"features per split must lie in [1, {p}], got {m_features}")
     m = m_features if p else 0
     seeds = tuple(derive_seed(seed, "tree", t) for t in range(n_trees))
-    trees = tuple(build_tree(Z, y, n_classes, ts, max_depth, m, min_leaf) for ts in seeds)
+    codes = _code_columns(Z)
+    trees = tuple(
+        _build_coded_tree(Z, codes, y, n_classes, ts, max_depth, m, min_leaf, bootstrap=True) for ts in seeds
+    )
     return ForestModel(trees=trees, n_classes=n_classes, tree_seeds=seeds)
 
 

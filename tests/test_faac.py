@@ -406,3 +406,14 @@ def test_unknown_matcher_args_are_rejected(tmp_path):
     )
     with pytest.raises(ConfigError, match="'low'"):
         load_faac_config(path)
+
+
+@pytest.mark.parametrize("typo", ["class_priorty", "aliasses"])
+def test_unknown_config_keys_are_rejected(config_dir, tmp_path, typo):
+    text = (config_dir / "faac_reference.yaml").read_text(encoding="utf-8")
+    key = "class_priority" if typo == "class_priorty" else "aliases"
+    assert f"\n{key}:" in text
+    path = tmp_path / "typo.yaml"
+    path.write_text(text.replace(f"\n{key}:", f"\n{typo}:", 1), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"unknown counter config key '{typo}'"):
+        load_faac_config(path)

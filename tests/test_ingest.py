@@ -352,6 +352,29 @@ def test_three_bundled_sources_share_the_taxonomy(config_dir):
     assert len(ids) == 3
 
 
+@pytest.mark.parametrize("name", ["nslkdd_like", "ugr16_like", "unsw_like"])
+def test_benchmark_shaped_source_configs_load(config_dir, name):
+    schema = load_source_config(config_dir / f"{name}.yaml")
+    assert schema.profile is not None
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("\nprofile:", "\nprofiles:", "unknown source key 'profiles'"),
+        ("\n  burst:", "\n  bursts:", "unknown profile key 'bursts'"),
+    ],
+    ids=["profiles", "bursts"],
+)
+def test_unknown_source_keys_are_rejected(config_dir, tmp_path, old, new, match):
+    text = (config_dir / "source_alpha.yaml").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = tmp_path / "typo.yaml"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(ConfigError, match=match):
+        load_source_config(path)
+
+
 def test_load_source_config_rejects_bad_yaml(tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("dataset_id: [unclosed\n", encoding="utf-8")

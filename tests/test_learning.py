@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -238,11 +239,49 @@ def test_root_split_matches_the_exhaustive_oracle():
 def test_min_leaf_limits_split_candidates():
     Z = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 1, 0, 1])
+    rows = np.arange(4)
+    # unrestricted, the purest cut isolates the first row; two-row leaves force the middle cut
+    assert best_gini_split(Z, y, rows, 2, min_leaf=1) == (0, 0.0)
+    expect = best_gini_split(Z, y, rows, 2, min_leaf=2)
+    assert expect == (0, 1.0)
     tree = build_tree(Z, y, 2, tree_seed=0, max_depth=3, m_features=1, min_leaf=2,
                       bootstrap=False)
-    if "f" in tree:
-        left = (Z[:, tree["f"]] <= tree["t"]).sum()
-        assert 2 <= left <= 2
+    assert (tree["f"], tree["t"]) == expect
+    assert tree["l"] == {"n": [1, 1]} and tree["r"] == {"n": [1, 1]}
+
+
+def assert_splits_match_oracle(node, Z, y, rows, depth, n_classes, max_depth, min_leaf):
+    """Every internal node holds the oracle's split over the rows reaching it;
+    every leaf holds those rows' class counts and stops for a stated reason."""
+    counts = np.bincount(y[rows], minlength=n_classes)
+    if "n" in node:
+        assert node["n"] == counts.tolist()
+        if depth < max_depth and len(rows) >= 2 * min_leaf and counts.max() < len(rows):
+            assert best_gini_split(Z, y, rows, n_classes, min_leaf=min_leaf) is None
+        return
+    expect = best_gini_split(Z, y, rows, n_classes, min_leaf=min_leaf)
+    assert (node["f"], node["t"]) == expect, f"depth {depth}, {len(rows)} rows"
+    go_left = Z[rows, node["f"]] <= node["t"]
+    for child, part in ((node["l"], rows[go_left]), (node["r"], rows[~go_left])):
+        assert_splits_match_oracle(child, Z, y, part, depth + 1, n_classes, max_depth, min_leaf)
+
+
+def test_deep_splits_match_the_exhaustive_oracle():
+    rng = np.random.default_rng(22)
+    instances = []
+    for grid in (4, 100):
+        # counters on a 1/grid lattice, as FaaC derives them; the coarse grid forces ties
+        for _ in range(3):
+            Z = rng.integers(0, grid + 1, (48, 4)).astype(np.float64) / grid
+            y = rng.integers(0, 3, 48)
+            instances.append((Z, y))
+    instances.append(blobs(n_per=16, p=4, seed=23, spread=2.5))
+    for trial, (Z, y) in enumerate(instances):
+        for min_leaf in (1, 2, 3):
+            tree = build_tree(Z, y, 3, tree_seed=trial, max_depth=4, m_features=Z.shape[1],
+                              min_leaf=min_leaf, bootstrap=False)
+            assert "f" in tree
+            assert_splits_match_oracle(tree, Z, y, np.arange(len(y)), 0, 3, 4, min_leaf)
 
 
 def test_tree_determinism_and_bootstrap_variety():
@@ -268,6 +307,30 @@ def test_forest_seed_determinism_is_byte_exact():
     assert json.dumps(a.trees) == json.dumps(b.trees)
     assert a.tree_seeds == b.tree_seeds
     assert len({json.dumps(t) for t in a.trees}) > 1
+
+
+def quantized_instance():
+    """Counters on a 1/100 lattice with a noisy three-class rule over them."""
+    rng = np.random.default_rng(21)
+    X = rng.integers(0, 101, (240, 7)) / 100.0
+    y = np.where(X[:, 0] > 0.6, 0, np.where(X[:, 2] + X[:, 4] > 1.0, 1, 2))
+    flip = rng.random(len(y)) < 0.15
+    y[flip] = rng.integers(0, 3, int(flip.sum()))
+    return X, y
+
+
+def test_forest_bytes_match_the_recorded_digests():
+    # recorded before the split search became a histogram search; tree bytes may change only on purpose
+    Z, y = lasso_instance(seed=20)
+    forest = fit_rf(Z, y, 3, n_trees=10, max_depth=8, m_features=3, min_leaf=1, seed=4)
+    assert hashlib.sha256(json.dumps(forest.trees).encode()).hexdigest() == (
+        "c440c5a58d92489cd03d0ff45725e2f0afbf972bd2cfce4a38162b3a08ac5376"
+    )
+    X, y = quantized_instance()
+    forest = fit_rf(X, y, 3, n_trees=10, max_depth=8, m_features=3, min_leaf=2, seed=9)
+    assert hashlib.sha256(json.dumps(forest.trees).encode()).hexdigest() == (
+        "8ecab921e5845ea54222c72b4cb4cc16fc9e4a43976515b278ad8547ee5eb049"
+    )
 
 
 def test_forest_hyperparameter_contracts():
