@@ -14,6 +14,7 @@ import csv
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import TextIO
 
@@ -36,11 +37,14 @@ _MATCHER_KINDS = (EQUALS, IN_SET, NUMERIC_RANGE, MISSING, CATCH_ALL)
 class Matcher:
     """Predicate over a single variable value.
 
-    ``equals`` and ``in_set`` compare tokens (numeric values compare by
-    float value, categorical by string). ``numeric_range`` tests
-    lo <= v < hi with infinite endpoints allowed. ``missing`` matches only
-    the missing marker. ``catch_all`` matches any present value that no
-    sibling matcher on the same variable accepts.
+    ``equals`` and ``in_set`` compare tokens: a number (float, int or
+    bool) matches a token with the same float value, a string matches a
+    token whose string form it is. ``numeric_range`` tests lo <= v < hi on
+    the value read as a float (numeric-looking strings included), with
+    infinite endpoints allowed; NaN and non-numeric values are in no range.
+    ``missing`` matches only the missing marker ``None`` (not NaN).
+    ``catch_all`` matches any present value that no sibling matcher on the
+    same variable accepts.
     """
 
     kind: str
@@ -178,31 +182,42 @@ def plan_batches(n_records: int, target_batches: int) -> BatchPlan:
     )
 
 
-class _VariableCounter:
-    """Compiled matchers for one canonical variable."""
+#: records counted per numpy pass, rounded down to whole batches (at least one batch)
+CHUNK_RECORDS = 4096
 
-    __slots__ = ("variable", "token_map", "ranges", "missing_idx", "catch_idx")
+_FLOAT_OR_MISSING = {float, type(None)}
+
+
+class _VariableCounter:
+    """Compiled matchers for one canonical variable.
+
+    Slots are local: position ``j`` is feature ``slots[j]`` of the config.
+    """
+
+    __slots__ = ("variable", "slots", "token_map", "float_tokens", "ranges", "missing_idx", "catch_idx")
 
     def __init__(self, variable: str, specs: list[tuple[int, Matcher]]) -> None:
         self.variable = variable
-        # token -> tuple of feature slots; both string and float forms are
+        self.slots = np.array([slot for slot, _ in specs], dtype=np.intp)
+        # token -> tuple of local slots; both string and float forms are
         # registered so lookups hit whichever type the parsed value carries
         token_map: dict[object, list[int]] = {}
         ranges: list[tuple[float, float, int]] = []
         self.missing_idx: int | None = None
         self.catch_idx: int | None = None
-        for slot, m in specs:
+        for j, (_, m) in enumerate(specs):
             if m.kind in (EQUALS, IN_SET):
                 for tok in m.tokens:
                     for form in self._forms(tok):
-                        token_map.setdefault(form, []).append(slot)
+                        token_map.setdefault(form, []).append(j)
             elif m.kind == NUMERIC_RANGE:
-                ranges.append((m.lo, m.hi, slot))
+                ranges.append((m.lo, m.hi, j))
             elif m.kind == MISSING:
-                self.missing_idx = slot
+                self.missing_idx = j
             elif m.kind == CATCH_ALL:
-                self.catch_idx = slot
+                self.catch_idx = j
         self.token_map = {k: tuple(v) for k, v in token_map.items()}
+        self.float_tokens = tuple((k, v) for k, v in self.token_map.items() if isinstance(k, float))
         self.ranges = tuple(ranges)
 
     @staticmethod
@@ -214,17 +229,11 @@ class _VariableCounter:
             pass
         return forms
 
-    def count_into(self, value: object, counts: np.ndarray) -> None:
+    def hits_of(self, value: object) -> list[int]:
+        """Local slots one value counts into, repeated when a slot lists a token twice."""
         if value is None:
-            if self.missing_idx is not None:
-                counts[self.missing_idx] += 1
-            return
-        matched = False
-        slots = self.token_map.get(value)
-        if slots:
-            matched = True
-            for s in slots:
-                counts[s] += 1
+            return [] if self.missing_idx is None else [self.missing_idx]
+        hits = list(self.token_map.get(value, ()))
         if self.ranges:
             if isinstance(value, float):
                 v = value
@@ -234,16 +243,52 @@ class _VariableCounter:
                 except (TypeError, ValueError):
                     v = None
             if v is not None:
-                for lo, hi, s in self.ranges:
-                    if lo <= v < hi:
-                        matched = True
-                        counts[s] += 1
-        if not matched and self.catch_idx is not None:
-            counts[self.catch_idx] += 1
+                hits.extend(j for lo, hi, j in self.ranges if lo <= v < hi)
+        if not hits and self.catch_idx is not None:
+            hits.append(self.catch_idx)
+        return hits
+
+    def count(self, values: list[object], n_batches: int, batch_size: int) -> np.ndarray:
+        """(n_batches, len(slots)) hit counts of consecutive whole batches."""
+        if self.ranges and set(map(type, values)) <= _FLOAT_OR_MISSING:
+            hits = self._float_hits(values)
+        else:
+            hits = self._value_hits(values)
+        return hits.reshape(n_batches, batch_size, len(self.slots)).sum(axis=1)
+
+    def _float_hits(self, values: list[object]) -> np.ndarray:
+        """Per-record hits when every present value is a float: one comparison per range and token."""
+        x = np.array(values, dtype=np.float64)
+        # None reads as NaN, but a NaN value is present: take missing from `is None`
+        missing = np.zeros(len(x), dtype=bool)
+        nan_at = np.flatnonzero(np.isnan(x))
+        missing[nan_at] = [values[i] is None for i in nan_at]
+        hits = np.zeros((len(x), len(self.slots)), dtype=np.int64)
+        for key, local in self.float_tokens:
+            hit = x == key
+            for j in local:
+                hits[:, j] += hit
+        for lo, hi, j in self.ranges:
+            hits[:, j] += (lo <= x) & (x < hi)
+        if self.missing_idx is not None:
+            hits[:, self.missing_idx] += missing
+        if self.catch_idx is not None:
+            hits[:, self.catch_idx] += ~(hits.any(axis=1) | missing)
+        return hits
+
+    def _value_hits(self, values: list[object]) -> np.ndarray:
+        """Per-record hits through ``hits_of``, applied once per distinct value."""
+        index = dict.fromkeys(values)
+        table = np.zeros((len(index), len(self.slots)), dtype=np.int64)
+        for code, value in enumerate(index):
+            index[value] = code
+            for j in self.hits_of(value):
+                table[code, j] += 1
+        return table[np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))]
 
 
 class _CompiledFaac:
-    """Config compiled for fast per-record counting."""
+    """Config compiled for counting chunks of whole batches."""
 
     def __init__(self, config: FaacConfig) -> None:
         self.config = config
@@ -253,10 +298,11 @@ class _CompiledFaac:
         self.counters = tuple(_VariableCounter(v, specs) for v, specs in by_var.items())
         self.n_features = len(config.features)
         taxonomy = config.taxonomy
-        self.attack_indices = tuple(range(1, len(taxonomy)))
-        priority = config.full_priority()
-        # lower rank wins a tie
-        self.priority_rank = {taxonomy.index_of(name): r for r, name in enumerate(priority)}
+        self.class_index = {name: i for i, name in enumerate(taxonomy.classes)}
+        # Background, then the attacks by priority: the first maximal count wins
+        self.ranked = np.array(
+            [0] + [taxonomy.index_of(name) for name in config.full_priority()], dtype=np.int64
+        )
         self._key_cache: dict[tuple[str, frozenset[str]], dict[str, str | None]] = {}
 
     def _resolve_keys(self, record: FlowRecord) -> dict[str, str | None]:
@@ -279,32 +325,61 @@ class _CompiledFaac:
         self._key_cache[cache_key] = resolved
         return resolved
 
-    def aggregate(self, batch: list[FlowRecord]) -> tuple[np.ndarray, str, str]:
-        """Normalized counter row, batch label, and origin for one full batch."""
+    def _check_batch(self, batch: list[FlowRecord]) -> None:
+        """Raise for the first record that leaves the batch's origin or the taxonomy."""
         origin = batch[0].origin
-        keys = self._resolve_keys(batch[0])
-        counts = np.zeros(self.n_features, dtype=np.float64)
-        taxonomy = self.config.taxonomy
-        class_counts = [0] * len(taxonomy)
         for rec in batch:
             if rec.origin != origin:
                 raise DataError(
                     f"batch mixes origins {origin!r} and {rec.origin!r}; derive each source separately"
                 )
-            vals = rec.values
-            for counter in self.counters:
+            self.config.taxonomy.index_of(rec.label)
+
+    def count_chunk(
+        self, chunk: list[FlowRecord], batch_size: int
+    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """Hit counts, label indices and origins of a chunk of whole batches.
+
+        Each batch reads every variable from the column its first record
+        resolves; a later record without that column counts as missing.
+        """
+        n = len(chunk)
+        n_batches = n // batch_size
+        origins = [rec.origin for rec in chunk]
+        labels = [rec.label for rec in chunk]
+        unknown_label = not set(labels) <= self.class_index.keys()
+        # batches that resolve the same keys are read together
+        runs: list[list] = []
+        for start in range(0, n, batch_size):
+            stop = start + batch_size
+            keys = self._resolve_keys(chunk[start])
+            if unknown_label or origins[start:stop].count(origins[start]) != batch_size:
+                self._check_batch(chunk[start:stop])
+            if runs and runs[-1][2] is keys:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop, keys])
+
+        counts = np.zeros((n_batches, self.n_features), dtype=np.int64)
+        dicts = [rec.values for rec in chunk]
+        for counter in self.counters:
+            values: list[object] = []
+            for start, stop, keys in runs:
                 key = keys[counter.variable]
-                counter.count_into(vals.get(key) if key is not None else None, counts)
-            class_counts[taxonomy.index_of(rec.label)] += 1
-        label_idx = 0
-        if any(class_counts[i] for i in self.attack_indices):
-            best = max(
-                self.attack_indices,
-                key=lambda i: (class_counts[i], -self.priority_rank[i]),
-            )
-            label_idx = best
-        counts /= len(batch)
-        return counts, taxonomy.classes[label_idx], origin
+                if key is None:
+                    values.extend([None] * (stop - start))
+                else:
+                    values.extend([d.get(key) for d in dicts[start:stop]])
+            counts[:, counter.slots] += counter.count(values, n_batches, batch_size)
+
+        n_classes = len(self.class_index)
+        codes = np.fromiter(map(self.class_index.__getitem__, labels), dtype=np.int64, count=n)
+        batch_of = np.repeat(np.arange(n_batches, dtype=np.int64), batch_size)
+        class_counts = np.bincount(batch_of * n_classes + codes, minlength=n_batches * n_classes)
+        ranked = class_counts.reshape(n_batches, n_classes)[:, self.ranked]
+        # Background wins only when the batch holds no attack record
+        ranked[:, 0] = 0
+        return counts, self.ranked[ranked.argmax(axis=1)], origins[::batch_size]
 
 
 @dataclass(eq=False)
@@ -368,9 +443,12 @@ def derive_dataset(
 ) -> DerivedDataset:
     """Derive the normalized counter matrix from a record stream.
 
-    ``n_records`` enables single-pass streaming with memory proportional to
-    one batch; when omitted it is taken from ``len(records)`` if available,
-    otherwise the stream is materialized to count it.
+    Records are counted in chunks of whole batches: ``CHUNK_RECORDS``
+    rounded down to a multiple of the batch size, or one batch when a
+    batch is larger. ``n_records`` enables single-pass streaming with
+    memory proportional to one chunk; when omitted it is taken from
+    ``len(records)`` if available, otherwise the stream is materialized to
+    count it.
     """
     if n_records is None:
         try:
@@ -380,37 +458,34 @@ def derive_dataset(
             n_records = len(records)
     plan = plan_batches(n_records, target_batches)
     compiled = _CompiledFaac(config)
+    size = plan.batch_size
+    chunk_records = max(1, CHUNK_RECORDS // size) * size
 
     rows = np.empty((plan.full_batches, compiled.n_features), dtype=np.float64)
-    labels: list[str] = []
+    y = np.empty(plan.full_batches, dtype=np.int64)
     origins: list[str] = []
-    batch: list[FlowRecord] = []
+    stream = iter(records)
     done = 0
-    for rec in records:
-        batch.append(rec)
-        if len(batch) == plan.batch_size:
-            row, label, origin = compiled.aggregate(batch)
-            rows[done] = row
-            labels.append(label)
-            origins.append(origin)
-            batch.clear()
-            done += 1
-            if done == plan.full_batches:
-                break
-    if done < plan.full_batches:
-        raise DataError(
-            f"stream ended after {done * plan.batch_size + len(batch)} records; "
-            f"{plan.n_records} were declared"
-        )
-    taxonomy = config.taxonomy
-    y = np.array([taxonomy.index_of(name) for name in labels], dtype=np.int64)
+    while done < plan.full_batches:
+        want = min(chunk_records, (plan.full_batches - done) * size)
+        chunk = list(islice(stream, want))
+        received = done * size + len(chunk)
+        n_full = len(chunk) // size
+        if n_full:
+            counts, labels, chunk_origins = compiled.count_chunk(chunk[: n_full * size], size)
+            rows[done : done + n_full] = counts / size
+            y[done : done + n_full] = labels
+            origins.extend(chunk_origins)
+            done += n_full
+        if len(chunk) < want:
+            raise DataError(f"stream ended after {received} records; {plan.n_records} were declared")
     return DerivedDataset(
         feature_names=config.feature_names,
         X=rows,
         y=y,
-        classes=taxonomy.classes,
+        classes=config.taxonomy.classes,
         origins=tuple(origins),
-        batch_sizes=np.full(plan.full_batches, plan.batch_size, dtype=np.int64),
+        batch_sizes=np.full(plan.full_batches, size, dtype=np.int64),
     )
 
 

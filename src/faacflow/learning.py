@@ -456,9 +456,17 @@ def build_tree(
     bootstrap: bool = True,
 ) -> dict:
     """One decision tree on a bootstrap resample drawn from ``tree_seed``."""
+    m = _features_per_split(m_features, np.shape(Z)[1])
     return _build_coded_tree(
-        Z, _code_columns(Z), np.asarray(y), n_classes, tree_seed, max_depth, m_features, min_leaf, bootstrap
+        Z, _code_columns(Z), np.asarray(y), n_classes, tree_seed, max_depth, m, min_leaf, bootstrap
     )
+
+
+def _features_per_split(m_features: int, p: int) -> int:
+    """``m_features`` checked against the p columns; 0 when there are none."""
+    if p and not 1 <= m_features <= p:
+        raise ConfigError(f"features per split must lie in [1, {p}], got {m_features}")
+    return m_features if p else 0
 
 
 def apply_tree(node: dict, Z: np.ndarray) -> np.ndarray:
@@ -503,10 +511,7 @@ def fit_rf(
         raise ConfigError(f"tree depth must be positive, got {max_depth}")
     if min_leaf < 1:
         raise ConfigError(f"minimum leaf size must be positive, got {min_leaf}")
-    p = Z.shape[1]
-    if p and not 1 <= m_features <= p:
-        raise ConfigError(f"features per split must lie in [1, {p}], got {m_features}")
-    m = m_features if p else 0
+    m = _features_per_split(m_features, Z.shape[1])
     seeds = tuple(derive_seed(seed, "tree", t) for t in range(n_trees))
     codes = _code_columns(Z)
     trees = tuple(

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import math
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faacflow import faac
 from faacflow.errors import ConfigError, DataError
 from faacflow.faac import (
     DerivedDataset,
@@ -22,7 +27,14 @@ from faacflow.faac import (
     read_derived,
     write_derived,
 )
-from faacflow.ingest import CanonicalTaxonomy, FlowRecord
+from faacflow.ingest import (
+    CanonicalTaxonomy,
+    FlowRecord,
+    generate_synthetic,
+    load_source_config,
+    parse_flows,
+    write_flows,
+)
 
 from oracles import batch_label_recount
 
@@ -306,6 +318,183 @@ def test_derive_streams_with_bounded_memory():
     # materializing the stream would need dozens of MB; one batch plus the
     # output matrix stays far below that
     assert peak < 25 * 1024 * 1024
+
+
+# ---------------------------------------------------------------------------
+# Counting against a brute-force recount
+
+NAN = float("nan")
+PROP_CONFIG = FaacConfig(
+    features=(
+        FeatureSpec("port_low", "port", Matcher(kind="numeric_range", lo=0, hi=1024)),
+        FeatureSpec("port_high", "port", Matcher(kind="numeric_range", lo=1024, hi=65536)),
+        FeatureSpec("port_mid", "port", Matcher(kind="numeric_range", lo=500, hi=2000, allow_overlap=True)),
+        FeatureSpec("port_web", "port", Matcher(kind="in_set", tokens=(80, "443", "1e3"))),
+        FeatureSpec("port_name", "port", Matcher(kind="equals", tokens=("http",))),
+        FeatureSpec("port_missing", "port", Matcher(kind="missing")),
+        FeatureSpec("port_other", "port", Matcher(kind="catch_all")),
+        FeatureSpec("proto_tcp", "proto", Matcher(kind="equals", tokens=("tcp",))),
+        FeatureSpec("proto_one", "proto", Matcher(kind="in_set", tokens=("udp", 1))),
+        FeatureSpec("proto_other", "proto", Matcher(kind="catch_all")),
+        FeatureSpec("size_small", "size", Matcher(kind="numeric_range", lo=-math.inf, hi=0.5)),
+        FeatureSpec("size_big", "size", Matcher(kind="numeric_range", lo=0.5, hi=math.inf)),
+        FeatureSpec("size_other", "size", Matcher(kind="catch_all")),
+        FeatureSpec("gone_missing", "gone", Matcher(kind="missing")),
+        FeatureSpec("gone_other", "gone", Matcher(kind="catch_all")),
+    ),
+    taxonomy=TAX,
+    class_priority=("PortScanning",),
+    aliases={"dport": "port", "protocol": "proto"},
+)
+
+FLOATS = st.one_of(
+    st.none(),
+    st.just(NAN),
+    st.sampled_from([0.0, -0.0, 0.5, 80.0, 443.0, 499.5, 500.0, 1000.0, 1023.5, 1024.0, 2000.0, 65536.0]),
+    st.floats(min_value=-1e5, max_value=1e5),
+)
+MIXED = st.one_of(
+    FLOATS,
+    st.sampled_from(["80", "1e3", "443", "1000", "0.5", "-0", "tcp", "udp", "http", "x"]),
+    st.integers(min_value=-3, max_value=70_000),
+    st.booleans(),
+)
+LAYOUTS = {"port": ("port", "dport", None), "proto": ("proto", "protocol", None), "size": ("size", None)}
+
+
+def token_hit(value, token):
+    # numbers (bools included) compare by float value; strings by the token's string form
+    if isinstance(value, str):
+        return value == str(token)
+    try:
+        return float(value) == float(token)
+    except ValueError:
+        return False
+
+
+def matcher_hit(m, value):
+    if m.kind in ("equals", "in_set"):
+        return any(token_hit(value, t) for t in m.tokens)
+    try:
+        v = float(value)
+    except ValueError:
+        return False
+    return m.lo <= v < m.hi
+
+
+def accepts(spec, value, config):
+    if spec.matcher.kind == "missing":
+        return value is None
+    if value is None:
+        return False
+    if spec.matcher.kind == "catch_all":
+        siblings = [s for s in config.features if s.variable == spec.variable and s is not spec]
+        return not any(s.matcher.kind not in ("missing", "catch_all") and matcher_hit(s.matcher, value)
+                       for s in siblings)
+    return matcher_hit(spec.matcher, value)
+
+
+def recount(records, batch_size, n_batches, config):
+    """Counter rows, labels and origins, one record and one feature at a time."""
+    rows, labels, origins = [], [], []
+    for b in range(n_batches):
+        batch = records[b * batch_size : (b + 1) * batch_size]
+        columns = {config.aliases.get(c, c): c for c in batch[0].values}
+        row = []
+        for spec in config.features:
+            col = columns.get(spec.variable)
+            hits = sum(accepts(spec, r.values.get(col) if col else None, config) for r in batch)
+            row.append(hits / batch_size)
+        rows.append(row)
+        labels.append(batch_label_recount([r.label for r in batch], TAX.classes, config.full_priority()))
+        origins.append(batch[0].origin)
+    return rows, labels, origins
+
+
+@st.composite
+def mixed_streams(draw):
+    batch_size = draw(st.integers(min_value=1, max_value=6))
+    records = []
+    for s in range(draw(st.integers(min_value=1, max_value=4))):
+        layout = {var: draw(st.sampled_from(cols)) for var, cols in LAYOUTS.items()}
+        # size always takes the float path; port and proto may hold any type
+        kinds = {var: FLOATS if var == "size" else draw(st.sampled_from([FLOATS, MIXED])) for var in layout}
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            for i in range(batch_size):
+                values = {}
+                for var, col in layout.items():
+                    # later records of a batch may lack a column the first one has
+                    if col is not None and (i == 0 or draw(st.integers(0, 5)) > 0):
+                        values[col] = draw(kinds[var])
+                label = draw(st.sampled_from(TAX.classes))
+                records.append(FlowRecord(values=values, label=label, origin=f"src{s}"))
+    n_batches = len(records) // batch_size
+    # a tail shorter than the batch count leaves the batch size at floor(N / M)
+    for _ in range(draw(st.integers(min_value=0, max_value=min(batch_size, n_batches) - 1))):
+        records.append(FlowRecord(values={"port": 1.0}, label="DoS", origin=records[-1].origin))
+    return records, batch_size, n_batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(stream=mixed_streams(), as_list=st.booleans(), chunk=st.sampled_from([1, 4, 9, faac.CHUNK_RECORDS]))
+def test_counters_match_brute_force_recount(stream, as_list, chunk):
+    records, batch_size, n_batches = stream
+    source = records if as_list else iter(records)
+    # small chunks split streams into several chunks, most with a short last one
+    with mock.patch.object(faac, "CHUNK_RECORDS", chunk):
+        ds = derive_dataset(source, n_batches, PROP_CONFIG, n_records=len(records))
+    rows, labels, origins = recount(records, batch_size, n_batches, PROP_CONFIG)
+    assert list(ds.batch_sizes) == [batch_size] * n_batches
+    assert ds.X.tolist() == rows
+    assert list(ds.label_names()) == labels
+    assert list(ds.origins) == origins
+
+
+def derived_digest(ds):
+    joined = "\n".join(ds.origins).encode()
+    return hashlib.sha256(ds.X.tobytes() + ds.y.tobytes() + joined).hexdigest()
+
+
+# recorded with the per-record counter, before counting became columnar; the
+# batch sizes (100, 4285, 9 records) divide the chunk, exceed it, and do not
+# divide it
+DERIVED_DIGESTS = {
+    ("alpha", 300): "9891670f31d2b145b0fb18d409de6ecc1cd57e3df3a51ad7e1e6bc06f8d78024",
+    ("alpha", 7): "ec68dae8d365375af83148877f89991ed7c5706039d94fc7fb79489c7f22f4bb",
+    ("alpha", 3001): "4178afb8cb346b147df6c85ab01be5ee8e8faa0ba0570893c1ae8493e350c4a1",
+    ("beta", 300): "d88bea24e44b354b3bf69b8e30b46f158bf43785e4bfb92bcb1b5433ebe68ea2",
+    ("beta", 7): "328578b83225bfd055b17697e0a759e57fe6f935e093a3dd9b7363d709a07ae5",
+    ("beta", 3001): "3f88af41dfcb2165d6333be6316f7e1c847e4db55ba7929328b9b52edf1a9aa4",
+    ("gamma", 300): "5880d1c341aa7578b6058bc004fc3af3bcf68db6b84599e2d3a441148293d104",
+    ("gamma", 7): "401e2ae544cc631303d91918687710b0b413592a8482f299ba9647d994df9176",
+    ("gamma", 3001): "506b33666b8a75ae62fa94dfba8af9f42ca092eff992f94cba5dc7830787258d",
+}
+PARSED_DIGEST = "401e2ae544cc631303d91918687710b0b413592a8482f299ba9647d994df9176"
+
+
+def synth_records(config_dir, name):
+    schema = load_source_config(config_dir / f"source_{name}.yaml")
+    profile = replace(schema.profile, seed=4242)
+    return schema, list(generate_synthetic(profile, schema))
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+def test_derived_bytes_match_the_recorded_digests(config_dir, name):
+    faac = load_faac_config(config_dir / "faac_reference.yaml")
+    _, records = synth_records(config_dir, name)
+    for target in (300, 7, 3001):
+        ds = derive_dataset(records, target, faac)
+        assert derived_digest(ds) == DERIVED_DIGESTS[(name, target)], (name, target)
+
+
+def test_parsed_stream_bytes_match_the_recorded_digest(config_dir, tmp_path):
+    faac = load_faac_config(config_dir / "faac_reference.yaml")
+    schema, records = synth_records(config_dir, "gamma")
+    path = tmp_path / "gamma.csv"
+    write_flows(records, schema, path)
+    stream = parse_flows(path, schema.canonicalized())
+    ds = derive_dataset(stream, 7, faac, n_records=len(records))
+    assert derived_digest(ds) == PARSED_DIGEST
 
 
 # ---------------------------------------------------------------------------

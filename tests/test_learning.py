@@ -345,6 +345,18 @@ def test_forest_hyperparameter_contracts():
         fit_rf(Z, y, 3, n_trees=5, max_depth=5, m_features=3, min_leaf=0, seed=0)
 
 
+def test_tree_features_per_split_are_checked_like_the_forest():
+    Z, y = lasso_instance()
+    for m in (0, Z.shape[1] + 1):
+        with pytest.raises(ConfigError, match="features per split"):
+            build_tree(Z, y, 3, tree_seed=0, max_depth=3, m_features=m, min_leaf=1)
+    # no columns at all (an empty l1 support) still grows a root leaf
+    empty = np.empty((len(y), 0))
+    assert "n" in build_tree(empty, y, 3, tree_seed=0, max_depth=3, m_features=0, min_leaf=1)
+    forest = fit_rf(empty, y, 3, n_trees=2, max_depth=3, m_features=0, min_leaf=1, seed=0)
+    assert all("n" in tree for tree in forest.trees)
+
+
 def test_forest_probabilities_are_vote_fractions():
     Z, y = lasso_instance(seed=14)
     forest = fit_rf(Z, y, 3, n_trees=10, max_depth=6, m_features=3, min_leaf=1, seed=3)
