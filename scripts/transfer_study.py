@@ -2,9 +2,10 @@
 """Does merging sources beat the best single source on a held-out third?
 
 For each root seed: synthesize the three bundled sources, derive counter
-matrices, then for every held-out source compare a forest trained on the
-integrated pair against forests trained on each single remaining source.
-Also reports 5x3 cross-validation on the full three-way integration.
+matrices, then run ``evaluation.run_holdout_study``: for every held-out
+source, compare a forest trained on the integrated pair against forests
+trained on each single remaining source. Also reports 5x3 cross-validation
+on the full three-way integration.
 
 Example:
     python scripts/transfer_study.py --roots 11 12 13 14 15 --batches 300
@@ -22,7 +23,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from faacflow.evaluation import EvalSettings, run_cross_dataset, run_single_dataset
+from faacflow.evaluation import EvalSettings, run_holdout_study, run_single_dataset
 from faacflow.faac import derive_dataset, load_faac_config
 from faacflow.ingest import generate_synthetic, load_source_config
 from faacflow.integrate import IntegrationSpec, integrate
@@ -46,27 +47,14 @@ def run_root(root: int, batches: int, faac, schemas) -> tuple[float, bool, list[
     cv_auc = float(np.mean([r.weighted_auc for r in report.rows]))
 
     transfer_settings = EvalSettings(models=("rf",), fixed_hyper={"rf": RF})
+    study = run_holdout_study(derived, transfer_settings, seed=root)
     pair_beats_single = True
     lines = []
     for held in derived:
-        others = [n for n in derived if n != held]
-        pair = integrate([derived[n] for n in others], IntegrationSpec())
-        pr = run_cross_dataset(
-            pair, derived[held], transfer_settings, seed=root,
-            train_name="+".join(others), test_name=held,
-        )
-        pair_auc = pr.rows[0].weighted_auc
-        singles = []
-        for s in others:
-            sr = run_cross_dataset(
-                derived[s], derived[held], transfer_settings, seed=root,
-                train_name=s, test_name=held,
-            )
-            singles.append(sr.rows[0].weighted_auc)
+        pair_auc, *singles = (r.weighted_auc for r in study.rows if r.test_origin == held)
         best = max(singles)
         lines.append(f"held-out {held}: pair {pair_auc:.4f} vs best single {best:.4f}")
-        if not pair_auc > best:
-            pair_beats_single = False
+        pair_beats_single &= pair_auc > best
     return cv_auc, pair_beats_single, lines
 
 

@@ -240,39 +240,44 @@ def _settings_from_doc(doc: dict, input_keys: tuple[str, ...]) -> EvalSettings:
         raise ConfigError(f"malformed evaluation settings: {exc}") from exc
 
 
-def _write_eval_outputs(report: EvalReport, out: Path) -> list[Path]:
+def _write_significance(report: EvalReport, out: Path, outputs: list[Path]) -> list[dict[str, object]]:
+    """Model-comparison rows, written to significance.csv when there are any (two or more models)."""
+    sig = significance_rows(report)
+    if sig:
+        sig_path = out / "significance.csv"
+        write_significance_csv(sig, sig_path)
+        outputs.append(sig_path)
+    return sig
+
+
+def _write_eval_outputs(report: EvalReport, out: Path) -> tuple[list[Path], list[dict[str, object]]]:
+    """Report, significance and trial-log files; returns their paths and the comparison rows."""
     outputs = []
     report_path = out / "report.csv"
     write_report_csv(report, report_path)
     outputs.append(report_path)
-    models = {r.model for r in report.rows}
-    if len(models) >= 2:
-        sig_path = out / "significance.csv"
-        write_significance_csv(significance_rows(report), sig_path)
-        outputs.append(sig_path)
+    sig = _write_significance(report, out, outputs)
     for run in report.trial_runs:
         name = f"trials_{_slug(run.label)}_{run.model}_r{run.repetition}_f{run.fold}.csv"
         path = out / name
         write_trial_log(run.trials, path)
         outputs.append(path)
-    return outputs
+    return outputs, sig
 
 
-def _print_eval_summary(report: EvalReport) -> None:
+def _print_eval_summary(report: EvalReport, sig: list[dict[str, object]]) -> None:
     for row in aggregate_report(report):
         print(
             f"{row['setting']} {row['model']} {row['train_origin']}->{row['test_origin']}: "
             f"weighted AUC {row['mean_weighted_auc']:.4f} +/- {row['std_weighted_auc']:.4f} "
             f"over {row['n_folds']} folds"
         )
-    models = {r.model for r in report.rows}
-    if len(models) >= 2:
-        for sig in significance_rows(report):
-            verdict = "significant" if sig["significant_at_0.05"] else "not significant"
-            print(
-                f"{sig['model_a']} vs {sig['model_b']}: n={sig['n']} W={sig['W']} "
-                f"p={sig['p_two_sided']:.4g} ({verdict} at 0.05)"
-            )
+    for row in sig:
+        verdict = "significant" if row["significant_at_0.05"] else "not significant"
+        print(
+            f"{row['model_a']} vs {row['model_b']}: n={row['n']} W={row['W']} "
+            f"p={row['p_two_sided']:.4g} ({verdict} at 0.05)"
+        )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -304,9 +309,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError(f"{cfg_path}: no 'single' or 'transfer' inputs given")
 
     out = _out_dir(args)
-    outputs = _write_eval_outputs(report, out)
+    outputs, sig = _write_eval_outputs(report, out)
     _write_manifest(out, "evaluate", outputs, [cfg_path], seed, inputs=data_paths)
-    _print_eval_summary(report)
+    _print_eval_summary(report, sig)
     return EXIT_OK
 
 
@@ -381,13 +386,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             )
     outputs = [agg_path]
     outputs.extend(_write_plot_data(report, out))
-    models = {r.model for r in report.rows}
-    if len(models) >= 2:
-        sig_path = out / "significance.csv"
-        write_significance_csv(significance_rows(report), sig_path)
-        outputs.append(sig_path)
+    sig = _write_significance(report, out, outputs)
     _write_manifest(out, "report", outputs, [], args.seed, inputs=[Path(args.input)])
-    _print_eval_summary(report)
+    _print_eval_summary(report, sig)
     return EXIT_OK
 
 
@@ -487,9 +488,10 @@ def orchestrate(
         if eval_doc.get("transfer", False):
             report.extend(run_transfer_matrix(dict(derived), settings, seed=seed))
         if report.rows:
-            for path in _write_eval_outputs(report, out):
+            paths, sig = _write_eval_outputs(report, out)
+            for path in paths:
                 artifacts[f"eval:{path.name}"] = path
-            _print_eval_summary(report)
+            _print_eval_summary(report, sig)
         if derived:
             # export one deployable model per kind, fit on the widest dataset
             primary_name = "integrated" if merged is not None else next(iter(derived))

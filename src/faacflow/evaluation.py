@@ -1,4 +1,4 @@
-"""Evaluation: stratified folds, rank AUC, signed-rank tests, CV and transfer.
+"""Evaluation: stratified folds, rank AUC, signed-rank tests, CV, transfer and held-out studies.
 
 Fold indices for a repetition depend only on the data, the fold count, and
 the seed, never on the model, so per-fold scores of two models form valid
@@ -18,9 +18,10 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import DataError, EvaluationError
 from .faac import DerivedDataset
 from .hyperopt import TrialRow, default_space, optimize
+from .integrate import IntegrationSpec, integrate, restrict, shared_classes
 from .learning import PipelineModel, fit_pipeline, resolve_hyperparams
 from .seeds import derive_seed
 
@@ -391,32 +392,13 @@ def run_single_dataset(
     return report
 
 
-def _shared_class_views(
-    train: DerivedDataset, test: DerivedDataset
-) -> tuple[DerivedDataset, DerivedDataset, tuple[str, ...]]:
+def _shared_class_views(train: DerivedDataset, test: DerivedDataset) -> tuple[DerivedDataset, DerivedDataset]:
     """Restrict both sides to the classes observed on both, Background first."""
-    shared = set(train.label_names()) & set(test.label_names())
-    if "Background" not in shared:
-        raise EvaluationError("train and test share no Background rows")
-    classes = tuple(
-        ["Background"] + [c for c in train.classes if c in shared and c != "Background"]
-    )
-    index = {c: i for i, c in enumerate(classes)}
-
-    def view(ds: DerivedDataset) -> DerivedDataset:
-        keep = np.array([name in index for name in ds.label_names()], dtype=bool)
-        sub = ds.take(keep)
-        y = np.array([index[sub.classes[v]] for v in sub.y], dtype=np.int64)
-        return DerivedDataset(
-            feature_names=sub.feature_names,
-            X=sub.X,
-            y=y,
-            classes=classes,
-            origins=sub.origins,
-            batch_sizes=sub.batch_sizes,
-        )
-
-    return view(train), view(test), classes
+    try:
+        classes = shared_classes([train, test], IntegrationSpec())
+    except DataError:
+        raise EvaluationError("train and test share no Background rows") from None
+    return restrict(train, classes), restrict(test, classes)
 
 
 def run_cross_dataset(
@@ -432,13 +414,13 @@ def run_cross_dataset(
         raise EvaluationError("train and test datasets use different feature lists")
     train_name = train_name or _dataset_name(train)
     test_name = test_name or _dataset_name(test)
-    tr, te, classes = _shared_class_views(train, test)
+    tr, te = _shared_class_views(train, test)
     report = EvalReport()
     for kind in settings.models:
         hyper = None if settings.tune else settings.fixed_hyper.get(kind, {})
         _fit_and_score(
             report, "cross-dataset", (train_name, test_name), kind, hyper,
-            (tr.X, tr.y), (te.X, te.y), classes, settings, seed,
+            (tr.X, tr.y), (te.X, te.y), tr.classes, settings, seed,
         )
     return report
 
@@ -465,6 +447,32 @@ def run_transfer_matrix(
                     train_name=a,
                     test_name=b,
                 )
+            )
+    return report
+
+
+def run_holdout_study(
+    datasets: dict[str, DerivedDataset],
+    settings: EvalSettings,
+    seed: int,
+) -> EvalReport:
+    """Hold each source out in turn; train on the merged others and on each alone.
+
+    Rows come per held-out source, in dict order: first the merged-others
+    entry, named ``"+".join(others)``, then one entry per other source in
+    dict order. Each entry is one ``run_cross_dataset`` call, so it holds
+    one row per model in ``settings.models``.
+    """
+    if len(datasets) < 3:
+        raise EvaluationError("a held-out study needs at least three datasets")
+    report = EvalReport()
+    for held in datasets:
+        others = [n for n in datasets if n != held]
+        trains = [("+".join(others), integrate([datasets[n] for n in others]))]
+        trains += [(n, datasets[n]) for n in others]
+        for name, train in trains:
+            report.extend(
+                run_cross_dataset(train, datasets[held], settings, seed, train_name=name, test_name=held)
             )
     return report
 

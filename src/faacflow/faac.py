@@ -74,16 +74,14 @@ class FeatureSpec:
     matcher: Matcher
 
 
-def _token_key(tok: object) -> tuple[str, object]:
-    """Normalized comparison key: numeric-looking tokens compare by value."""
-    if isinstance(tok, bool):
-        return ("str", str(tok))
-    if isinstance(tok, (int, float)):
-        return ("num", float(tok))
+def _token_forms(tok: object) -> list[object]:
+    """Keys a token counts under: its string form, and its float value when it has one."""
+    forms: list[object] = [str(tok)]
     try:
-        return ("num", float(str(tok)))
-    except ValueError:
-        return ("str", str(tok))
+        forms.append(float(tok))  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        pass
+    return forms
 
 
 def _validate_variable(variable: str, specs: list[FeatureSpec]) -> None:
@@ -94,16 +92,24 @@ def _validate_variable(variable: str, specs: list[FeatureSpec]) -> None:
     if n_catch > 1:
         raise ConfigError(f"variable {variable!r}: more than one catch_all matcher")
 
+    # a value counts once per token form it equals, so no form may repeat within a feature
+    token_forms: dict[str, set[object]] = {}
+    for spec in specs:
+        if spec.matcher.kind in (EQUALS, IN_SET):
+            forms = token_forms[spec.name] = set()
+            for tok in spec.matcher.tokens:
+                if forms.intersection(_token_forms(tok)):
+                    raise ConfigError(f"variable {variable!r}: feature {spec.name!r} lists token {tok!r} twice")
+                forms.update(_token_forms(tok))
     strict = [s for s in specs if not s.matcher.allow_overlap]
-    token_specs = [s for s in strict if s.matcher.kind in (EQUALS, IN_SET)]
+    token_specs = [s for s in strict if s.name in token_forms]
     for i, a in enumerate(token_specs):
-        keys_a = {_token_key(t) for t in a.matcher.tokens}
         for b in token_specs[i + 1 :]:
-            shared = keys_a & {_token_key(t) for t in b.matcher.tokens}
+            shared = token_forms[a.name] & token_forms[b.name]
             if shared:
                 raise ConfigError(
                     f"variable {variable!r}: features {a.name!r} and {b.name!r} "
-                    f"share tokens {sorted(str(k[1]) for k in shared)}"
+                    f"share tokens {sorted(map(str, shared))}"
                 )
     range_specs = [s for s in strict if s.matcher.kind == NUMERIC_RANGE]
     for i, a in enumerate(range_specs):
@@ -208,7 +214,7 @@ class _VariableCounter:
         for j, (_, m) in enumerate(specs):
             if m.kind in (EQUALS, IN_SET):
                 for tok in m.tokens:
-                    for form in self._forms(tok):
+                    for form in _token_forms(tok):
                         token_map.setdefault(form, []).append(j)
             elif m.kind == NUMERIC_RANGE:
                 ranges.append((m.lo, m.hi, j))
@@ -220,17 +226,8 @@ class _VariableCounter:
         self.float_tokens = tuple((k, v) for k, v in self.token_map.items() if isinstance(k, float))
         self.ranges = tuple(ranges)
 
-    @staticmethod
-    def _forms(tok: object) -> list[object]:
-        forms: list[object] = [str(tok)]
-        try:
-            forms.append(float(tok))  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            pass
-        return forms
-
     def hits_of(self, value: object) -> list[int]:
-        """Local slots one value counts into, repeated when a slot lists a token twice."""
+        """Local slots one value counts into."""
         if value is None:
             return [] if self.missing_idx is None else [self.missing_idx]
         hits = list(self.token_map.get(value, ()))

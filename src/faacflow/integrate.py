@@ -9,7 +9,7 @@ origin's batch size.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +36,9 @@ class IntegrationSpec:
                 raise ConfigError("shared_classes contains duplicates")
 
 
-def _ordered_shared(datasets: Sequence[DerivedDataset], spec: IntegrationSpec) -> tuple[str, ...]:
+def shared_classes(datasets: Sequence[DerivedDataset], spec: IntegrationSpec) -> tuple[str, ...]:
+    """Background, then the spec's classes (default: those seen in every input) in the
+    first input's order; spec classes absent from that taxonomy follow in spec order."""
     if spec.shared_classes is not None:
         shared = set(spec.shared_classes)
     else:
@@ -46,12 +48,19 @@ def _ordered_shared(datasets: Sequence[DerivedDataset], spec: IntegrationSpec) -
         if "Background" not in shared:
             raise DataError("datasets share no Background rows; nothing to integrate")
     ordered = ["Background"] + [c for c in datasets[0].classes if c in shared and c != "Background"]
-    # classes named in the spec but absent from the first taxonomy keep spec order
     if spec.shared_classes is not None:
         for c in spec.shared_classes:
             if c not in ordered:
                 ordered.append(c)
     return tuple(ordered)
+
+
+def restrict(ds: DerivedDataset, classes: Sequence[str]) -> DerivedDataset:
+    """The rows whose class is in ``classes``, labels re-indexed onto that list."""
+    index = {name: i for i, name in enumerate(classes)}
+    y = np.array([index.get(name, -1) for name in ds.classes], dtype=np.int64)[ds.y]
+    rows = np.flatnonzero(y >= 0)
+    return replace(ds.take(rows), y=y[rows], classes=tuple(classes))
 
 
 def integrate(datasets: Sequence[DerivedDataset], spec: IntegrationSpec | None = None) -> DerivedDataset:
@@ -66,33 +75,23 @@ def integrate(datasets: Sequence[DerivedDataset], spec: IntegrationSpec | None =
                 "incompatible derived schemas: feature lists differ between inputs; "
                 "derive all sources with one configuration"
             )
-    classes = _ordered_shared(datasets, spec)
-    index = {name: i for i, name in enumerate(classes)}
-
-    blocks: list[np.ndarray] = []
-    y_parts: list[np.ndarray] = []
-    origins: list[str] = []
-    sizes: list[np.ndarray] = []
+    classes = shared_classes(datasets, spec)
+    parts = []
     for ds in datasets:
-        keep = np.array([name in index for name in ds.label_names()], dtype=bool)
-        kept = int(keep.sum())
-        if kept == 0:
+        part = restrict(ds, classes)
+        if part.n_rows == 0:
             log.warning("input with origins %s contributes no shared-class rows", sorted(set(ds.origins)))
             continue
-        rows = np.flatnonzero(keep)
-        blocks.append(ds.X[rows])
-        y_parts.append(np.array([index[ds.classes[ds.y[i]]] for i in rows], dtype=np.int64))
-        origins.extend(ds.origins[i] for i in rows)
-        sizes.append(ds.batch_sizes[rows])
-    if not blocks:
+        parts.append(part)
+    if not parts:
         raise DataError(f"no rows remain after filtering to shared classes {list(classes)}")
     return DerivedDataset(
         feature_names=names,
-        X=np.concatenate(blocks, axis=0),
-        y=np.concatenate(y_parts),
+        X=np.concatenate([p.X for p in parts], axis=0),
+        y=np.concatenate([p.y for p in parts]),
         classes=classes,
-        origins=tuple(origins),
-        batch_sizes=np.concatenate(sizes),
+        origins=tuple(o for p in parts for o in p.origins),
+        batch_sizes=np.concatenate([p.batch_sizes for p in parts]),
     )
 
 

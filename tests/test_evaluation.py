@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from faacflow.evaluation import (
     paired_weighted_aucs,
     read_report_csv,
     run_cross_dataset,
+    run_holdout_study,
     run_single_dataset,
     run_transfer_matrix,
     score_fold,
@@ -30,8 +33,10 @@ from faacflow.evaluation import (
     write_report_csv,
     write_significance_csv,
 )
-from faacflow.faac import DerivedDataset
+from faacflow.faac import DerivedDataset, derive_dataset, load_faac_config
+from faacflow.ingest import generate_synthetic, load_source_config
 from faacflow.learning import fit_pipeline
+from faacflow.seeds import derive_seed
 
 from oracles import auc_by_pairs, auc_trapezoid, wilcoxon_exact_enum
 
@@ -348,6 +353,32 @@ def test_transfer_matrix_covers_all_ordered_pairs():
     assert pairs == {(a, b) for a in "abc" for b in "abc" if a != b}
     with pytest.raises(EvaluationError):
         run_transfer_matrix({"a": datasets["a"]}, settings_, seed=0)
+
+
+def test_holdout_study_bytes_match_the_recorded_digest(config_dir):
+    # recorded from the hand-written merged-then-singles loop the study replaced;
+    # pins the row order across models and the seeds drawn from train/test names
+    faac = load_faac_config(config_dir / "faac_reference.yaml")
+    derived = {}
+    for name in ("alpha", "beta", "gamma"):
+        schema = load_source_config(config_dir / f"source_{name}.yaml")
+        profile = replace(schema.profile, seed=derive_seed(11, "synth", name))
+        derived[name] = derive_dataset(generate_synthetic(profile, schema), 100, faac, n_records=profile.total)
+    settings_ = EvalSettings(models=("lr", "rf"), fixed_hyper={"rf": {"n_trees": 10, "max_depth": 6}})
+    report = run_holdout_study(derived, settings_, seed=11)
+    assert [(r.train_origin, r.test_origin, r.model) for r in report.rows[:6]] == [
+        ("beta+gamma", "alpha", "lr"), ("beta+gamma", "alpha", "rf"),
+        ("beta", "alpha", "lr"), ("beta", "alpha", "rf"),
+        ("gamma", "alpha", "lr"), ("gamma", "alpha", "rf"),
+    ]
+    assert [r.test_origin for r in report.rows[::6]] == ["alpha", "beta", "gamma"]
+    buf = io.StringIO()
+    write_report_csv(report, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "c9120295013e58560b5ddcabb7dcfc9421c268ddff76baf612d5277503d7bcf1"
+    )
+    with pytest.raises(EvaluationError, match="at least three"):
+        run_holdout_study({n: derived[n] for n in ("alpha", "beta")}, settings_, seed=11)
 
 
 # ---------------------------------------------------------------------------

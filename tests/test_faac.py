@@ -134,6 +134,21 @@ def test_token_token_overlap_is_rejected():
         )
 
 
+def test_token_listed_twice_in_one_feature_is_rejected():
+    # 80 and "80" both count under 80.0, so a port of 80 would count twice in one batch slot
+    with pytest.raises(ConfigError, match="feature 'web' lists token '80' twice"):
+        _cfg(FeatureSpec("web", "v", Matcher(kind="in_set", tokens=(80, "80"))))
+
+
+def test_bool_token_overlaps_the_number_it_counts_as():
+    # true counts under 1.0, so a value of 1.0 would hit both features
+    with pytest.raises(ConfigError, match="features 'flag' and 'one' share tokens"):
+        _cfg(
+            FeatureSpec("flag", "v", Matcher(kind="in_set", tokens=(True,))),
+            FeatureSpec("one", "v", Matcher(kind="equals", tokens=(1,))),
+        )
+
+
 def test_range_range_overlap_is_rejected_unless_allowed():
     with pytest.raises(ConfigError, match="overlap"):
         _cfg(

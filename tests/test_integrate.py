@@ -12,6 +12,8 @@ from faacflow.integrate import (
     distribution_report,
     integrate,
     load_integration_spec,
+    restrict,
+    shared_classes,
 )
 
 FULL = ("Background", "DoS", "PortScanning")
@@ -75,6 +77,18 @@ def test_no_shared_background_is_an_error():
     b = mk(["Background", "DoS"], origin="b")
     with pytest.raises(DataError, match="Background"):
         integrate([a, b])
+
+
+def test_restrict_keeps_listed_classes_and_reindexes_labels():
+    a = mk(["PortScanning", "Background", "DoS", "PortScanning"], origin="a", seed=5)
+    b = mk(["DoS", "Background"], classes=("Background", "DoS"), origin="b")
+    classes = shared_classes([a, b], IntegrationSpec())
+    assert classes == ("Background", "DoS")
+    sub = restrict(a, ("Background", "PortScanning"))
+    assert sub.classes == ("Background", "PortScanning")
+    assert sub.y.tolist() == [1, 0, 1]
+    assert np.array_equal(sub.X, a.X[[0, 1, 3]])
+    assert restrict(b, ("Background", "PortScanning")).label_names() == ("Background",)
 
 
 def test_feature_list_mismatch_is_an_error():
