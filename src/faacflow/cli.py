@@ -30,13 +30,15 @@ import yaml
 from . import __version__
 from .errors import ConfigError, DataError, EvaluationError, FaacflowError
 from .evaluation import (
+    MIN_SIGNED_RANK_PAIRS,
+    Comparison,
     EvalReport,
     EvalSettings,
     aggregate_report,
+    compare_models,
     read_report_csv,
     run_single_dataset,
     run_transfer_matrix,
-    significance_rows,
     write_report_csv,
     write_significance_csv,
 )
@@ -240,18 +242,18 @@ def _settings_from_doc(doc: dict, input_keys: tuple[str, ...]) -> EvalSettings:
         raise ConfigError(f"malformed evaluation settings: {exc}") from exc
 
 
-def _write_significance(report: EvalReport, out: Path, outputs: list[Path]) -> list[dict[str, object]]:
-    """Model-comparison rows, written to significance.csv when there are any (two or more models)."""
-    sig = significance_rows(report)
-    if sig:
+def _write_significance(report: EvalReport, out: Path, outputs: list[Path]) -> Comparison:
+    """Model comparisons; the tested rows go to significance.csv when there are any."""
+    rows, skipped = compare_models(report)
+    if rows:
         sig_path = out / "significance.csv"
-        write_significance_csv(sig, sig_path)
+        write_significance_csv(rows, sig_path)
         outputs.append(sig_path)
-    return sig
+    return rows, skipped
 
 
-def _write_eval_outputs(report: EvalReport, out: Path) -> tuple[list[Path], list[dict[str, object]]]:
-    """Report, significance and trial-log files; returns their paths and the comparison rows."""
+def _write_eval_outputs(report: EvalReport, out: Path) -> tuple[list[Path], Comparison]:
+    """Report, significance and trial-log files; returns their paths and the model comparisons."""
     outputs = []
     report_path = out / "report.csv"
     write_report_csv(report, report_path)
@@ -265,18 +267,24 @@ def _write_eval_outputs(report: EvalReport, out: Path) -> tuple[list[Path], list
     return outputs, sig
 
 
-def _print_eval_summary(report: EvalReport, sig: list[dict[str, object]]) -> None:
+def _print_eval_summary(report: EvalReport, sig: Comparison) -> None:
     for row in aggregate_report(report):
         print(
             f"{row['setting']} {row['model']} {row['train_origin']}->{row['test_origin']}: "
             f"weighted AUC {row['mean_weighted_auc']:.4f} +/- {row['std_weighted_auc']:.4f} "
             f"over {row['n_folds']} folds"
         )
-    for row in sig:
+    rows, skipped = sig
+    for row in rows:
         verdict = "significant" if row["significant_at_0.05"] else "not significant"
         print(
             f"{row['model_a']} vs {row['model_b']}: n={row['n']} W={row['W']} "
             f"p={row['p_two_sided']:.4g} ({verdict} at 0.05)"
+        )
+    for a, b, nonzero in skipped:
+        print(
+            f"{a} vs {b}: not tested, {nonzero} nonzero paired differences "
+            f"(a two-sided test needs at least {MIN_SIGNED_RANK_PAIRS})"
         )
 
 

@@ -104,6 +104,10 @@ def weighted_avg_auc(aucs: Sequence[float], weights: Sequence[float]) -> float:
     return float(sum(a * w for a, w in zip(aucs, weights)) / total)
 
 
+#: fewest nonzero paired differences for which a two-sided signed-rank test is run
+MIN_SIGNED_RANK_PAIRS = 5
+
+
 @dataclass(frozen=True)
 class WilcoxonResult:
     n: int  # nonzero differences
@@ -136,9 +140,9 @@ def wilcoxon_signed_rank(
     n = len(d)
     if n == 0:
         return WilcoxonResult(n=0, w=0.0, p=1.0, method="degenerate")
-    if n < 5:
+    if n < MIN_SIGNED_RANK_PAIRS:
         raise EvaluationError(
-            f"only {n} nonzero differences; at least 5 are needed for a two-sided test"
+            f"only {n} nonzero differences; at least {MIN_SIGNED_RANK_PAIRS} are needed for a two-sided test"
         )
     ranks2 = _doubled_midranks(np.abs(d))
     w2_pos = int(ranks2[d > 0].sum())
@@ -606,15 +610,30 @@ def paired_weighted_aucs(
     )
 
 
-def significance_rows(report: EvalReport) -> list[dict[str, object]]:
-    """Signed-rank comparison for every unordered model pair in the report."""
+#: significance rows, and (model_a, model_b, nonzero differences) of the pairs left untested
+Comparison = tuple[list[dict[str, object]], list[tuple[str, str, int]]]
+
+
+def compare_models(report: EvalReport) -> Comparison:
+    """Signed-rank comparison for every unordered model pair in the report.
+
+    A pair with one to ``MIN_SIGNED_RANK_PAIRS - 1`` nonzero paired
+    differences is too small for a two-sided test; it is left out of the
+    rows and returned as (model_a, model_b, nonzero count) instead. A pair
+    whose differences are all zero keeps its degenerate p = 1 row.
+    """
     models = sorted({r.model for r in report.rows})
-    out = []
+    rows = []
+    skipped = []
     for i, a in enumerate(models):
         for b in models[i + 1 :]:
             sa, sb = paired_weighted_aucs(report, a, b)
+            nonzero = int(np.count_nonzero(sa - sb))
+            if 0 < nonzero < MIN_SIGNED_RANK_PAIRS:
+                skipped.append((a, b, nonzero))
+                continue
             res = wilcoxon_signed_rank(sa, sb)
-            out.append(
+            rows.append(
                 {
                     "model_a": a,
                     "model_b": b,
@@ -624,7 +643,12 @@ def significance_rows(report: EvalReport) -> list[dict[str, object]]:
                     "significant_at_0.05": res.p < 0.05,
                 }
             )
-    return out
+    return rows, skipped
+
+
+def significance_rows(report: EvalReport) -> list[dict[str, object]]:
+    """The rows of ``compare_models``: model pairs with enough differences for a test."""
+    return compare_models(report)[0]
 
 
 def write_significance_csv(rows: list[dict[str, object]], dest: str | Path | TextIO) -> None:

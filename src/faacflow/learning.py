@@ -326,7 +326,7 @@ def predict_proba_lr(betas: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def _leaf(counts: np.ndarray) -> dict:
     # the full class-count vector is kept so ties stay inspectable
-    return {"n": [int(v) for v in counts]}
+    return {"n": counts.tolist()}
 
 
 def _code_columns(Z: np.ndarray) -> np.ndarray:
@@ -341,42 +341,25 @@ def _code_columns(Z: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _best_split(
-    codes: np.ndarray,
-    yb: np.ndarray,
-    idx: np.ndarray,
-    counts: np.ndarray,
-    feats: np.ndarray,
-    min_leaf: int,
-) -> tuple[int, int] | None:
-    """Split minimizing weighted child Gini impurity, decided exactly.
+#: work per bincount while trees grow: histogram cells (node x class x sampled feature x code)
+#: plus gathered (row, sampled feature) codes; bounds the memory of a step of many trees
+HIST_CELLS = 1 << 16
 
-    One bincount builds the node's class histogram over every (feature,
-    code) cell; a cumulative sum along the codes gives the left-child class
-    counts of the cut after each occupied cell. Impurity ranking reduces to
-    maximizing (A(n-t) + Bt) / (t(n-t)) with A, B the summed squared child
-    class counts. Cells near the float maximum are re-compared in (feature,
-    code) order with integer cross-multiplication, so the winner (and the
-    lowest-feature, lowest-threshold tie rule) never depends on rounding.
-    Returns the feature and the code of the last value on the left.
+
+def _first_exact_max(num: np.ndarray, den: np.ndarray) -> int:
+    """Index of the first cell whose ratio num/den is exactly the largest.
+
+    Cells come in (feature, code) order, so the first maximum is the
+    lowest-feature, lowest-threshold split. Floats only preselect the cells
+    within 1e-9 of the float maximum; integer cross-multiplication decides
+    among them, so the pick never depends on rounding. A cell with num 0
+    never wins while any cell is positive.
+
+    No tree-level test can reach the window: num <= t(n-t)n <= n^3/4, so
+    below about 330k rows in a node every value stays under 2^53, rounding
+    is monotone, and ``q >= q.max()`` would pick the same cells. Only the
+    crafted ratios in the unit test tell the two apart.
     """
-    n = len(idx)
-    n_classes = len(counts)
-    cells = codes[idx][:, feats]
-    width = int(cells.max(initial=0)) + 1
-    cells += np.arange(len(feats)) * width
-    hist = np.bincount(
-        (cells * n_classes + yb[idx][:, None]).ravel(), minlength=len(feats) * width * n_classes
-    ).reshape(len(feats), width, n_classes)
-    left = np.cumsum(hist, axis=1)
-    t = left.sum(axis=2)
-    fpos, code = np.nonzero(hist.any(axis=2) & (t >= min_leaf) & (n - t >= min_leaf))
-    if len(fpos) == 0:
-        return None
-    left, t = left[fpos, code], t[fpos, code]
-    right = counts - left
-    num = np.sum(left * left, axis=1) * (n - t) + np.sum(right * right, axis=1) * t
-    den = t * (n - t)
     q = num / den
     best_num = -1
     best_den = 1
@@ -385,64 +368,139 @@ def _best_split(
         cnum, cden = int(num[k]), int(den[k])
         if cnum * best_den > best_num * cden:
             best_num, best_den, best = cnum, cden, int(k)
-    return int(feats[fpos[best]]), int(code[best])
+    return best
 
 
-def _grow_tree(
+@dataclass
+class _Node:
+    """A node waiting to grow: its dict (filled in place), rows, depth and class counts."""
+
+    out: dict
+    idx: np.ndarray
+    depth: int
+    counts: np.ndarray
+    feats: np.ndarray | None = None
+
+
+def _grow_forest(
     Z: np.ndarray,
-    codes: np.ndarray,
-    yb: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    rng: np.random.Generator,
-    n_classes: int,
-    max_depth: int,
-    m_features: int,
-    min_leaf: int,
-) -> dict:
-    counts = np.bincount(yb[idx], minlength=n_classes)
-    if (
-        depth >= max_depth
-        or len(idx) < 2 * min_leaf
-        or counts.max() == len(idx)
-        or Z.shape[1] == 0
-    ):
-        return _leaf(counts)
-    p = Z.shape[1]
-    if m_features < p:
-        feats = np.sort(rng.choice(p, size=m_features, replace=False))
-    else:
-        feats = np.arange(p)
-    split = _best_split(codes, yb, idx, counts, feats, min_leaf)
-    if split is None:
-        return _leaf(counts)
-    fi, code = split
-    col = codes[idx, fi]
-    mask = col <= code
-    # the threshold is the last value on the left; taking it from the node's
-    # last row in that cell keeps the sign a -0.0 / 0.0 column had there
-    thr = float(Z[idx[col == code][-1], fi])
-    args = (rng, n_classes, max_depth, m_features, min_leaf)
-    left = _grow_tree(Z, codes, yb, idx[mask], depth + 1, *args)
-    right = _grow_tree(Z, codes, yb, idx[~mask], depth + 1, *args)
-    return {"f": fi, "t": thr, "l": left, "r": right}
-
-
-def _build_coded_tree(
-    Z: np.ndarray,
-    codes: np.ndarray,
     y: np.ndarray,
     n_classes: int,
-    tree_seed: int,
+    tree_seeds: Sequence[int],
     max_depth: int,
     m_features: int,
     min_leaf: int,
     bootstrap: bool,
-) -> dict:
-    rng = np.random.default_rng(tree_seed)
-    n = Z.shape[0]
-    idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-    return _grow_tree(Z, codes, y, idx, 0, rng, n_classes, max_depth, m_features, min_leaf)
+) -> tuple[dict, ...]:
+    """Grow every tree together, one node per tree and step, each tree as if grown alone.
+
+    Each tree keeps its own generator (bootstrap draw first, then one
+    feature draw per searched node), and its own stack, popped depth-first
+    with the left child first. A step pops each tree's nodes until one
+    needs a split search; leaves settle on the spot and draw nothing. The
+    step's searched nodes then share class-major histograms, laid out as
+    (node, class, sampled feature, code), in groups of at most
+    ``HIST_CELLS`` histogram cells plus gathered codes. A cumulative sum
+    along the codes gives every cut's left class counts, and the Gini
+    ranking ratio (A(n-t) + Bt) / (t(n-t)), with A and B the summed squared
+    child class counts, is formed in int64 for all cells at once. Only the
+    exact pick and the row partition are per node. Children take their
+    class counts from the parent's histogram.
+    """
+    n, p = Z.shape
+    codes = _code_columns(Z)
+    width = int(codes.max(initial=0)) + 1
+    rngs = [np.random.default_rng(s) for s in tree_seeds]
+    roots = [{} for _ in tree_seeds]
+    stacks = []
+    for rng, root in zip(rngs, roots):
+        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        stacks.append([_Node(root, idx, 0, np.bincount(y[idx], minlength=n_classes))])
+    live = list(range(len(rngs)))
+    while live:
+        step: list[tuple[int, _Node]] = []
+        for tree in live:
+            stack = stacks[tree]
+            while stack:
+                node = stack.pop()
+                size = len(node.idx)
+                if node.depth >= max_depth or size < 2 * min_leaf or node.counts.max() == size or p == 0:
+                    node.out.update(_leaf(node.counts))
+                    continue
+                if m_features < p:
+                    node.feats = np.sort(rngs[tree].choice(p, size=m_features, replace=False))
+                else:
+                    node.feats = np.arange(p)
+                step.append((tree, node))
+                break
+        group: list[tuple[int, _Node]] = []
+        work = 0
+        for tree, node in step:
+            cost = m_features * (n_classes * width + len(node.idx))
+            if group and work + cost > HIST_CELLS:
+                _split_group(Z, codes, y, width, group, stacks, min_leaf)
+                group, work = [], 0
+            group.append((tree, node))
+            work += cost
+        if group:
+            _split_group(Z, codes, y, width, group, stacks, min_leaf)
+        live = [tree for tree in live if stacks[tree]]
+    return tuple(roots)
+
+
+def _split_group(
+    Z: np.ndarray,
+    codes: np.ndarray,
+    y: np.ndarray,
+    width: int,
+    group: list[tuple[int, _Node]],
+    stacks: list[list[_Node]],
+    min_leaf: int,
+) -> None:
+    """Search the group's nodes over one histogram; split each or make it a leaf."""
+    nodes = [node for _, node in group]
+    sizes = np.array([len(node.idx) for node in nodes])
+    rows = np.concatenate([node.idx for node in nodes])
+    owner = np.repeat(np.arange(len(nodes)), sizes)
+    feats = np.stack([node.feats for node in nodes])
+    counts = np.stack([node.counts for node in nodes])
+    k, n_classes = counts.shape
+    m = feats.shape[1]
+    cells = codes[rows[:, None], feats[owner]] + np.arange(m) * width
+    cells += ((owner * n_classes + y[rows]) * (m * width))[:, None]
+    hist = np.bincount(cells.ravel(), minlength=k * n_classes * m * width).reshape(k, n_classes, m, width)
+    occupied = hist.any(axis=1)
+    left = np.cumsum(hist, axis=3, out=hist)
+    t = left.sum(axis=1)
+    nt = sizes[:, None, None] - t
+    valid = occupied & (t >= min_leaf) & (nt >= min_leaf)
+    # summed squared class counts of the left (a) and right (b) child, one class plane at a time
+    a = np.zeros_like(t)
+    b = np.zeros_like(t)
+    for c in range(n_classes):
+        lc = left[:, c]
+        rc = counts[:, c, None, None] - lc
+        a += lc * lc
+        b += rc * rc
+    num = np.where(valid, a * nt + b * t, 0)
+    den = np.where(valid, t * nt, 1)
+    found = valid.any(axis=(1, 2))
+    for i, (tree, node) in enumerate(group):
+        if not found[i]:
+            node.out.update(_leaf(node.counts))
+            continue
+        j, code = divmod(_first_exact_max(num[i].ravel(), den[i].ravel()), width)
+        fi = int(node.feats[j])
+        col = codes[node.idx, fi]
+        mask = col <= code
+        # the threshold is the last value on the left; taking it from the node's
+        # last row in that cell keeps the sign a -0.0 / 0.0 column had there
+        thr = float(Z[node.idx[col == code][-1], fi])
+        # a copy, so no child keeps the group's histogram alive
+        left_counts = left[i, :, j, code].copy()
+        node.out.update(f=fi, t=thr, l={}, r={})
+        stacks[tree].append(_Node(node.out["r"], node.idx[~mask], node.depth + 1, node.counts - left_counts))
+        stacks[tree].append(_Node(node.out["l"], node.idx[mask], node.depth + 1, left_counts))
 
 
 def build_tree(
@@ -456,10 +514,9 @@ def build_tree(
     bootstrap: bool = True,
 ) -> dict:
     """One decision tree on a bootstrap resample drawn from ``tree_seed``."""
-    m = _features_per_split(m_features, np.shape(Z)[1])
-    return _build_coded_tree(
-        Z, _code_columns(Z), np.asarray(y), n_classes, tree_seed, max_depth, m, min_leaf, bootstrap
-    )
+    Z = np.asarray(Z, dtype=np.float64)
+    m = _features_per_split(m_features, Z.shape[1])
+    return _grow_forest(Z, np.asarray(y), n_classes, (tree_seed,), max_depth, m, min_leaf, bootstrap)[0]
 
 
 def _features_per_split(m_features: int, p: int) -> int:
@@ -470,19 +527,34 @@ def _features_per_split(m_features: int, p: int) -> int:
 
 
 def apply_tree(node: dict, Z: np.ndarray) -> np.ndarray:
-    """Class prediction of one tree for every row; leaf ties go to the lowest index."""
-    n = Z.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    stack: list[tuple[dict, np.ndarray]] = [(node, np.arange(n))]
-    while stack:
-        nd, rows = stack.pop()
+    """Class prediction of one tree for every row; leaf ties go to the lowest index.
+
+    The dict tree is flattened into arrays once; then every row moves down
+    one level per pass. A leaf sends its rows back to itself, and
+    ``nxt[2i + 1]`` / ``nxt[2i]`` are node i's left / right child, so a
+    failed ``<=`` (NaN included) goes right.
+    """
+    feat, thr, nxt, leaf = [], [], [], []
+    nodes, depths = [node], [0]
+    for i, nd in enumerate(nodes):
         if "n" in nd:
-            out[rows] = int(np.argmax(nd["n"]))
+            feat.append(0)
+            thr.append(0.0)
+            nxt += [i, i]
+            leaf.append(nd["n"].index(max(nd["n"])))
             continue
-        mask = Z[rows, nd["f"]] <= nd["t"]
-        stack.append((nd["l"], rows[mask]))
-        stack.append((nd["r"], rows[~mask]))
-    return out
+        feat.append(nd["f"])
+        thr.append(nd["t"])
+        nxt += [len(nodes), len(nodes) + 1]
+        nodes += [nd["r"], nd["l"]]
+        depths += [depths[i] + 1] * 2
+        leaf.append(0)
+    feat_a, thr_a, nxt_a = np.array(feat), np.array(thr), np.array(nxt)
+    rows = np.arange(Z.shape[0])
+    pos = np.zeros(Z.shape[0], dtype=np.int64)
+    for _ in range(max(depths)):
+        pos = nxt_a[2 * pos + (Z[rows, feat_a[pos]] <= thr_a[pos])]
+    return np.array(leaf)[pos]
 
 
 @dataclass(frozen=True)
@@ -513,10 +585,7 @@ def fit_rf(
         raise ConfigError(f"minimum leaf size must be positive, got {min_leaf}")
     m = _features_per_split(m_features, Z.shape[1])
     seeds = tuple(derive_seed(seed, "tree", t) for t in range(n_trees))
-    codes = _code_columns(Z)
-    trees = tuple(
-        _build_coded_tree(Z, codes, y, n_classes, ts, max_depth, m, min_leaf, bootstrap=True) for ts in seeds
-    )
+    trees = _grow_forest(Z, y, n_classes, seeds, max_depth, m, min_leaf, bootstrap=True)
     return ForestModel(trees=trees, n_classes=n_classes, tree_seeds=seeds)
 
 

@@ -173,6 +173,35 @@ def test_subcommand_round_trip(cfg_dir, tmp_path, capsys):
     assert "weighted AUC" in summary
 
 
+def test_two_source_transfer_with_two_models_skips_the_significance_sheet(cfg_dir, tmp_path, capsys):
+    # one transfer row per model and direction: two paired differences, too few for a test
+    out = tmp_path / "run"
+    for sid in ("s1", "s2"):
+        assert main(["synth", "--config", str(cfg_dir / f"source_{sid}.yaml"),
+                     "--seed", "5", "--out", str(out)]) == 0
+        assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),
+                     "--source", str(cfg_dir / f"source_{sid}.yaml"),
+                     "--input", str(out / f"{sid}_flows.csv"),
+                     "--batches", "40", "--out", str(out)]) == 0
+    eval_cfg = out / "eval.yaml"
+    eval_cfg.write_text(
+        "models: [lr, rf]\n"
+        "fixed_hyper:\n  rf: {n_trees: 5, max_depth: 4}\n"
+        "transfer:\n  s1: s1_derived.csv\n  s2: s2_derived.csv\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    rc = main(["evaluate", "--config", str(eval_cfg), "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    report = (out / "report.csv").read_text(encoding="utf-8")
+    assert "cross-dataset,lr,s1,s2" in report and "cross-dataset,rf,s2,s1" in report
+    assert not (out / "significance.csv").exists()
+    summary = capsys.readouterr().out
+    assert "lr vs rf: not tested, 2 nonzero paired differences" in summary
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert "significance.csv" not in manifest["outputs"]
+
+
 def test_exit_codes(cfg_dir, tmp_path):
     assert main(["synth", "--out", str(tmp_path)]) == 2  # no config given
     assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),

@@ -19,6 +19,7 @@ from faacflow.evaluation import (
     FoldResult,
     aggregate_report,
     auc_binary,
+    compare_models,
     paired_weighted_aucs,
     read_report_csv,
     run_cross_dataset,
@@ -462,3 +463,17 @@ def test_significance_rows_flag_consistent_differences():
     buf = io.StringIO()
     write_significance_csv(sig, buf)
     assert buf.getvalue().splitlines()[0] == "model_a,model_b,n,W,p_two_sided,significant_at_0.05"
+
+
+def test_model_pairs_with_too_few_differences_are_left_untested():
+    rows = []
+    for i, d in enumerate([0.02, -0.01, 0.03, 0.0]):
+        rows.append(mk_row("lr", 1, i + 1, 0.85))
+        rows.append(mk_row("rf", 1, i + 1, 0.85 + d))
+    report = EvalReport(rows=rows)
+    assert compare_models(report) == ([], [("lr", "rf", 3)])
+    assert significance_rows(report) == []
+    # all-zero differences stay a degenerate p = 1 row
+    tied = EvalReport(rows=[mk_row(m, 1, i + 1, 0.9) for i in range(3) for m in ("lr", "rf")])
+    (row,), skipped = compare_models(tied)
+    assert skipped == [] and row["n"] == 0 and row["p_two_sided"] == 1.0

@@ -284,6 +284,18 @@ def test_deep_splits_match_the_exhaustive_oracle():
             assert_splits_match_oracle(tree, Z, y, np.arange(len(y)), 0, 3, 4, min_leaf)
 
 
+def test_split_pick_compares_near_maximal_ratios_exactly():
+    # cell 0 is exactly 2**55 + 3.5 and cell 1 exactly 2**55 + 3, but their float
+    # quotients round the other way; a pick by float maximum alone would return 1
+    num = np.array([2**56 + 7, 3 * 2**55 + 9], dtype=np.int64)
+    den = np.array([2, 3], dtype=np.int64)
+    q = num / den
+    assert q[1] > q[0]
+    assert learning._first_exact_max(num, den) == 0
+    # in (feature, code) order the first of equal ratios wins; zero cells never do
+    assert learning._first_exact_max(np.array([0, 6, 3, 9]), np.array([1, 2, 1, 3])) == 1
+
+
 def test_tree_determinism_and_bootstrap_variety():
     Z, y = lasso_instance(seed=10)
     a = build_tree(Z, y, 3, tree_seed=42, max_depth=6, m_features=4, min_leaf=1)
@@ -330,6 +342,46 @@ def test_forest_bytes_match_the_recorded_digests():
     forest = fit_rf(X, y, 3, n_trees=10, max_depth=8, m_features=3, min_leaf=2, seed=9)
     assert hashlib.sha256(json.dumps(forest.trees).encode()).hexdigest() == (
         "8ecab921e5845ea54222c72b4cb4cc16fc9e4a43976515b278ad8547ee5eb049"
+    )
+
+
+def tree_depth(node):
+    return 0 if "n" in node else 1 + max(tree_depth(node["l"]), tree_depth(node["r"]))
+
+
+def test_deep_and_ragged_forest_bytes_match_the_recorded_digests():
+    # recorded before trees were grown together; every column searched, trees of unequal depth
+    X, y = quantized_instance()
+    forest = fit_rf(X, y, 3, n_trees=30, max_depth=20, m_features=X.shape[1], min_leaf=3, seed=5)
+    assert hashlib.sha256(json.dumps(forest.trees).encode()).hexdigest() == (
+        "110335c3ff2bf93cdb66d76aced5c14f9065dde6071109b14db96d3a26d23878"
+    )
+    # one row each of classes 1 and 2: some bootstrap draws are pure and stop at a root leaf
+    rng = np.random.default_rng(31)
+    X = rng.integers(0, 41, (24, 4)) / 40.0
+    y = np.zeros(24, dtype=np.int64)
+    y[5], y[17] = 1, 2
+    forest = fit_rf(X, y, 3, n_trees=40, max_depth=8, m_features=2, min_leaf=1, seed=2)
+    depths = [tree_depth(tree) for tree in forest.trees]
+    assert min(depths) == 0 and max(depths) >= 3
+    assert hashlib.sha256(json.dumps(forest.trees).encode()).hexdigest() == (
+        "c569843f9435c8a8abf8d63e84bbb4680c0aef7cc7953a5334f651d287a8b860"
+    )
+
+
+def test_forest_votes_match_the_recorded_digest():
+    # recorded before prediction became a level-by-level descent
+    X, y = quantized_instance()
+    forest = fit_rf(X, y, 3, n_trees=10, max_depth=8, m_features=3, min_leaf=2, seed=9)
+
+    def thresholds(node):
+        return [] if "n" in node else [(node["f"], node["t"])] + thresholds(node["l"]) + thresholds(node["r"])
+
+    # thresholds are training values, so training rows sit exactly on them
+    assert any((X[:, f] == t).any() for tree in forest.trees for f, t in thresholds(tree))
+    proba = predict_proba_rf(forest, X)
+    assert hashlib.sha256(proba.tobytes()).hexdigest() == (
+        "1eb0e491aa59109f5bda6b239067b0c6f68b7723a9d850b529712924a4aa8879"
     )
 
 
