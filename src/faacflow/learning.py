@@ -61,12 +61,15 @@ def standardize_apply(X: np.ndarray, mean: np.ndarray, scale: np.ndarray) -> np.
 
 
 def _sigmoid(s: np.ndarray) -> np.ndarray:
-    out = np.empty_like(s)
-    pos = s >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-    es = np.exp(s[~pos])
-    out[~pos] = es / (1.0 + es)
-    return out
+    # exp(-|s|) <= 1 never overflows; each branch equals the textbook form on its half
+    e = np.exp(-np.abs(s))
+    d = 1.0 + e
+    return np.where(s >= 0, 1.0 / d, e / d)
+
+
+def _nll(s: np.ndarray, y: np.ndarray) -> float:
+    """Summed negative log-likelihood at linear scores ``s``."""
+    return float(np.sum(np.logaddexp(0.0, s) - y * s))
 
 
 def logistic_nll_grad(beta: np.ndarray, X1: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -76,9 +79,7 @@ def logistic_nll_grad(beta: np.ndarray, X1: np.ndarray, y: np.ndarray) -> tuple[
     ``beta`` and exposed for finite-difference checks.
     """
     s = X1 @ beta
-    nll = float(np.sum(np.logaddexp(0.0, s) - y * s))
-    grad = X1.T @ (_sigmoid(s) - y)
-    return nll, grad
+    return _nll(s, y), X1.T @ (_sigmoid(s) - y)
 
 
 def _kkt_violation(beta: np.ndarray, grad: np.ndarray, lam: float) -> float:
@@ -101,9 +102,12 @@ class LassoResult:
     n_iter: tuple[int, ...]
 
 
-def _penalized_objective(beta: np.ndarray, X1: np.ndarray, y: np.ndarray, lam: float) -> float:
-    nll, _ = logistic_nll_grad(beta, X1, y)
-    return nll + lam * float(np.sum(np.abs(beta[1:])))
+def _penalized_objective(
+    beta: np.ndarray, X1: np.ndarray, y: np.ndarray, lam: float
+) -> tuple[float, np.ndarray]:
+    """Penalized objective at ``beta`` and the linear scores ``X1 @ beta`` behind it."""
+    s = X1 @ beta
+    return _nll(s, y) + lam * float(np.sum(np.abs(beta[1:]))), s
 
 
 def _pivot_quadratic(beta0: np.ndarray, g: np.ndarray, G: np.ndarray, lam: float) -> np.ndarray | None:
@@ -124,47 +128,48 @@ def _pivot_quadratic(beta0: np.ndarray, g: np.ndarray, G: np.ndarray, lam: float
     curved = a > 1e-12
     free = curved & (beta0 != 0.0)
     free[0] = curved[0]
+    # every free coefficient has a sign: a nonzero start, or the one it is released with
     sigma = np.sign(beta0)
+    pen = lam * sigma
+    pen[0] = 0.0  # the intercept is unpenalized
+    neg_slope = -(g + pen)
+    # fixed coords: curved ones are pinned at zero, uncurved ones stay put
+    b_fixed = np.where(curved, 0.0, beta0)
+    u_fixed = np.where(curved, -beta0, 0.0)
+    releasable = curved.copy()  # coefficients with release budget left
+    releasable[0] = False
     releases = np.zeros(p1, dtype=np.int64)
     ridge = 1e-10 * float(a.max()) if a.max() > 0 else 0.0
-    b = beta0.copy()
+    G_ridged = G + ridge * np.eye(p1)
+    min_gain = 1e-9 * max(1.0, lam)
     for _ in range(6 * p1 + 16):
-        F = np.flatnonzero(free)
-        fixed = np.flatnonzero(~free)
-        # curved fixed coords are pinned at zero; uncurved ones stay put
-        u_fixed = np.where(curved[fixed], -beta0[fixed], 0.0)
-        b = beta0.copy()
-        b[fixed] = np.where(curved[fixed], 0.0, beta0[fixed])
+        F = free.nonzero()[0]
+        b = b_fixed.copy()
         if len(F):
-            pen = lam * sigma[F]
-            if F[0] == 0:
-                pen[0] = 0.0
-            rhs = -(g[F] + pen) - G[np.ix_(F, fixed)] @ u_fixed
-            GFF = G[np.ix_(F, F)] + ridge * np.eye(len(F))
+            fixed = (~free).nonzero()[0]
+            # C-ordered gathers: the BLAS summation order, and so every bit, depends on the layout
+            rhs = neg_slope[F] - G.take(F, 0).take(fixed, 1) @ u_fixed[fixed]
+            GFF = G_ridged.take(F, 0).take(F, 1)
             try:
                 uF = np.linalg.solve(GFF, rhs)
             except np.linalg.LinAlgError:
                 uF = np.linalg.lstsq(GFF, rhs, rcond=None)[0]
             b[F] = beta0[F] + uF
-        flips = [j for j in F if j != 0 and sigma[j] != 0 and b[j] * sigma[j] < 0]
-        if flips:
-            j = max(flips, key=lambda j: abs(b[j]))
-            free[j] = False
+        flips = free & (b * sigma < 0)
+        flips[0] = False
+        if np.count_nonzero(flips):
+            free[np.where(flips, np.abs(b), -1.0).argmax()] = False  # the first largest crossing
             continue
-        for j in F:
-            if j != 0 and sigma[j] == 0:
-                sigma[j] = np.sign(b[j])
         r = g + G @ (b - beta0)
-        worst_gain = -1.0
-        worst_j = -1
-        for j in range(1, p1):
-            if curved[j] and not free[j] and releases[j] < 3 and abs(r[j]) - lam > worst_gain:
-                worst_gain = abs(r[j]) - lam
-                worst_j = j
-        if worst_j >= 0 and worst_gain > 1e-9 * max(1.0, lam):
-            free[worst_j] = True
-            sigma[worst_j] = -np.sign(r[worst_j])
-            releases[worst_j] += 1
+        gain = np.abs(r) - lam
+        violators = releasable & ~free & (gain > min_gain)
+        if np.count_nonzero(violators):
+            j = np.where(violators, gain, -1.0).argmax()  # the first largest violation
+            free[j] = True
+            sigma[j] = -np.sign(r[j])
+            neg_slope[j] = -(g[j] + lam * sigma[j])
+            releases[j] += 1
+            releasable[j] = releases[j] < 3
             continue
         return b
     return None
@@ -194,11 +199,10 @@ def fit_lasso(Z: np.ndarray, y: np.ndarray, n_classes: int, lam: float) -> Lasso
     for c in range(n_classes):
         yc = (np.asarray(y) == c).astype(np.float64)
         beta = np.zeros(p + 1)
-        obj = _penalized_objective(beta, X1, yc, lam)
+        obj, s = _penalized_objective(beta, X1, yc, lam)
         ok = False
         it = 0
         for it in range(1, MAX_SELECT_ITER + 1):
-            s = X1 @ beta
             prob = _sigmoid(s)
             grad = X1.T @ (prob - yc)
             if _kkt_violation(beta, grad, lam) <= OPT_TOL:
@@ -219,9 +223,9 @@ def fit_lasso(Z: np.ndarray, y: np.ndarray, n_classes: int, lam: float) -> Lasso
             stepped = False
             while t > 1e-12:
                 cand = beta + t * direction
-                cand_obj = _penalized_objective(cand, X1, yc, lam)
+                cand_obj, cand_s = _penalized_objective(cand, X1, yc, lam)
                 if cand_obj <= obj + 0.25 * t * dd:
-                    beta, obj = cand, cand_obj
+                    beta, obj, s = cand, cand_obj, cand_s
                     stepped = True
                     break
                 t /= 2.0
@@ -260,22 +264,24 @@ def fit_lr(Z: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
         raise EvaluationError("degenerate label set: training rows contain a single class")
     n, p = Z.shape
     X1 = np.hstack([np.ones((n, 1)), Z])
+    eye = np.eye(p + 1)
     betas = np.zeros((n_classes, p + 1))
     for c in range(n_classes):
         yc = (y == c).astype(np.float64)
         beta = np.zeros(p + 1)
-        nll, grad = logistic_nll_grad(beta, X1, yc)
+        s = X1 @ beta
+        nll = _nll(s, yc)
+        prob = _sigmoid(s)
+        grad = X1.T @ (prob - yc)
         for _ in range(MAX_LR_ITER):
             if float(np.max(np.abs(grad))) <= OPT_TOL:
                 break
-            s = X1 @ beta
-            w = _sigmoid(s)
-            w = w * (1.0 - w)
+            w = prob * (1.0 - prob)
             H = X1.T @ (X1 * w[:, None])
             ridge = 0.0
             while True:
                 try:
-                    delta = np.linalg.solve(H + ridge * np.eye(p + 1), grad)
+                    delta = np.linalg.solve(H + ridge * eye, grad)
                     if np.all(np.isfinite(delta)):
                         break
                 except np.linalg.LinAlgError:
@@ -287,14 +293,18 @@ def fit_lr(Z: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
             slope = float(grad @ delta)
             while step > 1e-10:
                 cand = beta - step * delta
-                cand_nll, cand_grad = logistic_nll_grad(cand, X1, yc)
+                s = X1 @ cand
+                cand_nll = _nll(s, yc)
                 if cand_nll <= nll - 1e-4 * step * slope:
                     break
                 step /= 2.0
-            if abs(nll - cand_nll) <= 1e-12 * max(1.0, abs(nll)):
-                beta, nll, grad = cand, cand_nll, cand_grad
+            # the last candidate is taken even when no step passed the test
+            prob = _sigmoid(s)
+            grad = X1.T @ (prob - yc)
+            stalled = abs(nll - cand_nll) <= 1e-12 * max(1.0, abs(nll))
+            beta, nll = cand, cand_nll
+            if stalled:
                 break
-            beta, nll, grad = cand, cand_nll, cand_grad
         betas[c] = beta
     return betas
 

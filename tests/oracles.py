@@ -3,7 +3,8 @@
 Everything here favors brute force and textbook formulas over speed, and
 shares no code with the package: pair counting for AUC, full sign-vector
 enumeration for the signed-rank test, Fraction arithmetic for Gini splits,
-dense linear algebra for the GP posterior.
+dense linear algebra for the GP posterior, support and sign enumeration for
+the l1 quadratic model.
 """
 
 from __future__ import annotations
@@ -136,6 +137,49 @@ def fd_gradient(fun, x, eps: float = 1e-6) -> np.ndarray:
         step[j] = eps
         g[j] = (fun(x + step) - fun(x - step)) / (2.0 * eps)
     return g
+
+
+def l1_quadratic_min_enum(beta0, g, G, lam: float) -> np.ndarray:
+    """Minimizer of g.(b - beta0) + 0.5 (b - beta0)' G (b - beta0) + lam * |b[1:]|_1.
+
+    Coordinate 0 is an unpenalized intercept. A coordinate whose diagonal
+    entry of G is zero carries no curvature and is held at beta0; every other
+    coordinate is solved for. Each support of the penalized coordinates and
+    each sign vector on it gives the stationary point of the smooth model with
+    those signs; it is a candidate when no coordinate has crossed its sign,
+    and the candidate with the least objective wins. The minimizer itself is
+    such a point, so enumeration finds it when G is positive definite on the
+    curved coordinates. Meant for at most five penalized coordinates.
+    """
+    beta0 = np.asarray(beta0, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    G = np.asarray(G, dtype=np.float64)
+    curved = [j for j in range(len(beta0)) if G[j, j] != 0.0]
+    intercept = [0] if 0 in curved else []
+    penalized = [j for j in curved if j != 0]
+
+    def objective(b):
+        u = b - beta0
+        return float(g @ u + 0.5 * u @ G @ u + lam * np.sum(np.abs(b[1:])))
+
+    best, best_obj = None, np.inf
+    for k in range(len(penalized) + 1):
+        for support in itertools.combinations(penalized, k):
+            for signs in itertools.product((-1.0, 1.0), repeat=k):
+                b = beta0.copy()
+                b[[j for j in penalized if j not in support]] = 0.0
+                S = intercept + list(support)
+                if S:
+                    pen = np.array([0.0] * len(intercept) + [lam * s for s in signs])
+                    # stationarity on S; b - beta0 is zero on S, so only coordinates off S enter
+                    rhs = -(g[S] + pen) - (G @ (b - beta0))[S]
+                    b[S] = beta0[S] + np.linalg.solve(G[np.ix_(S, S)], rhs)
+                if any(b[j] * s < 0.0 for j, s in zip(support, signs)):
+                    continue
+                obj = objective(b)
+                if obj < best_obj:
+                    best, best_obj = b, obj
+    return best
 
 
 def gp_posterior_dense(X, y, Xq, lengthscale: float, signal_var: float, noise: float):

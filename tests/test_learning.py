@@ -34,7 +34,7 @@ from faacflow.learning import (
     standardize_fit,
 )
 
-from oracles import best_gini_split, fd_gradient
+from oracles import best_gini_split, fd_gradient, l1_quadratic_min_enum
 
 
 def blobs(n_per=40, p=5, n_classes=3, seed=0, spread=1.0):
@@ -160,18 +160,23 @@ def test_lasso_support_shrinks_with_the_penalty():
     assert sizes[0] == Z.shape[1]
 
 
-def test_huge_penalty_empties_the_support():
-    Z, y = lasso_instance(seed=7)
+def penalty_max(Z, y, n_classes):
+    """Smallest penalty at which every coefficient of every class is zero."""
     X1 = np.hstack([np.ones((Z.shape[0], 1)), Z])
     lam_max = 0.0
-    for c in range(3):
+    for c in range(n_classes):
         yc = (y == c).astype(np.float64)
         pbar = yc.mean()
         beta0 = np.zeros(Z.shape[1] + 1)
         beta0[0] = math.log(pbar / (1 - pbar))
         _, g = logistic_nll_grad(beta0, X1, yc)
         lam_max = max(lam_max, np.max(np.abs(g[1:])))
-    result = fit_lasso(Z, y, 3, lam_max * 1.01)
+    return lam_max
+
+
+def test_huge_penalty_empties_the_support():
+    Z, y = lasso_instance(seed=7)
+    result = fit_lasso(Z, y, 3, penalty_max(Z, y, 3) * 1.01)
     assert result.support == ()
     assert np.all(result.betas[:, 1:] == 0.0)
 
@@ -193,6 +198,66 @@ def test_lasso_input_contracts():
     bad[0, 0] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         fit_lasso(bad, y, 3, 0.1)
+
+
+def lasso_digest(result):
+    h = hashlib.sha256(result.betas.tobytes())
+    h.update(repr((result.support, result.converged, result.n_iter)).encode())
+    return h.hexdigest()
+
+
+def duplicated_and_constant_instance():
+    """Blobs plus a copy of column 0 and a constant column (zero curvature once standardized)."""
+    X, y = blobs(n_per=30, p=5, seed=13, spread=2.0)
+    X = np.hstack([X, X[:, :1], np.full((len(y), 1), 4.0)])
+    return standardize_apply(X, *standardize_fit(X)), y
+
+
+def test_lasso_and_lr_bytes_match_the_recorded_digests():
+    # recorded before the pivot and line search were vectorised; every float may change only on purpose.
+    # Between them these fits flip signs, release pinned coordinates and ridge a singular Hessian.
+    Z, y = lasso_instance(seed=9)
+    Zd, yd = duplicated_and_constant_instance()
+    fits = {
+        "lambda 0": (Z, y, 0.0),
+        "lambda 1e-3": (Z, y, 1e-3),
+        "lambda 1": (Z, y, 1.0),
+        "just under lambda max": (Z, y, 0.97 * penalty_max(Z, y, 3)),
+        "duplicated and constant columns": (Zd, yd, 0.05),
+    }
+    digests = {name: lasso_digest(fit_lasso(Zc, yc, 3, lam)) for name, (Zc, yc, lam) in fits.items()}
+    digests["lr"] = hashlib.sha256(fit_lr(Z, y, 3).tobytes()).hexdigest()
+    digests["lr, duplicated and constant columns"] = hashlib.sha256(fit_lr(Zd, yd, 3).tobytes()).hexdigest()
+    assert digests == {
+        "lambda 0": "ecf657e1cf308a9e707a16d10bf588aa24c7c55dc3a97ae96dd04d74c35c2a5c",
+        "lambda 1e-3": "2b95dabac333a07ec4504714dd66e2f5c2cef825d7a318da672e7ee5b534bdde",
+        "lambda 1": "271de1f9cff7dc7f8461704f10d31e5e5ccb8adbef293cd6d6e7774f80f2172a",
+        "just under lambda max": "1fae88e449b913e6dad24e06eab33a45bacb3839a0243437f6a60631410c8fba",
+        "duplicated and constant columns": "16c71751a08e658a656d413fd7022bc68f8c61c7411f0f68d7abe0c390f27af9",
+        "lr": "4ceada17f6008ca97b3f0d542c08821b76383087fcd309c0e2cd0d375971f20e",
+        "lr, duplicated and constant columns": "f797a95751874f1cce4df3db767ea44c2c78bda02dbb23db9083695f5c69bb19",
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pivot_returns_the_enumerated_l1_quadratic_minimizer(data):
+    p1 = data.draw(st.integers(2, 6), label="intercept plus coefficients")
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    A = data.draw(hnp.arrays(np.float64, (p1 + 2, p1), elements=unit), label="A")
+    G = A.T @ A + np.eye(p1)
+    # coordinates without curvature: zero rows and columns keep G positive semidefinite
+    flat = data.draw(hnp.arrays(np.bool_, p1), label="uncurved")
+    G[flat, :] = 0.0
+    G[:, flat] = 0.0
+    slope = st.floats(-3.0, 3.0, allow_subnormal=False)
+    g = data.draw(hnp.arrays(np.float64, p1, elements=slope), label="g")
+    beta0 = data.draw(hnp.arrays(np.float64, p1, elements=st.just(0.0) | unit), label="beta0")
+    lam = data.draw(st.just(0.0) | st.floats(0.0, 2.0, allow_subnormal=False), label="lambda")
+    b = learning._pivot_quadratic(beta0, g, G, lam)
+    ref = l1_quadratic_min_enum(beta0, g, G, lam)
+    assert b is not None
+    assert np.max(np.abs(b - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_a_failed_pivot_is_an_evaluation_error(monkeypatch):
