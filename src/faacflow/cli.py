@@ -13,7 +13,6 @@ with identical inputs and seed produce identical manifests.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -24,8 +23,6 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
-
-import yaml
 
 from . import __version__
 from .errors import ConfigError, DataError, EvaluationError, FaacflowError
@@ -43,6 +40,7 @@ from .evaluation import (
     write_significance_csv,
 )
 from .faac import derive_dataset, load_faac_config, read_derived, write_derived
+from .files import check_keys, read_yaml_mapping, write_csv
 from .hyperopt import write_trial_log
 from .ingest import SourceSchema, generate_synthetic, load_source_config, parse_flows, write_flows
 from .integrate import IntegrationSpec, distribution_report, integrate, load_integration_spec
@@ -116,12 +114,7 @@ def _slug(text: str) -> str:
 
 def _load_plan(path: Path) -> tuple[dict, Callable[[object], Path]]:
     """The top-level mapping of a YAML plan and a resolver for paths relative to it."""
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a mapping at top level")
+    doc = read_yaml_mapping(path)
 
     def resolve(p: object) -> Path:
         target = Path(str(p))
@@ -169,10 +162,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     n_records = args.count if args.count is not None else schema.record_count_hint
     records = parse_flows(args.input, _reading_schema(schema))
     dataset = derive_dataset(records, args.batches, config, n_records=n_records)
-    path = out / f"{schema.dataset_id}_derived.csv"
-    write_derived(dataset, path)
-    dist_path = out / f"{schema.dataset_id}_distribution.csv"
-    _write_distribution_csv(dataset, dist_path)
+    path, dist_path = _write_dataset(dataset, out, schema.dataset_id)
     _write_manifest(
         out,
         "derive",
@@ -190,12 +180,14 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_distribution_csv(dataset, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["origin", "class", "rows", "fraction"])
-        for row in distribution_report(dataset):
-            writer.writerow([row["origin"], row["class"], row["rows"], "%.9g" % row["fraction"]])
+def _write_dataset(dataset, out: Path, stem: str) -> tuple[Path, Path]:
+    """Write ``<stem>_derived.csv`` and the class sheet ``<stem>_distribution.csv``."""
+    path = out / f"{stem}_derived.csv"
+    write_derived(dataset, path)
+    dist_path = out / f"{stem}_distribution.csv"
+    rows = ([r["origin"], r["class"], r["rows"], "%.9g" % r["fraction"]] for r in distribution_report(dataset))
+    write_csv(dist_path, ["origin", "class", "rows", "fraction"], rows)
+    return path, dist_path
 
 
 def cmd_integrate(args: argparse.Namespace) -> int:
@@ -205,10 +197,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     datasets = [read_derived(p) for p in args.inputs]
     merged = integrate(datasets, spec)
     out = _out_dir(args)
-    path = out / "integrated_derived.csv"
-    write_derived(merged, path)
-    dist_path = out / "integrated_distribution.csv"
-    _write_distribution_csv(merged, dist_path)
+    path, dist_path = _write_dataset(merged, out, "integrated")
     configs = [Path(args.config)] if args.config else []
     _write_manifest(
         out, "integrate", [path, dist_path], configs, args.seed, inputs=[Path(p) for p in args.inputs]
@@ -226,10 +215,7 @@ _SETTINGS_KEYS = ("models", "k", "repetitions", "tune", "tune_once", "n_init", "
 
 def _settings_from_doc(doc: dict, input_keys: tuple[str, ...]) -> EvalSettings:
     """Evaluation settings from a plan whose other keys must be among ``input_keys``."""
-    known = _SETTINGS_KEYS + input_keys
-    unknown = [k for k in doc if k not in known]
-    if unknown:
-        raise ConfigError(f"unknown evaluation key {unknown[0]!r}; expected one of {', '.join(known)}")
+    check_keys(doc, _SETTINGS_KEYS + input_keys, "evaluation key")
     fields = {k: doc[k] for k in _SETTINGS_KEYS if k in doc}
     if "models" in fields:
         fields["models"] = tuple(str(m) for m in fields["models"])
@@ -326,16 +312,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _write_plot_data(report: EvalReport, out: Path) -> list[Path]:
     """Plot-ready CSVs: one per-fold AUC sample sheet, one class-count sheet."""
     auc_path = out / "plot_auc_distribution.csv"
-    with open(auc_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["setting", "model", "train_origin", "test_origin", "repetition", "fold", "weighted_auc"]
-        )
-        for r in report.rows:
-            writer.writerow(
-                [r.setting, r.model, r.train_origin, r.test_origin, r.repetition, r.fold,
-                 "%.9g" % r.weighted_auc]
-            )
+    write_csv(
+        auc_path,
+        ["setting", "model", "train_origin", "test_origin", "repetition", "fold", "weighted_auc"],
+        (
+            [r.setting, r.model, r.train_origin, r.test_origin, r.repetition, r.fold, "%.9g" % r.weighted_auc]
+            for r in report.rows
+        ),
+    )
 
     # test folds are shared across models, so count each fold cell once
     seen: set[tuple] = set()
@@ -349,16 +333,15 @@ def _write_plot_data(report: EvalReport, out: Path) -> list[Path]:
         for cname, q in r.class_counts:
             group[cname] = group.get(cname, 0) + q
     cls_path = out / "plot_class_distribution.csv"
-    with open(cls_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["setting", "train_origin", "test_origin", "class", "rows", "fraction"])
-        for key in sorted(totals):
-            group = totals[key]
-            total = sum(group.values())
-            for cname in sorted(group):
-                writer.writerow(
-                    [key[0], key[1], key[2], cname, group[cname], "%.9g" % (group[cname] / total)]
-                )
+    write_csv(
+        cls_path,
+        ["setting", "train_origin", "test_origin", "class", "rows", "fraction"],
+        (
+            [*key, cname, group[cname], "%.9g" % (group[cname] / sum(group.values()))]
+            for key, group in sorted(totals.items())
+            for cname in sorted(group)
+        ),
+    )
     return [auc_path, cls_path]
 
 
@@ -366,32 +349,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = read_report_csv(args.input)
     out = _out_dir(args)
     agg_path = out / "aggregate.csv"
-    rows = aggregate_report(report)
-    with open(agg_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "setting",
-                "model",
-                "train_origin",
-                "test_origin",
-                "n_folds",
-                "mean_weighted_auc",
-                "std_weighted_auc",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row["setting"],
-                    row["model"],
-                    row["train_origin"],
-                    row["test_origin"],
-                    row["n_folds"],
-                    "%.9g" % float(row["mean_weighted_auc"]),
-                    "%.9g" % float(row["std_weighted_auc"]),
-                ]
-            )
+    keys = ("setting", "model", "train_origin", "test_origin", "n_folds")
+    aucs = ("mean_weighted_auc", "std_weighted_auc")
+    rows = (
+        [*(row[k] for k in keys), *("%.9g" % float(row[k]) for k in aucs)]
+        for row in aggregate_report(report)
+    )
+    write_csv(agg_path, [*keys, *aucs], rows)
     outputs = [agg_path]
     outputs.extend(_write_plot_data(report, out))
     sig = _write_significance(report, out, outputs)
@@ -423,11 +387,7 @@ def orchestrate(
         raise ConfigError(f"threads must be 1 (forests are grown serially), got {threads}")
     config_path = Path(config_path)
     doc, resolve = _load_plan(config_path)
-    unknown = [k for k in doc if k not in _PIPELINE_KEYS]
-    if unknown:
-        raise ConfigError(
-            f"{config_path}: unknown pipeline key {unknown[0]!r}; expected one of {', '.join(_PIPELINE_KEYS)}"
-        )
+    check_keys(doc, _PIPELINE_KEYS, "pipeline key", config_path)
     if "faac" not in doc or "sources" not in doc:
         raise ConfigError(f"{config_path}: pipeline needs 'faac' and 'sources' keys")
     if seed is None:
@@ -457,12 +417,8 @@ def orchestrate(
         artifacts[f"flows:{name}"] = flows_path
         records = parse_flows(flows_path, _reading_schema(schema))
         ds = derive_dataset(records, batches, faac_config, n_records=profile.total)
-        derived_path = out / f"{schema.dataset_id}_derived.csv"
-        write_derived(ds, derived_path)
-        artifacts[f"derived:{name}"] = derived_path
-        dist_path = out / f"{schema.dataset_id}_distribution.csv"
-        _write_distribution_csv(ds, dist_path)
-        artifacts[f"distribution:{name}"] = dist_path
+        paths = _write_dataset(ds, out, schema.dataset_id)
+        artifacts[f"derived:{name}"], artifacts[f"distribution:{name}"] = paths
         derived[name] = ds
 
     if "integration" in doc:
@@ -473,12 +429,8 @@ def orchestrate(
     merged = None
     if len(derived) >= 2:
         merged = integrate(list(derived.values()), spec)
-        merged_path = out / "integrated_derived.csv"
-        write_derived(merged, merged_path)
-        artifacts["derived:integrated"] = merged_path
-        dist_path = out / "integrated_distribution.csv"
-        _write_distribution_csv(merged, dist_path)
-        artifacts["distribution:integrated"] = dist_path
+        paths = _write_dataset(merged, out, "integrated")
+        artifacts["derived:integrated"], artifacts["distribution:integrated"] = paths
 
     if eval_doc:
         report = EvalReport()

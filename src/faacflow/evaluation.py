@@ -8,7 +8,6 @@ midrank arithmetic, so tied scores cost no precision.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import DataError, EvaluationError
 from .faac import DerivedDataset
+from .files import read_csv, write_csv
 from .hyperopt import TrialRow, default_space, optimize
 from .integrate import IntegrationSpec, integrate, restrict, shared_classes
 from .learning import PipelineModel, fit_pipeline, resolve_hyperparams
@@ -492,17 +492,12 @@ REPORT_HEADER = (
 
 def write_report_csv(report: EvalReport, dest: str | Path | TextIO) -> int:
     """One CSV line per evaluated (fold, class); returns the line count."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            return write_report_csv(report, fh)
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(REPORT_HEADER.split(","))
-    n = 0
-    for row in report.rows:
-        counts = dict(row.class_counts)
-        for cname, auc in row.class_aucs:
-            writer.writerow(
-                [
+
+    def rows():
+        for row in report.rows:
+            counts = dict(row.class_counts)
+            for cname, auc in row.class_aucs:
+                yield [
                     row.setting,
                     row.model,
                     row.train_origin,
@@ -515,17 +510,13 @@ def write_report_csv(report: EvalReport, dest: str | Path | TextIO) -> int:
                     "%.9g" % row.weighted_auc,
                     row.hyperparams_json,
                 ]
-            )
-            n += 1
-    return n
+
+    return write_csv(dest, REPORT_HEADER.split(","), rows())
 
 
 def read_report_csv(path: str | Path | TextIO) -> EvalReport:
     """Rebuild an EvalReport from its CSV form (fold rows regroup by identity)."""
-    if isinstance(path, (str, Path)):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return read_report_csv(fh)
-    reader = csv.reader(path)
+    reader = read_csv(path)
     try:
         header = next(reader)
     except StopIteration:
@@ -652,20 +643,15 @@ def significance_rows(report: EvalReport) -> list[dict[str, object]]:
 
 
 def write_significance_csv(rows: list[dict[str, object]], dest: str | Path | TextIO) -> None:
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_significance_csv(rows, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["model_a", "model_b", "n", "W", "p_two_sided", "significant_at_0.05"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["model_a"],
-                row["model_b"],
-                row["n"],
-                "%.9g" % float(row["W"]),
-                "%.9g" % float(row["p_two_sided"]),
-                str(bool(row["significant_at_0.05"])).lower(),
-            ]
-        )
+    lines = (
+        [
+            row["model_a"],
+            row["model_b"],
+            row["n"],
+            "%.9g" % float(row["W"]),
+            "%.9g" % float(row["p_two_sided"]),
+            str(bool(row["significant_at_0.05"])).lower(),
+        ]
+        for row in rows
+    )
+    write_csv(dest, ["model_a", "model_b", "n", "W", "p_two_sided", "significant_at_0.05"], lines)

@@ -10,7 +10,6 @@ broken by a configured priority order.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -19,9 +18,9 @@ from pathlib import Path
 from typing import TextIO
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, DataError
+from .files import check_keys, read_csv, read_yaml_mapping, write_csv
 from .ingest import CanonicalTaxonomy, DEFAULT_TAXONOMY, FlowRecord
 
 EQUALS = "equals"
@@ -491,18 +490,13 @@ _META_COLUMNS = ("label", "origin", "batch_size")
 
 def write_derived(dataset: DerivedDataset, dest: str | Path | TextIO) -> int:
     """Write the derived matrix as CSV: feature columns then label, origin, batch_size."""
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            return write_derived(dataset, fh)
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(list(dataset.feature_names) + list(_META_COLUMNS))
     names = dataset.classes
-    for i in range(dataset.n_rows):
-        writer.writerow(
-            ["%.9g" % v for v in dataset.X[i]]
-            + [names[dataset.y[i]], dataset.origins[i], str(int(dataset.batch_sizes[i]))]
-        )
-    return dataset.n_rows
+    rows = (
+        ["%.9g" % v for v in dataset.X[i]]
+        + [names[dataset.y[i]], dataset.origins[i], str(int(dataset.batch_sizes[i]))]
+        for i in range(dataset.n_rows)
+    )
+    return write_csv(dest, list(dataset.feature_names) + list(_META_COLUMNS), rows)
 
 
 def read_derived(path: str | Path | TextIO, taxonomy: CanonicalTaxonomy | None = None) -> DerivedDataset:
@@ -512,10 +506,7 @@ def read_derived(path: str | Path | TextIO, taxonomy: CanonicalTaxonomy | None =
     without one, classes are collected in first-seen order with Background
     moved to the front when present.
     """
-    if isinstance(path, (str, Path)):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return read_derived(fh, taxonomy=taxonomy)
-    reader = csv.reader(path)
+    reader = read_csv(path)
     try:
         header = next(reader)
     except StopIteration:
@@ -573,16 +564,12 @@ _MATCHER_ARGS = {EQUALS: ("value",), IN_SET: ("values",), NUMERIC_RANGE: ("lo", 
 def _parse_matcher(node: dict) -> Matcher:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"matcher must be a mapping with a 'kind': {node!r}")
+    check_keys(node, ("kind", "args"), "matcher key")
     kind = node["kind"]
     if kind not in _MATCHER_ARGS:
         raise ConfigError(f"unknown matcher kind {kind!r}")
     args = node.get("args") or {}
-    if not isinstance(args, dict):
-        raise ConfigError(f"matcher args must be a mapping: {args!r}")
-    known = _MATCHER_ARGS[kind] + ("allow_overlap",)
-    unknown = [k for k in args if k not in known]
-    if unknown:
-        raise ConfigError(f"unknown {kind} matcher arg {unknown[0]!r}; expected one of {', '.join(known)}")
+    check_keys(args, _MATCHER_ARGS[kind] + ("allow_overlap",), f"{kind} matcher arg")
     allow_overlap = bool(args.get("allow_overlap", False))
     if kind == EQUALS:
         if "value" not in args:
@@ -608,21 +595,14 @@ _CONFIG_KEYS = ("features", "taxonomy", "class_priority", "aliases")
 
 def load_faac_config(path: str | Path) -> FaacConfig:
     """Load a counter configuration from YAML."""
-    path = Path(path)
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict) or "features" not in doc:
+    doc = read_yaml_mapping(path)
+    if "features" not in doc:
         raise ConfigError(f"{path}: expected a mapping with a 'features' list")
-    unknown = [k for k in doc if k not in _CONFIG_KEYS]
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown counter config key {unknown[0]!r}; expected one of {', '.join(_CONFIG_KEYS)}"
-        )
+    check_keys(doc, _CONFIG_KEYS, "counter config key", path)
     features = []
     for node in doc["features"]:
         try:
+            check_keys(node, ("name", "variable", "matcher"), "feature key", path)
             features.append(
                 FeatureSpec(
                     name=str(node["name"]),

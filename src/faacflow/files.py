@@ -1,0 +1,64 @@
+"""File formats every stage shares: YAML config mappings and CSV sheets.
+
+Configs are UTF-8 YAML whose top level is a mapping; an empty file reads as
+an empty mapping. Sheets are UTF-8 CSV in the ``excel`` dialect with ``\\n``
+line ends. Readers and writers take a path or an open text handle (readers
+also any iterable of lines); a path is opened with ``newline=""``.
+"""
+
+from __future__ import annotations
+
+import csv
+from collections.abc import Iterable, Iterator, Sequence
+from pathlib import Path
+from typing import TextIO
+
+import yaml
+
+from .errors import ConfigError
+
+
+def read_yaml_mapping(path: str | Path) -> dict:
+    """The top-level mapping of a YAML file; an empty file is ``{}``."""
+    try:
+        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a mapping at top level")
+    return doc
+
+
+def check_keys(doc: dict, known: Sequence[str], what: str, where: object = None) -> None:
+    """Reject a ``doc`` that is not a mapping, or its first key that is not in ``known``."""
+    prefix = "" if where is None else f"{where}: "
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix}expected a mapping of {what}s, got {doc!r}")
+    for k in doc:
+        if k not in known:
+            raise ConfigError(f"{prefix}unknown {what} {k!r}; expected one of {', '.join(known)}")
+
+
+def read_csv(source: str | Path | TextIO | Iterable[str]) -> Iterator[list[str]]:
+    """Rows of a CSV file, open handle or iterable of lines, in order."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            yield from csv.reader(fh)
+    else:
+        yield from csv.reader(source)
+
+
+def write_csv(dest: str | Path | TextIO, header: Sequence[object], rows: Iterable[Sequence[object]]) -> int:
+    """Write a header line and then ``rows``; returns the number of rows."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            return write_csv(fh, header, rows)
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(header)
+    n = 0
+    for row in rows:
+        writer.writerow(row)
+        n += 1
+    return n

@@ -22,6 +22,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ConfigError, EvaluationError
+from .files import write_csv
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -185,16 +186,8 @@ class OptResult:
 
 
 def write_trial_log(trials: Sequence[TrialRow], dest: str | Path | TextIO) -> None:
-    import csv
-
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_trial_log(trials, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["trial", "config_json", "score"])
-    for t in trials:
-        writer.writerow([t.trial, t.config_json, "%.9g" % t.score])
+    rows = ([t.trial, t.config_json, "%.9g" % t.score] for t in trials)
+    write_csv(dest, ["trial", "config_json", "score"], rows)
 
 
 def optimize(

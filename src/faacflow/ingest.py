@@ -8,8 +8,6 @@ file order with constant memory in the number of rows.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
 from collections import Counter
@@ -19,9 +17,9 @@ from pathlib import Path
 from typing import Callable, TextIO
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, DataError, RowError
+from .files import check_keys, read_csv, read_yaml_mapping, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -105,6 +103,14 @@ class Distribution:
     value: object = None
     components: tuple[tuple[float, "Distribution"], ...] = ()
     missing_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        what = f"{self.kind} distribution"
+        if not 0.0 <= self.missing_rate <= 1.0:
+            raise ConfigError(f"{what}: missing_rate {self.missing_rate!r} is not in [0, 1]")
+        weights = [w for _, w in self.values] + [w for w, _ in self.components]
+        if weights and (min(weights) < 0 or not 0 < sum(weights) < math.inf):
+            raise ConfigError(f"{what}: weights {weights} must be non-negative with a positive sum")
 
     def draw(self, rng: np.random.Generator, size: int, numeric: bool) -> list[object]:
         if self.kind == "choice":
@@ -250,12 +256,6 @@ def parse_flows(
     label last. Malformed rows are reported through ``on_error`` (default:
     warning log) and skipped; an unmapped class name is fatal.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield from parse_flows(fh, schema, on_error=on_error)
-        return
-
-    reader = csv.reader(source)
     positions: list[int] | None = None
     label_pos: int | None = None
     expected = set(schema.column_names) | {schema.label_column}
@@ -269,7 +269,7 @@ def parse_flows(
         else:
             log.warning("skipping row: %s", err)
 
-    for line_no, row in enumerate(reader, start=1):
+    for line_no, row in enumerate(read_csv(source), start=1):
         if not row:
             continue
         if positions is None:
@@ -313,16 +313,9 @@ def write_flows(records: Iterable[FlowRecord], schema: SourceSchema, dest: str |
     Returns the number of rows written. ``parse_flows`` on the result with
     ``schema.canonicalized()`` reproduces the records exactly.
     """
-    if isinstance(dest, (str, Path)):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            return write_flows(records, schema, fh)
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(list(schema.column_names) + [schema.label_column])
-    n = 0
-    for rec in records:
-        writer.writerow([_format_value(rec.values[c]) for c in schema.column_names] + [rec.label])
-        n += 1
-    return n
+    names = schema.column_names
+    rows = ([_format_value(rec.values[c]) for c in names] + [rec.label] for rec in records)
+    return write_csv(dest, list(names) + [schema.label_column], rows)
 
 
 def _class_sequence(profile: SyntheticProfile, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -448,33 +441,44 @@ def class_histogram(records: Iterable[FlowRecord]) -> dict[str, int]:
 # Config loading
 
 
+# the keys each distribution kind reads, besides kind and missing_rate
+_DISTRIBUTION_ARGS = {
+    "choice": ("values",),
+    "uniform_int": ("lo", "hi"),
+    "uniform_float": ("lo", "hi"),
+    "constant": ("value",),
+    "mixture": ("components",),
+}
+
+
 def _parse_distribution(node: dict) -> Distribution:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"distribution must be a mapping with a 'kind': {node!r}")
     kind = node["kind"]
+    if kind not in _DISTRIBUTION_ARGS:
+        raise ConfigError(f"unknown distribution kind {kind!r}")
+    check_keys(node, ("kind", *_DISTRIBUTION_ARGS[kind], "missing_rate"), f"{kind} distribution key")
+    missing_rate = float(node.get("missing_rate", 0.0))
     if kind == "choice":
         raw = node.get("values")
         if not isinstance(raw, dict) or not raw:
             raise ConfigError("choice distribution needs a non-empty 'values' mapping")
-        return Distribution(
-            kind="choice",
-            values=tuple((v, float(w)) for v, w in raw.items()),
-            missing_rate=float(node.get("missing_rate", 0.0)),
-        )
+        values = tuple((v, float(w)) for v, w in raw.items())
+        return Distribution(kind="choice", values=values, missing_rate=missing_rate)
     if kind in ("uniform_int", "uniform_float"):
         lo, hi = float(node["lo"]), float(node["hi"])
         if not lo < hi:
             raise ConfigError(f"{kind} requires lo < hi, got [{lo}, {hi})")
-        return Distribution(kind=kind, lo=lo, hi=hi, missing_rate=float(node.get("missing_rate", 0.0)))
+        return Distribution(kind=kind, lo=lo, hi=hi, missing_rate=missing_rate)
     if kind == "constant":
-        return Distribution(kind="constant", value=node["value"], missing_rate=float(node.get("missing_rate", 0.0)))
-    if kind == "mixture":
-        comps = node.get("components")
-        if not isinstance(comps, list) or not comps:
-            raise ConfigError("mixture distribution needs a 'components' list")
-        parsed = tuple((float(c["weight"]), _parse_distribution(c["dist"])) for c in comps)
-        return Distribution(kind="mixture", components=parsed, missing_rate=float(node.get("missing_rate", 0.0)))
-    raise ConfigError(f"unknown distribution kind {kind!r}")
+        return Distribution(kind="constant", value=node["value"], missing_rate=missing_rate)
+    comps = node.get("components")
+    if not isinstance(comps, list) or not comps:
+        raise ConfigError("mixture distribution needs a 'components' list")
+    for c in comps:
+        check_keys(c, ("weight", "dist"), "mixture component key")
+    parsed = tuple((float(c["weight"]), _parse_distribution(c["dist"])) for c in comps)
+    return Distribution(kind="mixture", components=parsed, missing_rate=missing_rate)
 
 
 _SOURCE_KEYS = ("dataset", "columns", "label_column", "class_map", "taxonomy", "profile", "record_count_hint")
@@ -483,20 +487,13 @@ _PROFILE_KEYS = ("proportions", "distributions", "variants", "burst", "seed", "t
 
 def load_source_config(path: str | Path) -> SourceSchema:
     """Load a SourceSchema (and optional synthetic profile) from YAML."""
-    path = Path(path)
+    doc = read_yaml_mapping(path)
+    check_keys(doc, _SOURCE_KEYS, "source key", path)
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a mapping at top level")
-    unknown = [k for k in doc if k not in _SOURCE_KEYS]
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown source key {unknown[0]!r}; expected one of {', '.join(_SOURCE_KEYS)}"
-        )
-    try:
+        check_keys(doc["dataset"], ("id",), "dataset key", path)
         dataset_id = str(doc["dataset"]["id"])
+        for c in doc["columns"]:
+            check_keys(c, ("name", "kind"), "column key", path)
         columns = tuple(Column(name=str(c["name"]), kind=str(c["kind"])) for c in doc["columns"])
         label_column = str(doc["label_column"])
         class_map = {str(k): str(v) for k, v in doc["class_map"].items()}
@@ -508,20 +505,17 @@ def load_source_config(path: str | Path) -> SourceSchema:
     profile = None
     if "profile" in doc:
         p = doc["profile"]
-        if not isinstance(p, dict):
-            raise ConfigError(f"{path}: malformed profile: expected a mapping")
-        unknown = [k for k in p if k not in _PROFILE_KEYS]
-        if unknown:
-            raise ConfigError(
-                f"{path}: unknown profile key {unknown[0]!r}; expected one of {', '.join(_PROFILE_KEYS)}"
-            )
+        check_keys(p, _PROFILE_KEYS, "profile key", path)
         try:
             distributions = {
                 str(cls): {str(var): _parse_distribution(d) for var, d in per_class.items()}
                 for cls, per_class in p.get("distributions", {}).items()
             }
-            variants = {
-                str(cls): tuple(
+            variants = {}
+            for cls, per_class in (p.get("variants") or {}).items():
+                for node in per_class.values():
+                    check_keys(node, ("weight", "distributions"), "variant key", path)
+                variants[str(cls)] = tuple(
                     (
                         str(vname),
                         float(node.get("weight", 1.0)),
@@ -529,9 +523,8 @@ def load_source_config(path: str | Path) -> SourceSchema:
                     )
                     for vname, node in per_class.items()
                 )
-                for cls, per_class in (p.get("variants") or {}).items()
-            }
             burst = p.get("burst") or {}
+            check_keys(burst, ("attack_run_mean", "background_run_mean"), "burst key", path)
             profile = SyntheticProfile(
                 proportions=tuple((str(k), float(v)) for k, v in p["proportions"].items()),
                 distributions=distributions,

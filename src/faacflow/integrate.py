@@ -14,10 +14,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError, DataError
 from .faac import DerivedDataset
+from .files import check_keys, read_yaml_mapping
 
 log = logging.getLogger(__name__)
 
@@ -114,18 +114,8 @@ def distribution_report(dataset: DerivedDataset) -> list[dict[str, object]]:
 
 def load_integration_spec(path: str | Path) -> IntegrationSpec:
     """Load an integration spec from YAML (key: shared_classes)."""
-    path = Path(path)
-    try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
-    if doc is None:
-        return IntegrationSpec()
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a mapping at top level")
-    unknown = [k for k in doc if k != "shared_classes"]
-    if unknown:
-        raise ConfigError(f"{path}: unknown integration key {unknown[0]!r}; expected shared_classes")
+    doc = read_yaml_mapping(path)
+    check_keys(doc, ("shared_classes",), "integration key", path)
     shared = doc.get("shared_classes")
     if shared is None:
         return IntegrationSpec()

@@ -173,6 +173,35 @@ def test_subcommand_round_trip(cfg_dir, tmp_path, capsys):
     assert "weighted AUC" in summary
 
 
+def test_subcommands_write_the_bytes_orchestrate_writes(cfg_dir, tmp_path, capsys):
+    sub = tmp_path / "sub"
+    for sid in ("s1", "s2"):
+        assert main(["synth", "--config", str(cfg_dir / f"source_{sid}.yaml"),
+                     "--seed", "5", "--out", str(sub)]) == 0
+        assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),
+                     "--source", str(cfg_dir / f"source_{sid}.yaml"),
+                     "--input", str(sub / f"{sid}_flows.csv"),
+                     "--batches", "40", "--out", str(sub)]) == 0
+    assert main(["integrate", "--out", str(sub),
+                 str(sub / "s1_derived.csv"), str(sub / "s2_derived.csv")]) == 0
+    # the same plan as PIPELINE's evaluation block
+    (sub / "eval.yaml").write_text(
+        "models: [lr]\nk: 2\nrepetitions: 2\n"
+        "single:\n  - {path: integrated_derived.csv, name: integrated}\n"
+        "transfer:\n  s1: s1_derived.csv\n  s2: s2_derived.csv\n",
+        encoding="utf-8",
+    )
+    assert main(["evaluate", "--config", str(sub / "eval.yaml"), "--seed", "5", "--out", str(sub)]) == 0
+
+    pipe = tmp_path / "pipe"
+    orchestrate(cfg_dir / "pipeline.yaml", pipe, seed=5)
+    capsys.readouterr()
+    names = [f"{stem}_{kind}.csv" for stem in ("s1", "s2") for kind in ("flows", "derived", "distribution")]
+    names += ["integrated_derived.csv", "integrated_distribution.csv", "report.csv"]
+    for name in names:
+        assert (sub / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
 def test_two_source_transfer_with_two_models_skips_the_significance_sheet(cfg_dir, tmp_path, capsys):
     # one transfer row per model and direction: two paired differences, too few for a test
     out = tmp_path / "run"

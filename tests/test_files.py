@@ -1,0 +1,143 @@
+"""The file edge: YAML config mappings, key checks, and CSV sheets."""
+
+from __future__ import annotations
+
+import io
+
+import pytest
+
+from faacflow.cli import main, orchestrate
+from faacflow.errors import ConfigError
+from faacflow.faac import load_faac_config
+from faacflow.files import check_keys, read_csv, read_yaml_mapping, write_csv
+from faacflow.ingest import load_source_config
+from faacflow.integrate import IntegrationSpec, load_integration_spec
+
+
+def test_yaml_mapping_reads_empty_files_as_empty_mappings(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("", encoding="utf-8")
+    assert read_yaml_mapping(path) == {}
+    path.write_text("# only a comment\n", encoding="utf-8")
+    assert read_yaml_mapping(path) == {}
+    path.write_text("a: 1\n", encoding="utf-8")
+    assert read_yaml_mapping(str(path)) == {"a": 1}
+    path.write_text("- a\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="expected a mapping at top level"):
+        read_yaml_mapping(path)
+    path.write_text("a: [1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="invalid YAML"):
+        read_yaml_mapping(path)
+
+
+def test_check_keys_names_the_first_unknown_key():
+    check_keys({"a": 1}, ("a", "b"), "thing key")
+    with pytest.raises(ConfigError, match=r"^f\.yaml: unknown thing key 'c'; expected one of a, b$"):
+        check_keys({"a": 1, "c": 2, "d": 3}, ("a", "b"), "thing key", "f.yaml")
+    with pytest.raises(ConfigError, match=r"^unknown thing key 'c'"):
+        check_keys({"c": 2}, ("a", "b"), "thing key")
+    with pytest.raises(ConfigError, match="expected a mapping of thing keys"):
+        check_keys([1, 2], ("a",), "thing key")
+
+
+def test_csv_sheets_round_trip_through_paths_handles_and_lines(tmp_path):
+    header = ["name", "value"]
+    rows = [["a", "1"], ["b,c", "2"], ['quote "q"', ""]]
+    path = tmp_path / "s.csv"
+    assert write_csv(path, header, iter(rows)) == 3
+    buf = io.StringIO()
+    assert write_csv(buf, header, rows) == 3
+    data = path.read_bytes()
+    assert data == buf.getvalue().encode("utf-8")
+    assert data == b'name,value\na,1\n"b,c",2\n"quote ""q""",\n'
+    assert list(read_csv(path)) == [header, *rows]
+    assert list(read_csv(str(path))) == [header, *rows]
+    assert list(read_csv(io.StringIO(buf.getvalue()))) == [header, *rows]
+    assert list(read_csv(buf.getvalue().splitlines())) == [header, *rows]
+    assert write_csv(tmp_path / "e.csv", header, []) == 0
+    assert (tmp_path / "e.csv").read_text(encoding="utf-8") == "name,value\n"
+
+
+# one typo per nested block of the bundled configs: (file, text, typo, key named)
+NESTED_TYPOS = [
+    ("source_alpha.yaml", "missing_rate: 0.8}", "missing_rte: 0.8}", "missing_rte"),
+    ("source_alpha.yaml", "{kind: uniform_int, lo:", "{kind: uniform_int, low:", "low"),
+    ("source_alpha.yaml", "lo: 0.1, hi: 6.0}", "lo: 0.1, hi: 6.0, step: 1}", "step"),
+    ("source_alpha.yaml", "{kind: constant, value: 53}", "{kind: constant, values: 53}", "values"),
+    ("source_alpha.yaml", "kind: mixture\n            components:", "kind: mixture\n            component:",
+     "component"),
+    ("source_alpha.yaml", "{weight: 0.85, dist:", "{wieght: 0.85, dist:", "wieght"),
+    ("source_alpha.yaml", "web:\n        weight: 0.6", "web:\n        weigth: 0.6", "weigth"),
+    ("source_alpha.yaml", "burst: {attack_run_mean:", "burst: {attack_run_men:", "attack_run_men"),
+    ("source_alpha.yaml", "  id: alpha", "  name: alpha", "name"),
+    ("source_alpha.yaml", "{name: proto, kind: categorical}", "{name: proto, knd: categorical}", "knd"),
+    ("faac_reference.yaml", "{name: proto_tcp, variable:", "{name: proto_tcp, varible:", "varible"),
+    ("faac_reference.yaml", "matcher: {kind: equals, args: {value: tcp}}",
+     "matcher: {kind: equals, knd: equals, args: {value: tcp}}", "knd"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, old, new, key",
+    NESTED_TYPOS,
+    ids=["choice", "uniform_int", "uniform_float", "constant", "mixture", "component", "variant", "burst",
+         "dataset", "column", "feature", "matcher"],
+)
+def test_nested_block_typos_are_rejected(config_dir, tmp_path, name, old, new, key):
+    text = (config_dir / name).read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    load = load_source_config if name.startswith("source") else load_faac_config
+    with pytest.raises(ConfigError, match=f"unknown [a-z_ ]+ key '{key}'; expected one of "):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("missing_rate: 0.8}", "missing_rate: 1.5}", r"missing_rate 1\.5 is not in \[0, 1\]"),
+        ("{tcp: 0.9, udp: 0.08,", "{tcp: 0.9, udp: -0.9,", "must be non-negative"),
+        ("{weight: 0.85, dist:", "{weight: -0.85, dist:", "must be non-negative"),
+        ("{tcp: 0.9, udp: 0.08, icmp: 0.02}", "{tcp: 0, udp: 0, icmp: 0}", "positive sum"),
+    ],
+    ids=["missing_rate", "choice_weight", "mixture_weight", "zero_sum"],
+)
+def test_distribution_values_are_checked_on_load(config_dir, tmp_path, old, new, match):
+    text = (config_dir / "source_alpha.yaml").read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "bad.yaml"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    with pytest.raises(ConfigError, match=match):
+        load_source_config(path)
+
+
+def test_synth_on_a_negative_weight_is_a_configuration_error(config_dir, tmp_path, capsys):
+    text = (config_dir / "source_alpha.yaml").read_text(encoding="utf-8")
+    path = tmp_path / "negative.yaml"
+    path.write_text(text.replace("{tcp: 0.9, udp: 0.08,", "{tcp: 0.9, udp: -0.9,", 1), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(path), "--seed", "1", "--out", str(out)]) == 2
+    assert "must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_empty_config_files_fail_on_what_they_miss(tmp_path, capsys):
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("", encoding="utf-8")
+    with pytest.raises(ConfigError, match="'features'"):
+        load_faac_config(empty)
+    with pytest.raises(ConfigError, match="missing or malformed key: 'dataset'"):
+        load_source_config(empty)
+    with pytest.raises(ConfigError, match="needs 'faac' and 'sources'"):
+        orchestrate(empty, tmp_path / "pipe", seed=1)
+    assert load_integration_spec(empty) == IntegrationSpec()
+
+    out = str(tmp_path / "out")
+    assert main(["evaluate", "--config", str(empty), "--out", out]) == 2
+    assert "no 'single' or 'transfer' inputs" in capsys.readouterr().err
+    assert main(["synth", "--config", str(empty), "--out", out]) == 2
+    assert "'dataset'" in capsys.readouterr().err
+    assert main(["derive", "--config", str(empty), "--source", str(empty), "--input", "flows.csv",
+                 "--batches", "4", "--out", out]) == 2
+    assert "'features'" in capsys.readouterr().err
