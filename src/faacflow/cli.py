@@ -21,6 +21,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -40,9 +41,11 @@ from .evaluation import (
     write_significance_csv,
 )
 from .faac import derive_dataset, load_faac_config, read_derived, write_derived
-from .files import check_keys, read_yaml_mapping, write_csv
+from .files import as_list, as_mapping, check_keys, read_yaml_mapping, write_csv
 from .hyperopt import write_trial_log
-from .ingest import SourceSchema, generate_synthetic, load_source_config, parse_flows, write_flows
+from .ingest import SourceSchema, generate_chunks, load_source_config, parse_chunks, write_flows
+# cli no longer calls the record-stream forms; perfbench's traced pass still wraps them here
+from .ingest import generate_synthetic, parse_flows  # noqa: F401
 from .integrate import IntegrationSpec, distribution_report, integrate, load_integration_spec
 from .learning import fit_pipeline, resolve_hyperparams, save_model
 from .seeds import derive_seed
@@ -138,14 +141,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         profile = replace(profile, seed=derive_seed(args.seed, "synth", schema.dataset_id))
     out = _out_dir(args)
     path = out / f"{schema.dataset_id}_flows.csv"
-    counts: Counter[str] = Counter()
-
-    def counted(records):
-        for rec in records:
-            counts[rec.label] += 1
-            yield rec
-
-    n = write_flows(counted(generate_synthetic(profile, schema)), schema, path)
+    chunks = list(generate_chunks(profile, schema))
+    n = write_flows(chunks, schema, path)
+    counts = Counter(chain.from_iterable(chunk.labels for chunk in chunks))
     _write_manifest(out, "synth", [path], [Path(args.config)], args.seed)
     print(f"wrote {n} flows to {path}")
     for name in sorted(counts):
@@ -160,8 +158,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
     schema = load_source_config(args.source)
     out = _out_dir(args)
     n_records = args.count if args.count is not None else schema.record_count_hint
-    records = parse_flows(args.input, _reading_schema(schema))
-    dataset = derive_dataset(records, args.batches, config, n_records=n_records)
+    chunks = parse_chunks(args.input, _reading_schema(schema))
+    dataset = derive_dataset(chunks, args.batches, config, n_records=n_records)
     path, dist_path = _write_dataset(dataset, out, schema.dataset_id)
     _write_manifest(
         out,
@@ -283,7 +281,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     report = EvalReport()
     data_paths: list[Path] = []
-    for entry in doc.get("single", []) or []:
+    for entry in as_list(doc.get("single") or [], "single", cfg_path):
         if isinstance(entry, str):
             entry = {"path": entry}
         path = resolve(entry["path"])
@@ -291,7 +289,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ds = read_derived(path)
         name = str(entry["name"]) if "name" in entry else None
         report.extend(run_single_dataset(ds, settings, seed=seed, name=name))
-    transfer = doc.get("transfer") or {}
+    transfer = as_mapping(doc.get("transfer") or {}, "transfer", cfg_path)
     if transfer:
         datasets = {}
         for name, p in transfer.items():
@@ -405,7 +403,7 @@ def orchestrate(
     config_files = [config_path, resolve(doc["faac"])]
 
     derived: dict[str, "object"] = {}
-    for name, src in doc["sources"].items():
+    for name, src in as_mapping(doc["sources"], "sources", config_path).items():
         name = str(name)
         schema = load_source_config(resolve(src))
         config_files.append(resolve(src))
@@ -413,10 +411,10 @@ def orchestrate(
             raise ConfigError(f"source {name!r} has no synthetic profile to generate from")
         profile = replace(schema.profile, seed=derive_seed(seed, "synth", name))
         flows_path = out / f"{schema.dataset_id}_flows.csv"
-        write_flows(generate_synthetic(profile, schema), schema, flows_path)
+        write_flows(generate_chunks(profile, schema), schema, flows_path)
         artifacts[f"flows:{name}"] = flows_path
-        records = parse_flows(flows_path, _reading_schema(schema))
-        ds = derive_dataset(records, batches, faac_config, n_records=profile.total)
+        chunks = parse_chunks(flows_path, _reading_schema(schema))
+        ds = derive_dataset(chunks, batches, faac_config, n_records=profile.total)
         paths = _write_dataset(ds, out, schema.dataset_id)
         artifacts[f"derived:{name}"], artifacts[f"distribution:{name}"] = paths
         derived[name] = ds
@@ -434,7 +432,7 @@ def orchestrate(
 
     if eval_doc:
         report = EvalReport()
-        for target in eval_doc.get("singles", []) or []:
+        for target in as_list(eval_doc.get("singles") or [], "evaluation.singles", config_path):
             target = str(target)
             if target == "integrated":
                 if merged is None:

@@ -13,15 +13,15 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .files import check_keys, read_csv, read_yaml_mapping, write_csv
-from .ingest import CanonicalTaxonomy, DEFAULT_TAXONOMY, FlowRecord
+from .files import as_list, as_mapping, check_keys, read_csv, read_yaml_mapping, write_csv
+from .ingest import DEFAULT_TAXONOMY, CanonicalTaxonomy, FlowChunk, FlowRecord, as_chunks, taxonomy_from
 
 EQUALS = "equals"
 IN_SET = "in_set"
@@ -187,7 +187,8 @@ def plan_batches(n_records: int, target_batches: int) -> BatchPlan:
     )
 
 
-#: records counted per numpy pass, rounded down to whole batches (at least one batch)
+#: rows per FlowChunk that synthesis, parsing and the record adapter produce; derivation
+#: counts this many records per numpy pass, rounded down to whole batches (at least one batch)
 CHUNK_RECORDS = 4096
 
 _FLOAT_OR_MISSING = {float, type(None)}
@@ -250,37 +251,42 @@ class _VariableCounter:
             hits = self._float_hits(values)
         else:
             hits = self._value_hits(values)
-        return hits.reshape(n_batches, batch_size, len(self.slots)).sum(axis=1)
+        return hits.reshape(len(self.slots), n_batches, batch_size).sum(axis=2).T
 
     def _float_hits(self, values: list[object]) -> np.ndarray:
-        """Per-record hits when every present value is a float: one comparison per range and token."""
+        """(slot, record) hits when every present value is a float: one comparison per range and token."""
         x = np.array(values, dtype=np.float64)
         # None reads as NaN, but a NaN value is present: take missing from `is None`
         missing = np.zeros(len(x), dtype=bool)
         nan_at = np.flatnonzero(np.isnan(x))
         missing[nan_at] = [values[i] is None for i in nan_at]
-        hits = np.zeros((len(x), len(self.slots)), dtype=np.int64)
+        # a value equals at most one token of a feature, so or-ing counts each hit once
+        hits = np.zeros((len(self.slots), len(x)), dtype=bool)
         for key, local in self.float_tokens:
             hit = x == key
             for j in local:
-                hits[:, j] += hit
+                hits[j] |= hit
         for lo, hi, j in self.ranges:
-            hits[:, j] += (lo <= x) & (x < hi)
+            hits[j] = (lo <= x) & (x < hi)
         if self.missing_idx is not None:
-            hits[:, self.missing_idx] += missing
+            hits[self.missing_idx] = missing
         if self.catch_idx is not None:
-            hits[:, self.catch_idx] += ~(hits.any(axis=1) | missing)
+            hits[self.catch_idx] = ~(hits.any(axis=0) | missing)
         return hits
 
     def _value_hits(self, values: list[object]) -> np.ndarray:
-        """Per-record hits through ``hits_of``, applied once per distinct value."""
+        """(slot, record) hits through ``hits_of``, applied once per distinct value."""
         index = dict.fromkeys(values)
-        table = np.zeros((len(index), len(self.slots)), dtype=np.int64)
+        table = np.zeros((len(self.slots), len(index)), dtype=bool)
         for code, value in enumerate(index):
             index[value] = code
-            for j in self.hits_of(value):
-                table[code, j] += 1
-        return table[np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))]
+            table[self.hits_of(value), code] = True
+        codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+        return np.take(table, codes, axis=1)  # C order, unlike table[:, codes]
+
+
+def _joined(parts: list[list]) -> list:
+    return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
 
 
 class _CompiledFaac:
@@ -299,74 +305,70 @@ class _CompiledFaac:
         self.ranked = np.array(
             [0] + [taxonomy.index_of(name) for name in config.full_priority()], dtype=np.int64
         )
-        self._key_cache: dict[tuple[str, frozenset[str]], dict[str, str | None]] = {}
 
-    def _resolve_keys(self, record: FlowRecord) -> dict[str, str | None]:
-        """Map canonical variable -> key present in this record's value dict."""
-        cache_key = (record.origin, frozenset(record.values))
-        hit = self._key_cache.get(cache_key)
-        if hit is not None:
-            return hit
+    def _resolve_keys(self, columns: dict[str, list[object]], origin: str) -> dict[str, str | None]:
+        """Map canonical variable -> the column of ``columns`` that holds it, if any."""
         aliases = self.config.aliases
-        canon_of = {col: aliases.get(col, col) for col in record.values}
+        canon_of = {col: aliases.get(col, col) for col in columns}
         resolved: dict[str, str | None] = {}
         for counter in self.counters:
             keys = [col for col, canon in canon_of.items() if canon == counter.variable]
             if len(keys) > 1:
                 raise DataError(
-                    f"origin {record.origin!r}: columns {sorted(keys)} all alias variable "
-                    f"{counter.variable!r}"
+                    f"origin {origin!r}: columns {sorted(keys)} all alias variable {counter.variable!r}"
                 )
             resolved[counter.variable] = keys[0] if keys else None
-        self._key_cache[cache_key] = resolved
         return resolved
 
-    def _check_batch(self, batch: list[FlowRecord]) -> None:
+    def _check_batch(self, labels: list[str], origins: list[str]) -> None:
         """Raise for the first record that leaves the batch's origin or the taxonomy."""
-        origin = batch[0].origin
-        for rec in batch:
-            if rec.origin != origin:
+        origin = origins[0]
+        for label, other in zip(labels, origins):
+            if other != origin:
                 raise DataError(
-                    f"batch mixes origins {origin!r} and {rec.origin!r}; derive each source separately"
+                    f"batch mixes origins {origin!r} and {other!r}; derive each source separately"
                 )
-            self.config.taxonomy.index_of(rec.label)
+            self.config.taxonomy.index_of(label)
 
     def count_chunk(
-        self, chunk: list[FlowRecord], batch_size: int
+        self, pieces: list[tuple[FlowChunk, int, int]], batch_size: int
     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Hit counts, label indices and origins of a chunk of whole batches.
+        """Hit counts, label indices and origins of whole batches.
 
-        Each batch reads every variable from the column its first record
-        resolves; a later record without that column counts as missing.
+        ``pieces`` are row ranges ``(chunk, lo, hi)`` that together hold the
+        batches in order. Each batch reads every variable from the column
+        its first row's chunk resolves; a row of a later chunk without that
+        column counts as missing.
         """
-        n = len(chunk)
+        labels = _joined([c.labels[lo:hi] for c, lo, hi in pieces])
+        origins = _joined([c.origins[lo:hi] for c, lo, hi in pieces])
+        n = len(labels)
         n_batches = n // batch_size
-        origins = [rec.origin for rec in chunk]
-        labels = [rec.label for rec in chunk]
-        unknown_label = not set(labels) <= self.class_index.keys()
-        # batches that resolve the same keys are read together
-        runs: list[list] = []
-        for start in range(0, n, batch_size):
-            stop = start + batch_size
-            keys = self._resolve_keys(chunk[start])
-            if unknown_label or origins[start:stop].count(origins[start]) != batch_size:
-                self._check_batch(chunk[start:stop])
-            if runs and runs[-1][2] is keys:
-                runs[-1][1] = stop
-            else:
-                runs.append([start, stop, keys])
+        if not set(labels) <= self.class_index.keys() or origins.count(origins[0]) != n:
+            for start in range(0, n, batch_size):
+                stop = start + batch_size
+                self._check_batch(labels[start:stop], origins[start:stop])
+
+        # row ranges that read one column set: a piece splits where its first batch starts
+        segments = []
+        offset = 0
+        keys: dict[str, str | None] = {}
+        for chunk, lo, hi in pieces:
+            split = lo + -offset % batch_size
+            if split > lo:
+                segments.append((chunk, lo, min(split, hi), keys))
+            if split < hi:
+                keys = self._resolve_keys(chunk.columns, chunk.origins[split])
+                segments.append((chunk, split, hi, keys))
+            offset += hi - lo
 
         counts = np.zeros((n_batches, self.n_features), dtype=np.int64)
-        dicts = [rec.values for rec in chunk]
         for counter in self.counters:
-            values: list[object] = []
-            for start, stop, keys in runs:
-                key = keys[counter.variable]
-                if key is None:
-                    values.extend([None] * (stop - start))
-                else:
-                    values.extend([d.get(key) for d in dicts[start:stop]])
-            counts[:, counter.slots] += counter.count(values, n_batches, batch_size)
+            parts = []
+            for chunk, lo, hi, keys in segments:
+                column = chunk.columns.get(keys[counter.variable])  # type: ignore[arg-type]
+                parts.append([None] * (hi - lo) if column is None else column[lo:hi])
+            counts[:, counter.slots] += counter.count(_joined(parts), n_batches, batch_size)
 
         n_classes = len(self.class_index)
         codes = np.fromiter(map(self.class_index.__getitem__, labels), dtype=np.int64, count=n)
@@ -432,26 +434,25 @@ class DerivedDataset:
 
 
 def derive_dataset(
-    records: Iterable[FlowRecord],
+    records: Iterable[FlowRecord] | Iterable[FlowChunk],
     target_batches: int,
     config: FaacConfig,
     n_records: int | None = None,
 ) -> DerivedDataset:
-    """Derive the normalized counter matrix from a record stream.
+    """Derive the normalized counter matrix from a stream of chunks or records.
 
     Records are counted in chunks of whole batches: ``CHUNK_RECORDS``
     rounded down to a multiple of the batch size, or one batch when a
-    batch is larger. ``n_records`` enables single-pass streaming with
-    memory proportional to one chunk; when omitted it is taken from
-    ``len(records)`` if available, otherwise the stream is materialized to
-    count it.
+    batch is larger. A record stream is gathered into chunks first
+    (``ingest.as_chunks``). ``n_records`` enables single-pass streaming
+    with memory proportional to one chunk; when omitted, the stream is
+    materialized to count its rows.
     """
+    stream = as_chunks(records)
     if n_records is None:
-        try:
-            n_records = len(records)  # type: ignore[arg-type]
-        except TypeError:
-            records = list(records)
-            n_records = len(records)
+        chunks = list(stream)
+        n_records = sum(map(len, chunks))
+        stream = iter(chunks)
     plan = plan_batches(n_records, target_batches)
     compiled = _CompiledFaac(config)
     size = plan.batch_size
@@ -460,21 +461,31 @@ def derive_dataset(
     rows = np.empty((plan.full_batches, compiled.n_features), dtype=np.float64)
     y = np.empty(plan.full_batches, dtype=np.int64)
     origins: list[str] = []
-    stream = iter(records)
+    chunk: FlowChunk | None = None
+    pos = 0  # rows of chunk already counted
     done = 0
     while done < plan.full_batches:
         want = min(chunk_records, (plan.full_batches - done) * size)
-        chunk = list(islice(stream, want))
-        received = done * size + len(chunk)
-        n_full = len(chunk) // size
-        if n_full:
-            counts, labels, chunk_origins = compiled.count_chunk(chunk[: n_full * size], size)
-            rows[done : done + n_full] = counts / size
-            y[done : done + n_full] = labels
-            origins.extend(chunk_origins)
-            done += n_full
-        if len(chunk) < want:
-            raise DataError(f"stream ended after {received} records; {plan.n_records} were declared")
+        pieces = []
+        got = 0
+        while got < want:
+            if chunk is None or pos == len(chunk):
+                chunk, pos = next(stream, None), 0
+                if chunk is None:
+                    raise DataError(
+                        f"stream ended after {done * size + got} records; {plan.n_records} were declared"
+                    )
+                continue
+            take = min(len(chunk) - pos, want - got)
+            pieces.append((chunk, pos, pos + take))
+            pos += take
+            got += take
+        n_full = want // size
+        counts, labels, chunk_origins = compiled.count_chunk(pieces, size)
+        rows[done : done + n_full] = counts / size
+        y[done : done + n_full] = labels
+        origins.extend(chunk_origins)
+        done += n_full
     return DerivedDataset(
         feature_names=config.feature_names,
         X=rows,
@@ -600,7 +611,7 @@ def load_faac_config(path: str | Path) -> FaacConfig:
         raise ConfigError(f"{path}: expected a mapping with a 'features' list")
     check_keys(doc, _CONFIG_KEYS, "counter config key", path)
     features = []
-    for node in doc["features"]:
+    for node in as_list(doc["features"], "features", path):
         try:
             check_keys(node, ("name", "variable", "matcher"), "feature key", path)
             features.append(
@@ -612,12 +623,9 @@ def load_faac_config(path: str | Path) -> FaacConfig:
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: malformed feature entry {node!r}: {exc}") from exc
-    taxonomy = (
-        CanonicalTaxonomy(tuple(str(c) for c in doc["taxonomy"])) if "taxonomy" in doc else DEFAULT_TAXONOMY
-    )
     return FaacConfig(
         features=tuple(features),
-        taxonomy=taxonomy,
-        class_priority=tuple(str(c) for c in doc.get("class_priority", ())),
-        aliases={str(k): str(v) for k, v in (doc.get("aliases") or {}).items()},
+        taxonomy=taxonomy_from(doc, path),
+        class_priority=tuple(str(c) for c in as_list(doc.get("class_priority") or [], "class_priority", path)),
+        aliases={str(k): str(v) for k, v in as_mapping(doc.get("aliases") or {}, "aliases", path).items()},
     )

@@ -41,6 +41,20 @@ def check_keys(doc: dict, known: Sequence[str], what: str, where: object = None)
             raise ConfigError(f"{prefix}unknown {what} {k!r}; expected one of {', '.join(known)}")
 
 
+def as_mapping(value: object, key: str, where: object) -> dict:
+    """``value`` if it is a mapping; otherwise a ConfigError naming ``where`` and ``key``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: {key} must be a mapping, got {value!r}")
+    return value
+
+
+def as_list(value: object, key: str, where: object) -> list:
+    """``value`` if it is a list; otherwise a ConfigError naming ``where`` and ``key``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: {key} must be a list, got {value!r}")
+    return value
+
+
 def read_csv(source: str | Path | TextIO | Iterable[str]) -> Iterator[list[str]]:
     """Rows of a CSV file, open handle or iterable of lines, in order."""
     if isinstance(source, (str, Path)):

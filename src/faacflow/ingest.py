@@ -1,9 +1,13 @@
 """Flow-record ingestion: CSV parsing, schema mapping, synthetic generation.
 
 A source dataset is described by a :class:`SourceSchema` loaded from a YAML
-file. Parsing maps each source label to a canonical class name through the
-schema's ``class_map`` and yields immutable :class:`FlowRecord` objects in
-file order with constant memory in the number of rows.
+file. Flows move between stages as :class:`FlowChunk` objects: up to
+``faac.CHUNK_RECORDS`` consecutive flows held one column per variable, so
+generating, formatting, parsing and counting each work a column at a time.
+Parsing maps each source label to a canonical class name through the
+schema's ``class_map`` and streams chunks in file order with memory bounded
+by one chunk. :func:`as_chunks` and :func:`iter_records` convert between
+chunks and the one-flow-at-a-time :class:`FlowRecord` form.
 """
 
 from __future__ import annotations
@@ -11,15 +15,16 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError, RowError
-from .files import check_keys, read_csv, read_yaml_mapping, write_csv
+from .files import as_list, as_mapping, check_keys, read_csv, read_yaml_mapping, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +81,77 @@ class FlowRecord:
     origin: str
 
 
+@dataclass(frozen=True, slots=True)
+class FlowChunk:
+    """Consecutive flows, one column per variable.
+
+    ``columns`` maps variable name -> one value per row, each in the
+    :class:`FlowRecord` value form. ``labels`` and ``origins`` hold each
+    row's canonical class and origin tag. Every row has every column.
+    """
+
+    columns: dict[str, list[object]]
+    labels: list[str]
+    origins: list[str]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+def _chunk_rows() -> int:
+    """Rows per chunk: ``faac.CHUNK_RECORDS``, read at call time."""
+    from . import faac  # faac imports this module, so import it late
+
+    return faac.CHUNK_RECORDS
+
+
+def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[FlowChunk]:
+    """The stream as chunks, in order.
+
+    A stream of chunks passes through. A stream of records is gathered into
+    chunks of up to ``faac.CHUNK_RECORDS`` rows; a record whose variable
+    names differ from those of the chunk being gathered starts a new one.
+    """
+    it = iter(stream)
+    first = next(it, None)
+    if isinstance(first, FlowChunk):
+        yield first
+        yield from it
+        return
+    limit = _chunk_rows()
+    pending = [] if first is None else [first, *islice(it, limit - 1)]
+    while pending:
+        dicts = [rec.values for rec in pending]
+        names = dicts[0].keys()
+        columns = None
+        # equal sizes and every name of the first record present: equal names
+        if list(map(len, dicts)).count(len(names)) == len(dicts):
+            try:
+                columns = {name: [d[name] for d in dicts] for name in names}
+            except KeyError:
+                pass
+        end = len(pending)
+        if columns is None:
+            end = next(i for i, d in enumerate(dicts) if d.keys() != names)
+            columns = {name: [d[name] for d in dicts[:end]] for name in names}
+        yield FlowChunk(
+            columns=columns,
+            labels=[rec.label for rec in pending[:end]],
+            origins=[rec.origin for rec in pending[:end]],
+        )
+        pending = pending[end:]
+        pending.extend(islice(it, limit - len(pending)))
+
+
+def iter_records(chunks: Iterable[FlowChunk]) -> Iterator[FlowRecord]:
+    """The rows of each chunk as FlowRecords, in order."""
+    for chunk in chunks:
+        names = tuple(chunk.columns)
+        rows = zip(*chunk.columns.values()) if names else repeat((), len(chunk))
+        for values, label, origin in zip(rows, chunk.labels, chunk.origins):
+            yield FlowRecord(values=dict(zip(names, values)), label=label, origin=origin)
+
+
 @dataclass(frozen=True)
 class Column:
     name: str
@@ -114,34 +190,36 @@ class Distribution:
 
     def draw(self, rng: np.random.Generator, size: int, numeric: bool) -> list[object]:
         if self.kind == "choice":
-            opts = [v for v, _ in self.values]
+            opts = [float(v) if numeric else str(v) for v, _ in self.values]  # type: ignore[arg-type]
             weights = np.array([w for _, w in self.values], dtype=float)
             weights = weights / weights.sum()
             idx = rng.choice(len(opts), size=size, p=weights)
-            out = [float(opts[i]) if numeric else str(opts[i]) for i in idx]
+            out = list(map(opts.__getitem__, idx.tolist()))
         elif self.kind == "uniform_int":
             draws = rng.integers(int(self.lo), int(self.hi), size=size)
-            out = [float(v) for v in draws] if numeric else [str(int(v)) for v in draws]
+            out = draws.astype(np.float64).tolist() if numeric else list(map(str, draws.tolist()))
         elif self.kind == "uniform_float":
             draws = rng.uniform(self.lo, self.hi, size=size)
-            out = [float(v) for v in draws] if numeric else [str(v) for v in draws]
+            out = draws.tolist() if numeric else [str(v) for v in draws]
         elif self.kind == "constant":
             out = [float(self.value) if numeric else str(self.value)] * size  # type: ignore[arg-type]
         elif self.kind == "mixture":
             weights = np.array([w for w, _ in self.components], dtype=float)
             weights = weights / weights.sum()
             which = rng.choice(len(self.components), size=size, p=weights)
-            out = [None] * size
+            scattered = np.full(size, None, dtype=object)
             for ci, (_, dist) in enumerate(self.components):
                 slots = np.flatnonzero(which == ci)
-                vals = dist.draw(rng, len(slots), numeric)
-                for s, v in zip(slots, vals):
-                    out[s] = v
+                scattered[slots] = dist.draw(rng, len(slots), numeric)
+            out = scattered.tolist()
         else:
             raise ConfigError(f"unknown distribution kind {self.kind!r}")
         if self.missing_rate > 0.0:
             mask = rng.random(size) < self.missing_rate
-            out = [None if m else v for v, m in zip(out, mask)]
+            if mask.any():
+                masked = np.array(out, dtype=object)
+                masked[mask] = None
+                out = masked.tolist()
         return out
 
 
@@ -230,7 +308,7 @@ class SourceSchema:
         )
 
 
-def _convert(token: str, col: Column, line_no: int) -> object:
+def _convert(token: str, col: Column) -> object:
     if token == "":
         return None  # explicit missing marker
     if col.kind == NUMERIC:
@@ -244,59 +322,147 @@ def _convert(token: str, col: Column, line_no: int) -> object:
     return token
 
 
+def _convert_column(tokens: Sequence[str], col: Column, bad: dict[int, str]) -> list[object]:
+    """Values of one column's tokens; a token ``_convert`` rejects reads as None
+    and its row's first message goes into ``bad``."""
+    if col.kind != NUMERIC:
+        return [t or None for t in tokens]
+    try:
+        values = [float(t) if t else None for t in tokens] if "" in tokens else list(map(float, tokens))
+    except ValueError:
+        pass  # some token is not a number
+    else:
+        # a sum with a nan or infinite term is not finite
+        if math.isfinite(sum(filter(None, values))):  # type: ignore[arg-type]
+            return values
+    values = []
+    for j, token in enumerate(tokens):
+        try:
+            values.append(_convert(token, col))
+        except DataError as exc:
+            values.append(None)
+            bad.setdefault(j, str(exc))
+    return values
+
+
+class _BlockParser:
+    """Turns blocks of CSV rows into chunks, one column at a time."""
+
+    def __init__(
+        self,
+        schema: SourceSchema,
+        positions: list[int],
+        label_pos: int,
+        on_error: Callable[[RowError], None] | None,
+    ) -> None:
+        self.schema = schema
+        self.fields = list(zip(schema.columns, positions))
+        self.label_pos = label_pos
+        self.width = max([label_pos, *positions]) + 1
+        self.on_error = on_error
+
+    def report(self, line_no: int, message: str, row: list[str]) -> None:
+        err = RowError(line_no=line_no, message=message, raw=tuple(row))
+        if self.on_error is not None:
+            self.on_error(err)
+        else:
+            log.warning("skipping row: %s", err)
+
+    def parse(self, block: list[list[str]], first_line: int) -> tuple[FlowChunk, DataError | None]:
+        """The block's records and, when a row's class has no mapping, the fatal error.
+
+        Rows from the fatal one on are left out, and so are their row errors.
+        """
+        width = self.width
+        short: dict[int, str] = {}  # block index -> message
+        if min(map(len, block)) >= width:
+            where = range(len(block))
+            good = block
+        else:
+            where = [i for i, row in enumerate(block) if len(row) >= width]
+            short = {i: f"expected at least {width} fields, got {len(row)}"
+                     for i, row in enumerate(block) if 0 < len(row) < width}
+            good = [block[i] for i in where]
+        bad: dict[int, str] = {}  # index into good -> message
+        tokens = list(zip(*good)) or [()] * width  # rows may be longer than width, never shorter
+        columns = {col.name: _convert_column(tokens[p], col, bad) for col, p in self.fields}
+        raw_labels = list(map(str.strip, tokens[self.label_pos]))
+        labels = list(map(self.schema.class_map.get, raw_labels))
+
+        end = len(good)  # the first row whose class has no mapping, if any
+        if None in labels:
+            end = next((j for j, name in enumerate(labels) if name is None and j not in bad), end)
+        fatal = None
+        if end < len(good):
+            fatal = DataError(
+                f"line {first_line + where[end]}: class {raw_labels[end]!r} has no mapping "
+                f"in schema {self.schema.dataset_id!r}"
+            )
+        stop = where[end] if fatal else len(block)
+        for i, message in sorted([*short.items(), *((where[j], msg) for j, msg in bad.items())]):
+            if i < stop:
+                self.report(first_line + i, message, block[i])
+        if bad or fatal:
+            keep = [j for j in range(end) if j not in bad]
+            columns = {name: [values[j] for j in keep] for name, values in columns.items()}
+            labels = [labels[j] for j in keep]
+        return FlowChunk(columns=columns, labels=labels, origins=[self.schema.dataset_id] * len(labels)), fatal
+
+
+def parse_chunks(
+    source: str | Path | TextIO | Iterable[str],
+    schema: SourceSchema,
+    on_error: Callable[[RowError], None] | None = None,
+) -> Iterator[FlowChunk]:
+    """Stream FlowChunks from comma-separated text.
+
+    The first line may be a header naming the schema columns (any order);
+    without one, fields are positional: variable columns in schema order,
+    label last. Malformed rows are reported through ``on_error`` (default:
+    warning log) and skipped; an unmapped class name is fatal. Rows are
+    read ``faac.CHUNK_RECORDS`` at a time and each block's rows are
+    reported before its chunk is yielded; a fatal row ends the stream after
+    the chunk of the rows before it.
+    """
+    rows = read_csv(source)
+    line_no = 0
+    for row in rows:
+        line_no += 1
+        if row:
+            break
+    else:
+        return
+    stripped = [t.strip() for t in row]
+    if set(stripped) >= set(schema.column_names) | {schema.label_column}:
+        header_index = {name: i for i, name in enumerate(stripped)}
+        parser = _BlockParser(
+            schema, [header_index[c.name] for c in schema.columns], header_index[schema.label_column], on_error
+        )
+        pending: list[list[str]] = []
+        line_no += 1
+    else:
+        parser = _BlockParser(schema, list(range(len(schema.columns))), len(schema.columns), on_error)
+        pending = [row]
+    size = _chunk_rows()
+    block = pending + list(islice(rows, size - len(pending)))
+    while block:
+        chunk, fatal = parser.parse(block, line_no)
+        line_no += len(block)
+        del block  # free the rows before the next block is read
+        if len(chunk):
+            yield chunk
+        if fatal is not None:
+            raise fatal
+        block = list(islice(rows, size))
+
+
 def parse_flows(
     source: str | Path | TextIO | Iterable[str],
     schema: SourceSchema,
     on_error: Callable[[RowError], None] | None = None,
 ) -> Iterator[FlowRecord]:
-    """Stream FlowRecords from comma-separated text.
-
-    The first line may be a header naming the schema columns (any order);
-    without one, fields are positional: variable columns in schema order,
-    label last. Malformed rows are reported through ``on_error`` (default:
-    warning log) and skipped; an unmapped class name is fatal.
-    """
-    positions: list[int] | None = None
-    label_pos: int | None = None
-    expected = set(schema.column_names) | {schema.label_column}
-    cols = schema.columns
-    origin = schema.dataset_id
-
-    def report(line_no: int, message: str, row: list[str]) -> None:
-        err = RowError(line_no=line_no, message=message, raw=tuple(row))
-        if on_error is not None:
-            on_error(err)
-        else:
-            log.warning("skipping row: %s", err)
-
-    for line_no, row in enumerate(read_csv(source), start=1):
-        if not row:
-            continue
-        if positions is None:
-            stripped = [t.strip() for t in row]
-            if set(stripped) >= expected:
-                header_index = {name: i for i, name in enumerate(stripped)}
-                positions = [header_index[c.name] for c in cols]
-                label_pos = header_index[schema.label_column]
-                continue
-            positions = list(range(len(cols)))
-            label_pos = len(cols)
-        assert label_pos is not None
-        width = max(max(positions), label_pos) + 1
-        if len(row) < width:
-            report(line_no, f"expected at least {width} fields, got {len(row)}", row)
-            continue
-        try:
-            values = {c.name: _convert(row[p], c, line_no) for c, p in zip(cols, positions)}
-        except DataError as exc:
-            report(line_no, str(exc), row)
-            continue
-        src_label = row[label_pos].strip()
-        if src_label not in schema.class_map:
-            raise DataError(
-                f"line {line_no}: class {src_label!r} has no mapping in schema {schema.dataset_id!r}"
-            )
-        yield FlowRecord(values=values, label=schema.class_map[src_label], origin=origin)
+    """Stream FlowRecords from comma-separated text: :func:`parse_chunks` row by row."""
+    return iter_records(parse_chunks(source, schema, on_error))
 
 
 def _format_value(v: object) -> str:
@@ -307,15 +473,30 @@ def _format_value(v: object) -> str:
     return str(v)
 
 
-def write_flows(records: Iterable[FlowRecord], schema: SourceSchema, dest: str | Path | TextIO) -> int:
-    """Write records in the canonical CSV form (header, variables in schema order, label last).
+def _format_column(values: list[object]) -> Iterable[str]:
+    """The column's CSV fields, formatted as they are written."""
+    kinds = set(map(type, values))
+    if kinds <= {str}:
+        return values  # type: ignore[return-value]
+    if kinds <= {float}:
+        return map(float.__repr__, values)
+    return map(_format_value, values)
 
+
+def write_flows(
+    records: Iterable[FlowRecord] | Iterable[FlowChunk], schema: SourceSchema, dest: str | Path | TextIO
+) -> int:
+    """Write flows in the canonical CSV form (header, variables in schema order, label last).
+
+    Takes chunks or records, and picks one formatter per column of a chunk.
     Returns the number of rows written. ``parse_flows`` on the result with
     ``schema.canonicalized()`` reproduces the records exactly.
     """
     names = schema.column_names
-    rows = ([_format_value(rec.values[c]) for c in names] + [rec.label] for rec in records)
-    return write_csv(dest, list(names) + [schema.label_column], rows)
+    rows = chain.from_iterable(
+        zip(*[_format_column(chunk.columns[c]) for c in names], chunk.labels) for chunk in as_chunks(records)
+    )
+    return write_csv(dest, [*names, schema.label_column], rows)
 
 
 def _class_sequence(profile: SyntheticProfile, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -372,13 +553,14 @@ def _class_sequence(profile: SyntheticProfile, rng: np.random.Generator) -> tupl
     return seq, seg
 
 
-def generate_synthetic(profile: SyntheticProfile, schema: SourceSchema) -> Iterator[FlowRecord]:
-    """Generate a deterministic synthetic record stream for one source.
+def generate_chunks(profile: SyntheticProfile, schema: SourceSchema) -> Iterator[FlowChunk]:
+    """Generate a deterministic synthetic flow stream for one source, as chunks.
 
     Variables are drawn per class segment; a segment's variant (when the
     class declares variants) decides which distribution serves each variable,
-    falling back to the class entry and then to ``default``. The seed fully
-    determines the output.
+    falling back to the class entry and then to ``default``. Each variable
+    is drawn for the whole source and then cut into chunks of
+    ``faac.CHUNK_RECORDS`` rows. The seed fully determines the output.
     """
     rng = np.random.default_rng(profile.seed)
     names = [c for c, _ in profile.proportions]
@@ -400,36 +582,45 @@ def generate_synthetic(profile: SyntheticProfile, schema: SourceSchema) -> Itera
         seg_variant[segs_c] = rng.choice(len(vs), size=len(segs_c), p=weights / weights.sum())
     row_variant = seg_variant[seg]
 
+    # the rows of each (class, variant) pair, in draw order
     no_variants: tuple[Variant, ...] = (("", 1.0, {}),)
+    groups = []
+    for ci, cname in enumerate(names):
+        in_class = seq == ci
+        for vi, (vname, _, overrides) in enumerate(profile.variants.get(cname) or no_variants):
+            slots = np.flatnonzero(in_class & (row_variant == vi))
+            if len(slots):
+                groups.append((cname, vname, overrides, slots))
+
     columns: dict[str, list[object]] = {}
     for col in schema.columns:
-        vals: list[object] = [None] * profile.total
-        for ci, cname in enumerate(names):
-            in_class = seq == ci
-            for vi, (vname, _, overrides) in enumerate(profile.variants.get(cname) or no_variants):
-                slots = np.flatnonzero(in_class & (row_variant == vi))
-                if len(slots) == 0:
-                    continue
-                dist = overrides.get(col.name)
-                if dist is None:
-                    dist = profile.distributions.get(cname, {}).get(col.name)
-                if dist is None:
-                    dist = profile.distributions.get("default", {}).get(col.name)
-                if dist is None:
-                    what = f"class {cname!r}" + (f", variant {vname!r}" if vname else "")
-                    raise ConfigError(f"no distribution for variable {col.name!r} ({what})")
-                drawn = dist.draw(rng, len(slots), numeric=col.kind == NUMERIC)
-                for s, v in zip(slots, drawn):
-                    vals[s] = v
-        columns[col.name] = vals
+        vals = np.full(profile.total, None, dtype=object)
+        for cname, vname, overrides, slots in groups:
+            dist = overrides.get(col.name)
+            if dist is None:
+                dist = profile.distributions.get(cname, {}).get(col.name)
+            if dist is None:
+                dist = profile.distributions.get("default", {}).get(col.name)
+            if dist is None:
+                what = f"class {cname!r}" + (f", variant {vname!r}" if vname else "")
+                raise ConfigError(f"no distribution for variable {col.name!r} ({what})")
+            vals[slots] = dist.draw(rng, len(slots), numeric=col.kind == NUMERIC)
+        columns[col.name] = vals.tolist()
 
-    col_names = schema.column_names
-    for i in range(profile.total):
-        yield FlowRecord(
-            values={c: columns[c][i] for c in col_names},
-            label=names[seq[i]],
-            origin=schema.dataset_id,
+    labels = list(map(names.__getitem__, seq.tolist()))
+    size = _chunk_rows()
+    for start in range(0, profile.total, size):
+        rows = slice(start, start + size)
+        yield FlowChunk(
+            columns={name: vals[rows] for name, vals in columns.items()},
+            labels=labels[rows],
+            origins=[schema.dataset_id] * len(labels[rows]),
         )
+
+
+def generate_synthetic(profile: SyntheticProfile, schema: SourceSchema) -> Iterator[FlowRecord]:
+    """Generate a deterministic synthetic record stream: :func:`generate_chunks` row by row."""
+    return iter_records(generate_chunks(profile, schema))
 
 
 def class_histogram(records: Iterable[FlowRecord]) -> dict[str, int]:
@@ -481,6 +672,13 @@ def _parse_distribution(node: dict) -> Distribution:
     return Distribution(kind="mixture", components=parsed, missing_rate=missing_rate)
 
 
+def taxonomy_from(doc: dict, path: str | Path) -> CanonicalTaxonomy:
+    """The config's ``taxonomy`` list, or the default taxonomy when it has none."""
+    if "taxonomy" not in doc:
+        return DEFAULT_TAXONOMY
+    return CanonicalTaxonomy(tuple(str(c) for c in as_list(doc["taxonomy"], "taxonomy", path)))
+
+
 _SOURCE_KEYS = ("dataset", "columns", "label_column", "class_map", "taxonomy", "profile", "record_count_hint")
 _PROFILE_KEYS = ("proportions", "distributions", "variants", "burst", "seed", "total")
 
@@ -496,24 +694,25 @@ def load_source_config(path: str | Path) -> SourceSchema:
             check_keys(c, ("name", "kind"), "column key", path)
         columns = tuple(Column(name=str(c["name"]), kind=str(c["kind"])) for c in doc["columns"])
         label_column = str(doc["label_column"])
-        class_map = {str(k): str(v) for k, v in doc["class_map"].items()}
+        class_map = {str(k): str(v) for k, v in as_mapping(doc["class_map"], "class_map", path).items()}
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"{path}: missing or malformed key: {exc}") from exc
-    taxonomy = (
-        CanonicalTaxonomy(tuple(str(c) for c in doc["taxonomy"])) if "taxonomy" in doc else DEFAULT_TAXONOMY
-    )
+    taxonomy = taxonomy_from(doc, path)
     profile = None
     if "profile" in doc:
         p = doc["profile"]
         check_keys(p, _PROFILE_KEYS, "profile key", path)
         try:
             distributions = {
-                str(cls): {str(var): _parse_distribution(d) for var, d in per_class.items()}
-                for cls, per_class in p.get("distributions", {}).items()
+                str(cls): {
+                    str(var): _parse_distribution(d)
+                    for var, d in as_mapping(per_class, f"profile.distributions.{cls}", path).items()
+                }
+                for cls, per_class in as_mapping(p.get("distributions") or {}, "profile.distributions", path).items()
             }
             variants = {}
-            for cls, per_class in (p.get("variants") or {}).items():
-                for node in per_class.values():
+            for cls, per_class in as_mapping(p.get("variants") or {}, "profile.variants", path).items():
+                for node in as_mapping(per_class, f"profile.variants.{cls}", path).values():
                     check_keys(node, ("weight", "distributions"), "variant key", path)
                 variants[str(cls)] = tuple(
                     (
@@ -526,7 +725,9 @@ def load_source_config(path: str | Path) -> SourceSchema:
             burst = p.get("burst") or {}
             check_keys(burst, ("attack_run_mean", "background_run_mean"), "burst key", path)
             profile = SyntheticProfile(
-                proportions=tuple((str(k), float(v)) for k, v in p["proportions"].items()),
+                proportions=tuple(
+                    (str(k), float(v)) for k, v in as_mapping(p["proportions"], "profile.proportions", path).items()
+                ),
                 distributions=distributions,
                 total=int(p["total"]),
                 seed=int(p["seed"]),

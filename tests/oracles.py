@@ -4,12 +4,16 @@ Everything here favors brute force and textbook formulas over speed, and
 shares no code with the package: pair counting for AUC, full sign-vector
 enumeration for the signed-rank test, Fraction arithmetic for Gini splits,
 dense linear algebra for the GP posterior, support and sign enumeration for
-the l1 quadratic model.
+the l1 quadratic model, and the csv module read one row at a time for flow
+parsing.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -209,3 +213,60 @@ def batch_label_recount(labels: list[str], classes: tuple[str, ...], priority: t
         return "Background"
     rank = {c: i for i, c in enumerate(priority)}
     return max(attacks, key=lambda c: (counts[c], -rank[c]))
+
+
+def parse_flows_one_row_at_a_time(text: str, schema):
+    """Records, row errors and fatal error of parsing CSV ``text`` one row at a time.
+
+    Records are ``(values, label, origin)``, row errors ``(line_no, message,
+    raw)`` and the fatal error ``(line_no, message)`` or None. Fields follow
+    the header when the first non-blank row names every schema column,
+    otherwise the schema order with the label last. A short row, a
+    non-numeric or non-finite token in a numeric column (the first such
+    column names the row's error) is skipped and reported; an empty token
+    is missing; a class without a mapping ends parsing.
+    """
+    records, errors = [], []
+    names = [c.name for c in schema.columns]
+    positions = label_pos = None
+    for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        if not row:
+            continue
+        if positions is None:
+            stripped = [t.strip() for t in row]
+            if set(stripped) >= set(names) | {schema.label_column}:
+                index = {name: i for i, name in enumerate(stripped)}
+                positions = [index[n] for n in names]
+                label_pos = index[schema.label_column]
+                continue
+            positions, label_pos = list(range(len(names))), len(names)
+        width = max(positions + [label_pos]) + 1
+        if len(row) < width:
+            errors.append((line_no, f"expected at least {width} fields, got {len(row)}", tuple(row)))
+            continue
+        values, message = {}, None
+        for col, p in zip(schema.columns, positions):
+            token = row[p]
+            if token == "":
+                values[col.name] = None
+            elif col.kind != "numeric":
+                values[col.name] = token
+            else:
+                try:
+                    v = float(token)
+                except ValueError:
+                    message = f"non-numeric token {token!r} in numeric column {col.name!r}"
+                    break
+                if not math.isfinite(v):
+                    message = f"non-finite value {token!r} in numeric column {col.name!r}"
+                    break
+                values[col.name] = v
+        if message is not None:
+            errors.append((line_no, message, tuple(row)))
+            continue
+        label = row[label_pos].strip()
+        if label not in schema.class_map:
+            return records, errors, (line_no, f"line {line_no}: class {label!r} has no mapping in schema "
+                                              f"{schema.dataset_id!r}")
+        records.append((values, schema.class_map[label], schema.dataset_id))
+    return records, errors, None

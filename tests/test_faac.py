@@ -30,8 +30,12 @@ from faacflow.faac import (
 from faacflow.ingest import (
     CanonicalTaxonomy,
     FlowRecord,
+    as_chunks,
+    generate_chunks,
     generate_synthetic,
+    iter_records,
     load_source_config,
+    parse_chunks,
     parse_flows,
     write_flows,
 )
@@ -294,6 +298,20 @@ def test_label_matches_brute_force_recount(counts):
     assert proto_sum == pytest.approx(1.0, abs=1e-12)
 
 
+def test_a_batch_reads_the_columns_its_first_record_names():
+    # dport aliases port; a record that names the other column reads as missing,
+    # also when the column change starts a new chunk inside the batch
+    cfg = replace(small_config(), aliases={"dport": "port"})
+    records = [rec(proto="tcp", port=80.0), rec(proto="tcp", dport=80.0),
+               rec(proto="tcp", dport=443.0), rec(proto="tcp", port=443.0)]
+    for chunk in (1, 3, faac.CHUNK_RECORDS):
+        with mock.patch.object(faac, "CHUNK_RECORDS", chunk):
+            ds = derive_dataset(records, 2, cfg)
+        for row in ds.X:
+            counts = dict(zip(ds.feature_names, row))
+            assert (counts["port_web"], counts["port_missing"]) == (0.5, 0.5)
+
+
 def test_mixed_origin_batch_is_rejected():
     records = [rec(origin="a", proto="tcp", port=80.0), rec(origin="b", proto="tcp", port=80.0)]
     with pytest.raises(DataError, match="mixes origins"):
@@ -465,6 +483,23 @@ def test_counters_match_brute_force_recount(stream, as_list, chunk):
     assert list(ds.origins) == origins
 
 
+@settings(max_examples=200, deadline=None)
+@given(stream=mixed_streams(), chunk=st.sampled_from([1, 4, 9, faac.CHUNK_RECORDS]))
+def test_records_round_trip_through_chunks(stream, chunk):
+    records, _, n_batches = stream
+    with mock.patch.object(faac, "CHUNK_RECORDS", chunk):
+        chunks = list(as_chunks(records))
+        from_chunks = derive_dataset(chunks, n_batches, PROP_CONFIG)
+        from_records = derive_dataset(iter(records), n_batches, PROP_CONFIG, n_records=len(records))
+    assert all(0 < len(c) <= chunk for c in chunks)
+    assert all(len(values) == len(c) for c in chunks for values in c.columns.values())
+    # repr tells NaN from None and -0.0 from 0.0, and keeps each record's key order
+    assert repr(list(iter_records(chunks))) == repr(records)
+    assert from_chunks.X.tobytes() == from_records.X.tobytes()
+    assert list(from_chunks.y) == list(from_records.y)
+    assert from_chunks.origins == from_records.origins
+
+
 def derived_digest(ds):
     joined = "\n".join(ds.origins).encode()
     return hashlib.sha256(ds.X.tobytes() + ds.y.tobytes() + joined).hexdigest()
@@ -510,6 +545,32 @@ def test_parsed_stream_bytes_match_the_recorded_digest(config_dir, tmp_path):
     stream = parse_flows(path, schema.canonicalized())
     ds = derive_dataset(stream, 7, faac, n_records=len(records))
     assert derived_digest(ds) == PARSED_DIGEST
+
+
+# write_flows bytes at profile seed 4242, recorded when synth, write and parse
+# still went one record at a time
+FLOWS_DIGESTS = {
+    "alpha": "c54b5e2a88bea2e8c74ee0ced20f062cde91b93d561cb14824ca52869811e1b4",
+    "beta": "c9229f67ad6c0613cb82870e17d4e4c216cc0ffde8db46f0086074448e721646",
+    "gamma": "5d8edac7db1ed0214f42fc7d75b35e3d07963c39a2c2c40a493e25b4b3eb3178",
+}
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
+def test_chunk_path_bytes_match_the_recorded_digests(config_dir, tmp_path, name):
+    # the path cli takes: generate_chunks -> write_flows -> parse_chunks -> derive_dataset
+    faac = load_faac_config(config_dir / "faac_reference.yaml")
+    schema = load_source_config(config_dir / f"source_{name}.yaml")
+    profile = replace(schema.profile, seed=4242)
+    path = tmp_path / f"{name}.csv"
+    write_flows(generate_chunks(profile, schema), schema, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FLOWS_DIGESTS[name]
+    # gamma at target 7 is PARSED_DIGEST
+    targets = (7, 300, 3001) if name == "gamma" else (300, 3001)
+    for target in targets:
+        stream = parse_chunks(path, schema.canonicalized())
+        ds = derive_dataset(stream, target, faac, n_records=profile.total)
+        assert derived_digest(ds) == DERIVED_DIGESTS[(name, target)], (name, target)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 from faacflow.cli import main, orchestrate
 from faacflow.errors import ConfigError
@@ -141,3 +146,54 @@ def test_empty_config_files_fail_on_what_they_miss(tmp_path, capsys):
     assert main(["derive", "--config", str(empty), "--source", str(empty), "--input", "flows.csv",
                  "--batches", "4", "--out", out]) == 2
     assert "'features'" in capsys.readouterr().err
+
+
+# one block of the wrong YAML type per case: (file, key path, value, key named)
+TYPE_ERRORS = [
+    ("source_alpha.yaml", ("class_map",), ["a", "b"], "class_map"),
+    ("source_alpha.yaml", ("profile", "proportions"), [0.8], "profile.proportions"),
+    ("source_alpha.yaml", ("profile", "distributions", "Background"), ["src_port"], "profile.distributions.Background"),
+    ("source_alpha.yaml", ("profile", "variants", "Background"), ["web"], "profile.variants.Background"),
+    ("source_alpha.yaml", ("taxonomy",), 5, "taxonomy"),
+    ("faac_reference.yaml", ("aliases",), ["a", "b"], "aliases"),
+    ("faac_reference.yaml", ("taxonomy",), 5, "taxonomy"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, keys, value, key",
+    TYPE_ERRORS,
+    ids=["class_map", "proportions", "distributions", "variants", "source_taxonomy", "aliases", "faac_taxonomy"],
+)
+def test_blocks_of_the_wrong_type_exit_2_without_a_traceback(config_dir, tmp_path, name, keys, value, key):
+    doc = yaml.safe_load((config_dir / name).read_text(encoding="utf-8"))
+    node = doc
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    out = tmp_path / "out"
+    if name.startswith("source"):
+        argv = ["synth", "--config", str(path), "--out", str(out)]
+    else:
+        argv = ["derive", "--config", str(path), "--source", str(config_dir / "source_alpha.yaml"),
+                "--input", str(tmp_path / "flows.csv"), "--batches", "4", "--out", str(out)]
+    # a fresh interpreter does not see pytest's pythonpath; hand it the source tree
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "faacflow", *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"configuration error: {path}: {key} must be a " in proc.stderr
+
+
+def test_plan_blocks_of_the_wrong_type_are_configuration_errors(config_dir, tmp_path, capsys):
+    plan = tmp_path / "eval.yaml"
+    plan.write_text("models: [lr]\ntransfer: [a, b]\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(plan), "--out", str(tmp_path / "out")]) == 2
+    assert f"{plan}: transfer must be a mapping, got ['a', 'b']" in capsys.readouterr().err
+    pipeline = tmp_path / "pipeline.yaml"
+    pipeline.write_text(f"batches: 4\nfaac: {config_dir / 'faac_reference.yaml'}\nsources: [a, b]\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="sources must be a mapping"):
+        orchestrate(pipeline, tmp_path / "pipe", seed=1)

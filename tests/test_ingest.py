@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faacflow import faac
 from faacflow.errors import ConfigError, DataError
 from faacflow.ingest import (
     CATEGORICAL,
@@ -23,6 +27,8 @@ from faacflow.ingest import (
     parse_flows,
     write_flows,
 )
+
+from oracles import parse_flows_one_row_at_a_time
 
 
 def tiny_schema(profile=None):
@@ -129,6 +135,85 @@ def test_write_then_parse_round_trip():
     buf.seek(0)
     back = list(parse_flows(buf, tiny_schema().canonicalized()))
     assert back == records
+
+
+PROP_SCHEMA = SourceSchema(
+    dataset_id="prop",
+    columns=(Column("proto", CATEGORICAL), Column("bytes", NUMERIC), Column("port", NUMERIC), Column("flags", CATEGORICAL)),
+    label_column="cls",
+    class_map={"bg": "Background", "dos": "DoS", "scan": "PortScanning"},
+)
+NUMERIC_TOKENS = st.one_of(
+    st.sampled_from(["0", "-0", "1", "2.5", "1e3", "1_0", " 3 ", "\t4", "+.5", "1e999", "nan", "-inf", "Infinity",
+                     "", "x", "0x10", "1__0", "_1", "\u0661\u0662", "--1", "1e"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+TEXT_TOKENS = st.sampled_from(["tcp", "udp", "", " tcp ", "S", "nan"])
+LABEL_TOKENS = st.sampled_from(["bg", "dos", "scan", " bg ", "dos ", "worm", ""])
+FIELD_NAMES = ("proto", "bytes", "port", "flags", "cls")
+
+
+@st.composite
+def flow_texts(draw):
+    """CSV text with an optional header in any column order, blank lines,
+    short and long rows, odd numeric tokens and now and then an unmapped label."""
+    header = draw(st.one_of(st.none(), st.permutations(FIELD_NAMES)))
+    order = header or FIELD_NAMES
+    kinds = {"proto": TEXT_TOKENS, "flags": TEXT_TOKENS, "bytes": NUMERIC_TOKENS, "port": NUMERIC_TOKENS,
+             "cls": LABEL_TOKENS}
+    lines = [] if header is None else [",".join(f" {n}" if draw(st.booleans()) else n for n in header)]
+    for _ in range(draw(st.integers(0, 30))):
+        shape = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
+        if shape == "blank":
+            lines.append("")
+            continue
+        fields = [draw(kinds[name]) for name in order]
+        if shape == "short":
+            fields = fields[: draw(st.integers(1, len(fields) - 1))]
+        elif shape == "long":
+            fields.append("extra")
+        lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def parsed_with_chunk_rows(text, chunk_rows):
+    records, errors, fatal = [], [], None
+    with mock.patch.object(faac, "CHUNK_RECORDS", chunk_rows):
+        try:
+            for rec in parse_flows(io.StringIO(text), PROP_SCHEMA, on_error=errors.append):
+                records.append(rec)
+        except DataError as exc:
+            fatal = str(exc)
+    return records, errors, fatal
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=flow_texts(), chunk_rows=st.sampled_from([1, 4, 9, faac.CHUNK_RECORDS]))
+def test_parser_matches_the_one_row_at_a_time_oracle(text, chunk_rows):
+    records, errors, fatal = parsed_with_chunk_rows(text, chunk_rows)
+    want_records, want_errors, want_fatal = parse_flows_one_row_at_a_time(text, PROP_SCHEMA)
+    # repr tells -0.0 from 0.0 and keeps each record's key order
+    assert [repr((r.values, r.label, r.origin)) for r in records] == [repr(r) for r in want_records]
+    assert [(e.line_no, e.message, e.raw) for e in errors] == want_errors
+    assert fatal == (None if want_fatal is None else want_fatal[1])
+
+
+def test_parser_oracle_sees_every_kind_of_row():
+    text = "cls, port,flags,bytes,proto\n\nbg,1_0,S,\t4,tcp\nbg,80\ndos,nan,,1,udp\nscan,1,,x,tcp\nbg, 2 ,A,,tcp\nworm,1,,1,tcp\nbg,1,,1,tcp\n"
+    want = (
+        [({"proto": "tcp", "bytes": 4.0, "port": 10.0, "flags": "S"}, "Background", "prop"),
+         ({"proto": "tcp", "bytes": None, "port": 2.0, "flags": "A"}, "Background", "prop")],
+        [(4, "expected at least 5 fields, got 2", ("bg", "80")),
+         (5, "non-finite value 'nan' in numeric column 'port'", ("dos", "nan", "", "1", "udp")),
+         (6, "non-numeric token 'x' in numeric column 'bytes'", ("scan", "1", "", "x", "tcp"))],
+        (8, "line 8: class 'worm' has no mapping in schema 'prop'"),
+    )
+    assert parse_flows_one_row_at_a_time(text, PROP_SCHEMA) == want
+    for chunk_rows in (1, 4, 9, faac.CHUNK_RECORDS):
+        records, errors, fatal = parsed_with_chunk_rows(text, chunk_rows)
+        assert [(r.values, r.label, r.origin) for r in records] == want[0]
+        assert [(e.line_no, e.message, e.raw) for e in errors] == want[1]
+        assert fatal == want[2][1]
 
 
 def test_class_histogram_counts_labels():
