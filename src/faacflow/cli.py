@@ -211,12 +211,15 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 _SETTINGS_KEYS = ("models", "k", "repetitions", "tune", "tune_once", "n_init", "n_iter", "fixed_hyper")
 
 
-def _settings_from_doc(doc: dict, input_keys: tuple[str, ...]) -> EvalSettings:
-    """Evaluation settings from a plan whose other keys must be among ``input_keys``."""
+def _settings_from_doc(doc: dict, input_keys: tuple[str, ...], where: object, prefix: str = "") -> EvalSettings:
+    """Evaluation settings from a plan whose other keys must be among ``input_keys``.
+
+    ``where`` and ``prefix`` name the file and the block in type errors.
+    """
     check_keys(doc, _SETTINGS_KEYS + input_keys, "evaluation key")
     fields = {k: doc[k] for k in _SETTINGS_KEYS if k in doc}
     if "models" in fields:
-        fields["models"] = tuple(str(m) for m in fields["models"])
+        fields["models"] = tuple(str(m) for m in as_list(fields["models"], prefix + "models", where))
         for m in fields["models"]:
             if m not in ("lr", "rf"):
                 raise ConfigError(f"unknown model {m!r}; expected 'lr' or 'rf'")
@@ -277,7 +280,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise ConfigError("evaluate requires --config pointing at an evaluation plan")
     cfg_path = Path(args.config)
     doc, resolve = _load_plan(cfg_path)
-    settings = _settings_from_doc(doc, ("single", "transfer", "seed"))
+    settings = _settings_from_doc(doc, ("single", "transfer", "seed"), cfg_path)
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     report = EvalReport()
     data_paths: list[Path] = []
@@ -394,7 +397,9 @@ def orchestrate(
     if batches < 1:
         raise ConfigError(f"{config_path}: 'batches' must be a positive target batch count")
     eval_doc = doc.get("evaluation")
-    settings = _settings_from_doc(eval_doc, ("singles", "transfer")) if eval_doc else None
+    settings = (
+        _settings_from_doc(eval_doc, ("singles", "transfer"), config_path, "evaluation.") if eval_doc else None
+    )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -334,25 +334,27 @@ def predict_proba_lr(betas: np.ndarray, Z: np.ndarray) -> np.ndarray:
 # Random forest
 
 
-def _leaf(counts: np.ndarray) -> dict:
+def _leaf(counts: list[int]) -> dict:
     # the full class-count vector is kept so ties stay inspectable
-    return {"n": counts.tolist()}
+    return {"n": counts}
 
 
 def _code_columns(Z: np.ndarray) -> np.ndarray:
-    """Rank code of every value within its column: 0 for the smallest, and so on.
+    """Rank code of every value within its column, feature-major: ``codes[j, i]`` is
+    row i's code in column j, 0 for the column's smallest value, and so on.
 
     FaaC counters are multiples of 1/B, so a column holds few distinct
     values and its codes index a short class histogram.
     """
-    codes = np.empty(Z.shape, dtype=np.int64)
+    codes = np.empty(Z.shape[::-1], dtype=np.int64)
     for j in range(Z.shape[1]):
-        codes[:, j] = np.unique(Z[:, j], return_inverse=True)[1]
+        codes[j] = np.unique(Z[:, j], return_inverse=True)[1]
     return codes
 
 
-#: work per bincount while trees grow: histogram cells (node x class x sampled feature x code)
-#: plus gathered (row, sampled feature) codes; bounds the memory of a step of many trees
+#: work per group while trees grow, counted as the cells of a dense (node x class x sampled
+#: feature x code) histogram plus the drawn (row, sampled feature) codes; bounds the memory of
+#: a step of many trees. Only the occupied cells are counted, cut and ranked.
 HIST_CELLS = 1 << 16
 
 
@@ -383,13 +385,21 @@ def _first_exact_max(num: np.ndarray, den: np.ndarray) -> int:
 
 @dataclass
 class _Node:
-    """A node waiting to grow: its dict (filled in place), rows, depth and class counts."""
+    """A node waiting for its split search: its dict (filled in place), its sample, depth
+    and class counts. The sample holds the node's distinct rows, in the order of their
+    last bootstrap draw, over their multiplicities."""
 
     out: dict
-    idx: np.ndarray
+    sample: np.ndarray
     depth: int
-    counts: np.ndarray
+    counts: list[int]
     feats: np.ndarray | None = None
+
+
+def _stops(depth: int | np.ndarray, counts: np.ndarray, max_depth: int, min_leaf: int) -> np.ndarray:
+    """Which nodes, one per row of ``counts``, are leaves: too deep, too small to split, or pure."""
+    sizes = counts.sum(axis=-1)
+    return (depth >= max_depth) | (sizes < 2 * min_leaf) | (counts.max(axis=-1) == sizes)
 
 
 def _grow_forest(
@@ -406,54 +416,60 @@ def _grow_forest(
 
     Each tree keeps its own generator (bootstrap draw first, then one
     feature draw per searched node), and its own stack, popped depth-first
-    with the left child first. A step pops each tree's nodes until one
-    needs a split search; leaves settle on the spot and draw nothing. The
-    step's searched nodes then share class-major histograms, laid out as
-    (node, class, sampled feature, code), in groups of at most
-    ``HIST_CELLS`` histogram cells plus gathered codes. A cumulative sum
-    along the codes gives every cut's left class counts, and the Gini
-    ranking ratio (A(n-t) + Bt) / (t(n-t)), with A and B the summed squared
-    child class counts, is formed in int64 for all cells at once. Only the
-    exact pick and the row partition are per node. Children take their
-    class counts from the parent's histogram.
+    with the left child first. A node holds its bootstrap sample as distinct
+    rows with their multiplicities, which weight every histogram, so each
+    row is gathered once however often it was drawn. The rows stay in the
+    order of their last draw: a threshold is the value of the last-drawn
+    row in its cell, so on a column holding both -0.0 and 0.0 the draw
+    order fixes the threshold's sign.
+
+    Only nodes that need a split search go onto a stack; a leaf (too deep,
+    too small or pure) settles where it is made and draws nothing. Each
+    step pops one node per tree. The popped nodes are handled a group at a
+    time, each group at most ``HIST_CELLS`` of work: one class histogram
+    over the group's occupied (node, sampled feature, code) cells, one pick
+    of every node's best cut, and one partition of every node's rows (see
+    ``_split_group``).
     """
     n, p = Z.shape
     codes = _code_columns(Z)
     width = int(codes.max(initial=0)) + 1
+    all_feats = np.arange(p)
     rngs = [np.random.default_rng(s) for s in tree_seeds]
     roots = [{} for _ in tree_seeds]
-    stacks = []
-    for rng, root in zip(rngs, roots):
-        idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        stacks.append([_Node(root, idx, 0, np.bincount(y[idx], minlength=n_classes))])
-    live = list(range(len(rngs)))
+    stacks: list[list[_Node]] = [[] for _ in tree_seeds]
+    for rng, root, stack in zip(rngs, roots, stacks):
+        if bootstrap:
+            # each drawn row once, in the order of its last draw
+            rows, first_from_end, mult = np.unique(
+                rng.integers(0, n, size=n)[::-1], return_index=True, return_counts=True
+            )
+            sample = np.stack([rows, mult])[:, np.argsort(-first_from_end)]
+        else:
+            sample = np.stack([np.arange(n), np.ones(n, dtype=np.int64)])
+        counts = np.bincount(y[sample[0]], weights=sample[1], minlength=n_classes).astype(np.int64)
+        if p == 0 or _stops(0, counts, max_depth, min_leaf):
+            root.update(_leaf(counts.tolist()))
+        else:
+            stack.append(_Node(root, sample, 0, counts.tolist()))
+    live = [tree for tree, stack in enumerate(stacks) if stack]
     while live:
-        step: list[tuple[int, _Node]] = []
-        for tree in live:
-            stack = stacks[tree]
-            while stack:
-                node = stack.pop()
-                size = len(node.idx)
-                if node.depth >= max_depth or size < 2 * min_leaf or node.counts.max() == size or p == 0:
-                    node.out.update(_leaf(node.counts))
-                    continue
-                if m_features < p:
-                    node.feats = np.sort(rngs[tree].choice(p, size=m_features, replace=False))
-                else:
-                    node.feats = np.arange(p)
-                step.append((tree, node))
-                break
         group: list[tuple[int, _Node]] = []
         work = 0
-        for tree, node in step:
-            cost = m_features * (n_classes * width + len(node.idx))
+        for tree in live:
+            node = stacks[tree].pop()
+            if m_features < p:
+                node.feats = rngs[tree].choice(p, size=m_features, replace=False)
+                node.feats.sort()
+            else:
+                node.feats = all_feats
+            cost = m_features * (n_classes * width + sum(node.counts))
             if group and work + cost > HIST_CELLS:
-                _split_group(Z, codes, y, width, group, stacks, min_leaf)
+                _split_group(Z, codes, y, width, group, stacks, max_depth, min_leaf)
                 group, work = [], 0
             group.append((tree, node))
             work += cost
-        if group:
-            _split_group(Z, codes, y, width, group, stacks, min_leaf)
+        _split_group(Z, codes, y, width, group, stacks, max_depth, min_leaf)
         live = [tree for tree in live if stacks[tree]]
     return tuple(roots)
 
@@ -465,52 +481,134 @@ def _split_group(
     width: int,
     group: list[tuple[int, _Node]],
     stacks: list[list[_Node]],
+    max_depth: int,
     min_leaf: int,
 ) -> None:
-    """Search the group's nodes over one histogram; split each or make it a leaf."""
+    """Search, pick and partition the group's nodes at once; split each or make it a leaf.
+
+    One gather of each row's chosen column and one stable sort by (node,
+    side) keep every child's rows in their parent's order. Each threshold
+    is the value of the last row in its node's chosen cell. Children take
+    their class counts from the histogram and own copies of their samples;
+    a child that is a leaf settles on the spot.
+    """
     nodes = [node for _, node in group]
-    sizes = np.array([len(node.idx) for node in nodes])
-    rows = np.concatenate([node.idx for node in nodes])
-    owner = np.repeat(np.arange(len(nodes)), sizes)
-    feats = np.stack([node.feats for node in nodes])
-    counts = np.stack([node.counts for node in nodes])
-    k, n_classes = counts.shape
+    k = len(nodes)
+    sample = np.concatenate([node.sample for node in nodes], axis=1)
+    rows = sample[0]
+    owner = np.repeat(np.arange(k), [node.sample.shape[1] for node in nodes])
+    feats = np.array([node.feats for node in nodes])
+    counts = np.array([node.counts for node in nodes])
     m = feats.shape[1]
-    cells = codes[rows[:, None], feats[owner]] + np.arange(m) * width
-    cells += ((owner * n_classes + y[rows]) * (m * width))[:, None]
-    hist = np.bincount(cells.ravel(), minlength=k * n_classes * m * width).reshape(k, n_classes, m, width)
-    occupied = hist.any(axis=1)
-    left = np.cumsum(hist, axis=3, out=hist)
-    t = left.sum(axis=1)
-    nt = sizes[:, None, None] - t
-    valid = occupied & (t >= min_leaf) & (nt >= min_leaf)
-    # summed squared class counts of the left (a) and right (b) child, one class plane at a time
-    a = np.zeros_like(t)
-    b = np.zeros_like(t)
-    for c in range(n_classes):
-        lc = left[:, c]
-        rc = counts[:, c, None, None] - lc
-        a += lc * lc
-        b += rc * rc
-    num = np.where(valid, a * nt + b * t, 0)
-    den = np.where(valid, t * nt, 1)
-    found = valid.any(axis=(1, 2))
-    for i, (tree, node) in enumerate(group):
-        if not found[i]:
+    n = codes.shape[1]
+    occ, left = _cut_counts(codes, y, width, sample, owner, feats, counts)
+    pick, found = _pick_cuts(left, counts, occ // (m * width), min_leaf)
+    cell, left_counts = occ[pick], left[:, pick].T
+    del occ, left  # free the cells before the partition allocates its own
+    chosen = feats[np.arange(k), cell // width % m]
+    # a node without a split takes no row to its cell and every row to its left
+    code = np.where(found, cell % width, width)[owner]
+    col = codes.take((chosen * n)[owner] + rows)
+    in_cell = (col == code).nonzero()[0]
+    split = found.nonzero()[0]
+    last = in_cell[np.searchsorted(owner[in_cell], split, side="right") - 1]
+    thr = np.zeros(k)
+    thr[split] = Z[rows[last], chosen[split]]
+    side = owner * 2 + (col > code)
+    sample = sample[:, np.argsort(side, kind="stable")]
+    bounds = np.zeros(2 * k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(side, minlength=2 * k), out=bounds[1:])
+    kids = np.concatenate([left_counts, counts - left_counts], axis=1).reshape(k, 2, -1)
+    stops = _stops(np.array([node.depth + 1 for node in nodes])[:, None], kids, max_depth, min_leaf)
+    per_node = zip(range(k), group, found.tolist(), chosen.tolist(), thr.tolist(), kids.tolist(), stops.tolist())
+    for i, (tree, node), ok, f, th, kid_counts, kid_stops in per_node:
+        if not ok:
             node.out.update(_leaf(node.counts))
             continue
-        j, code = divmod(_first_exact_max(num[i].ravel(), den[i].ravel()), width)
-        fi = int(node.feats[j])
-        col = codes[node.idx, fi]
-        mask = col <= code
-        # the threshold is the last value on the left; taking it from the node's
-        # last row in that cell keeps the sign a -0.0 / 0.0 column had there
-        thr = float(Z[node.idx[col == code][-1], fi])
-        # a copy, so no child keeps the group's histogram alive
-        left_counts = left[i, :, j, code].copy()
-        node.out.update(f=fi, t=thr, l={}, r={})
-        stacks[tree].append(_Node(node.out["r"], node.idx[~mask], node.depth + 1, node.counts - left_counts))
-        stacks[tree].append(_Node(node.out["l"], node.idx[mask], node.depth + 1, left_counts))
+        node.out.update(f=f, t=th, l={}, r={})
+        for s, key in ((1, "r"), (0, "l")):
+            if kid_stops[s]:
+                node.out[key].update(_leaf(kid_counts[s]))
+            else:
+                lo, hi = bounds[2 * i + s], bounds[2 * i + s + 1]
+                stacks[tree].append(_Node(node.out[key], sample[:, lo:hi].copy(), node.depth + 1, kid_counts[s]))
+
+
+def _cut_counts(
+    codes: np.ndarray,
+    y: np.ndarray,
+    width: int,
+    sample: np.ndarray,
+    owner: np.ndarray,
+    feats: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The group's occupied cells and the left class counts of a cut at each.
+
+    One flat ``take`` gathers every (distinct row, sampled feature) code
+    from the feature-major codes. ``occ`` holds the flat (node, sampled
+    feature, code) index of every cell some row falls in, in that order,
+    and one ``bincount`` weighted by the rows' multiplicities counts the
+    classes over those cells only. ``left[c, i]`` is the number of class-c
+    rows of cell i's node coded at most cell i's code: one cumulative sum,
+    segmented by (node, feature).
+    """
+    k, m = feats.shape
+    n_classes = counts.shape[1]
+    plane = k * m * width
+    rows, mult = sample
+    cells = (feats * codes.shape[1])[owner]
+    cells += rows[:, None]
+    cells = codes.take(cells)
+    cells += (owner * (m * width))[:, None]
+    cells += np.arange(0, m * width, width)
+    seen = np.zeros(plane, dtype=bool)
+    seen[cells] = True
+    occ = seen.nonzero()[0]
+    index = np.empty(plane, dtype=np.intp)
+    index[occ] = np.arange(len(occ))
+    cells = index.take(cells)
+    cells += (y[rows] * len(occ))[:, None]
+    hist = np.bincount(cells.ravel(), weights=mult.astype(np.float64).repeat(m), minlength=n_classes * len(occ))
+    hist = hist.reshape(n_classes, len(occ))
+    # a (node, feature) run's cells sum to its node's class counts: taking the previous run's
+    # counts off each run's first cell restarts one cumulative sum at every run. Multiplicities
+    # are whole numbers, so the float sums are exact counts.
+    hist[:, np.searchsorted(occ, np.arange(width, plane, width))] -= np.repeat(counts, m, axis=0)[:-1].T
+    left = np.cumsum(hist, axis=1, dtype=np.int64)
+    return occ, left
+
+
+def _pick_cuts(
+    left: np.ndarray, counts: np.ndarray, node_of: np.ndarray, min_leaf: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's best cut, as an index into ``left``'s cells, and whether it has any.
+
+    The Gini ranking ratio (A(n-t) + Bt) / (t(n-t)), with A and B the
+    summed squared child class counts, is formed in int64 for every cell.
+    One segmented maximum per node and one 1e-9 window serve all nodes. A
+    node whose window holds one cell takes it; only a node with more goes
+    through ``_first_exact_max``, so ties still go to the first (feature,
+    code) and rounding never decides.
+    """
+    k = len(counts)
+    starts = np.searchsorted(node_of, np.arange(k + 1))
+    right = np.repeat(counts.T, starts[1:] - starts[:-1], axis=1) - left
+    t = left.sum(axis=0)
+    nt = right.sum(axis=0)
+    valid = (t >= min_leaf) & (nt >= min_leaf)
+    num = np.where(valid, (left * left).sum(axis=0) * nt + (right * right).sum(axis=0) * t, 0)
+    den = np.where(valid, t * nt, 1)
+    q = num / den
+    qmax = np.maximum.reduceat(q, starts[:-1])
+    found = qmax > 0.0
+    window = (q >= (qmax * (1.0 - 1e-9))[node_of]).nonzero()[0]
+    firsts = np.searchsorted(node_of[window], np.arange(k + 1))
+    pick = window[firsts[:-1]]
+    for i in (found & (firsts[1:] - firsts[:-1] > 1)).nonzero()[0]:
+        s, e = starts[i], starts[i + 1]
+        pick[i] = s + _first_exact_max(num[s:e], den[s:e])
+    return pick, found
 
 
 def build_tree(

@@ -262,6 +262,23 @@ def test_unknown_evaluation_keys_are_rejected(cfg_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_models_value_that_is_not_a_list_names_the_key(cfg_dir, tmp_path, capsys):
+    # a string is not read one character at a time as the models 'l' and 'r'
+    plan = tmp_path / "plan.yaml"
+    plan.write_text("models: lr\nsingle: [missing.csv]\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(plan), "--out", str(tmp_path)]) == 2
+    assert "models must be a list, got 'lr'" in capsys.readouterr().err
+    pipeline = tmp_path / "pipeline.yaml"
+    pipeline.write_text(
+        f"batches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\nsources:\n  s1: {cfg_dir / 'source_s1.yaml'}\n"
+        "evaluation:\n  models: rf\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ConfigError, match="evaluation.models must be a list, got 'rf'"):
+        orchestrate(pipeline, tmp_path / "out", seed=5)
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_pipeline_keys_are_rejected(cfg_dir, tmp_path):
     pipeline = tmp_path / "pipeline.yaml"
     pipeline.write_text(

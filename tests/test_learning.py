@@ -450,6 +450,55 @@ def test_forest_votes_match_the_recorded_digest():
     )
 
 
+def transfer_shaped_instance():
+    """720 rows, 25 counter-like columns of about 100 values each, three classes."""
+    rng = np.random.default_rng(12)
+    X = rng.integers(0, 101, (720, 25)) / 100.0
+    s = X[:, 0] + X[:, 3] - X[:, 7] + 0.5 * X[:, 11] * X[:, 19]
+    y = np.digitize(s, np.quantile(s, [1 / 3, 2 / 3]))
+    flip = rng.random(720) < 0.1
+    y[flip] = rng.integers(0, 3, int(flip.sum()))
+    return X, y
+
+
+def test_wide_sampled_forest_bytes_match_the_recorded_digests():
+    # recorded before the split search picked and partitioned whole groups; shaped like
+    # the transfer study's forests: 5 of 25 wide columns sampled per node, depth 10
+    X, y = transfer_shaped_instance()
+    forest = fit_rf(X, y, 3, n_trees=20, max_depth=10, m_features=5, min_leaf=1, seed=13)
+    assert hashlib.sha256(json.dumps(forest.trees).encode()).hexdigest() == (
+        "48e84589f5212237b4ea66083a46fc59e408a984fbfb423422564f4a87153418"
+    )
+    assert hashlib.sha256(predict_proba_rf(forest, X).tobytes()).hexdigest() == (
+        "d5de4e66ec887b86196a1cc707f8fe1e7dc3b55fc5ed120815507dc1be1a2731"
+    )
+
+
+def test_forest_zero_thresholds_keep_the_sign_of_the_last_drawn_row():
+    # a threshold is the value of the node's last-drawn row in its cell, so on a column
+    # holding both -0.0 and 0.0 the bootstrap draw order decides each zero threshold's sign
+    rng = np.random.default_rng(43)
+    X = np.empty((36, 2))
+    X[:, 0] = rng.integers(1, 9, 36) / 8.0
+    X[:12, 0] = np.where(np.arange(12) % 2 == 0, -0.0, 0.0)
+    X[:, 1] = rng.integers(0, 5, 36) / 4.0
+    y = np.where(X[:, 0] == 0.0, 0, 1 + (X[:, 0] > 0.5))
+    y[rng.random(36) < 0.15] = 0
+    forest = fit_rf(X, y, 3, n_trees=6, max_depth=4, m_features=2, min_leaf=1, seed=2)
+
+    def zero_thresholds(node):
+        if "n" in node:
+            return []
+        here = [math.copysign(1.0, node["t"])] if node["f"] == 0 and node["t"] == 0.0 else []
+        return here + zero_thresholds(node["l"]) + zero_thresholds(node["r"])
+
+    signs = [s for tree in forest.trees for s in zero_thresholds(tree)]
+    assert -1.0 in signs and 1.0 in signs
+    assert hashlib.sha256(json.dumps(forest.trees).encode()).hexdigest() == (
+        "3659c096ec8048c953e32ee6af4b66bb2ea41e337743adae60c9d4e6f00185cc"
+    )
+
+
 def test_forest_hyperparameter_contracts():
     Z, y = lasso_instance()
     with pytest.raises(ConfigError):
