@@ -1,9 +1,14 @@
 """File formats every stage shares: YAML config mappings and CSV sheets.
 
 Configs are UTF-8 YAML whose top level is a mapping; an empty file reads as
-an empty mapping. Sheets are UTF-8 CSV in the ``excel`` dialect with ``\\n``
-line ends. Readers and writers take a path or an open text handle (readers
-also any iterable of lines); a path is opened with ``newline=""``.
+an empty mapping. They are parsed by libyaml when PyYAML was built with it and
+by PyYAML's pure-Python parser otherwise; both build documents with the same
+safe constructor and resolver. Sheets are UTF-8 CSV in the ``excel`` dialect
+with ``\\n`` line ends. Readers and writers take a path or an open text handle
+(readers also any iterable of lines); a path is opened with ``newline=""``.
+A file that exists but cannot be read as UTF-8 text is a ConfigError (a
+config) or a DataError (a sheet) naming the file; a missing file stays a
+FileNotFoundError.
 """
 
 from __future__ import annotations
@@ -15,13 +20,22 @@ from typing import TextIO
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+
+# either loader builds the same documents; tests/test_files.py compares them
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def read_yaml_mapping(path: str | Path) -> dict:
     """The top-level mapping of a YAML file; an empty file is ``{}``."""
     try:
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read as UTF-8 text: {exc}") from exc
+    try:
+        doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if doc is None:
@@ -58,8 +72,13 @@ def as_list(value: object, key: str, where: object) -> list:
 def read_csv(source: str | Path | TextIO | Iterable[str]) -> Iterator[list[str]]:
     """Rows of a CSV file, open handle or iterable of lines, in order."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield from csv.reader(fh)
+        try:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                yield from csv.reader(fh)
+        except FileNotFoundError:
+            raise
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"{source}: cannot read as UTF-8 text: {exc}") from exc
     else:
         yield from csv.reader(source)
 

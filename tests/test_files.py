@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from faacflow import files
 from faacflow.cli import main, orchestrate
 from faacflow.errors import ConfigError
 from faacflow.faac import load_faac_config
@@ -33,6 +34,61 @@ def test_yaml_mapping_reads_empty_files_as_empty_mappings(tmp_path):
     path.write_text("a: [1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid YAML"):
         read_yaml_mapping(path)
+
+
+# YAML documents at the edges of the format: (id, text)
+EDGE_DOCUMENTS = [
+    ("bom", "\ufeffa: 1\n"),
+    ("duplicate_key", "a: 1\na: 2\n"),
+    ("yaml11_scalars", "a: yes\nb: 0x10\nc: 012\nd: .inf\ne: -.inf\nf: .nan\ng: off\nh: 1_000\n"
+                       "i: 190:20:30\nj: ~\nk: 1e3\nl: 1.0e+3\nm: 2001-12-14\n"
+                       "n: 2001-12-14t21:59:43.10-05:00\n"),
+    ("nel", "a: b\x85c: d\ne: [1,\x852]\n"),
+    ("crlf", "a: 1\r\nb: 2\r\n"),
+    ("anchors", "a: &x {b: 1}\nc: *x\nd: {<<: *x, e: 2}\n"),
+    ("quoting", "\u00e9: \"\\u00e9\\x41\"\nz: 'it''s'\nf: >\n  x\n  y\ng: |-\n  p\n  q\n"),
+    ("tags", "a: !!str 1\nb: !!float 2\n"),
+    ("empty", ""),
+    ("comment_only", "# only a comment\n"),
+    ("tab_indent", "a:\n\tb: 1\n"),
+    ("two_documents", "a: 1\n---\nb: 2\n"),
+    ("non_printable", "a: \x07\n"),
+    ("long_key", "k" * 1100 + ": 1\n"),
+    ("unclosed_flow", "a: [1\n"),
+    ("unsafe_tag", "a: !!python/object:os.system x\n"),
+]
+
+
+def _pure(text: str) -> object:
+    return yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")), ids=lambda p: p.name
+)
+def test_every_bundled_config_reads_as_the_pure_python_parser_reads_it(path):
+    # repr tells 1 from 1.0 and True, and keeps the key order
+    assert repr(read_yaml_mapping(path)) == repr(_pure(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("text", [t for _, t in EDGE_DOCUMENTS], ids=[k for k, _ in EDGE_DOCUMENTS])
+def test_edge_documents_read_as_the_pure_python_parser_reads_them(tmp_path, text):
+    path = tmp_path / "edge.yaml"
+    path.write_text(text, encoding="utf-8", newline="")
+    try:
+        expected = _pure(text)
+    except yaml.YAMLError as exc:
+        with pytest.raises(ConfigError, match="invalid YAML") as info:
+            read_yaml_mapping(path)
+        assert type(info.value.__cause__) is type(exc)
+        return
+    assert repr(read_yaml_mapping(path)) == repr({} if expected is None else expected)
+
+
+def test_configs_are_parsed_by_libyaml_when_pyyaml_has_it():
+    assert files._YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    if yaml.__with_libyaml__:
+        assert files._YAML_LOADER is yaml.CSafeLoader
 
 
 def test_check_keys_names_the_first_unknown_key():
@@ -148,6 +204,56 @@ def test_empty_config_files_fail_on_what_they_miss(tmp_path, capsys):
     assert "'features'" in capsys.readouterr().err
 
 
+def _faacflow(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m faacflow`` in a fresh interpreter, as a user runs it."""
+    # a fresh interpreter does not see pytest's pythonpath; hand it the source tree
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "faacflow", *argv], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize(
+    "command, name, code, kind",
+    [
+        ("synth", "bytes.yaml", 2, "configuration error"),
+        ("synth", "directory.yaml", 2, "configuration error"),
+        ("derive", "bytes.csv", 3, "data error"),
+        ("report", "bytes.csv", 3, "data error"),
+    ],
+    ids=["synth_config_not_utf8", "synth_config_directory", "derive_input_not_utf8", "report_input_not_utf8"],
+)
+def test_unreadable_files_exit_with_their_code_without_a_traceback(config_dir, tmp_path, command, name, code, kind):
+    path = tmp_path / name
+    if name.startswith("directory"):
+        path.mkdir()
+    elif name.endswith(".yaml"):
+        path.write_bytes(b"dataset:\n  id: \xff\n")
+    else:
+        path.write_bytes(b"src_port,label\n\xff,Background\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "synth": ["synth", "--config", str(path), "--out", out],
+        "derive": ["derive", "--config", str(config_dir / "faac_reference.yaml"),
+                   "--source", str(config_dir / "source_alpha.yaml"), "--input", str(path), "--batches", "4",
+                   "--out", out],
+        "report": ["report", "--input", str(path), "--out", out],
+    }[command]
+    proc = _faacflow(argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{kind}: {path}: cannot read as UTF-8 text: " in proc.stderr
+
+
+def test_missing_files_stay_data_errors(config_dir, tmp_path, capsys):
+    missing = tmp_path / "missing.yaml"
+    with pytest.raises(FileNotFoundError):
+        read_yaml_mapping(missing)
+    with pytest.raises(FileNotFoundError):
+        list(read_csv(tmp_path / "missing.csv"))
+    assert main(["synth", "--config", str(missing), "--out", str(tmp_path / "out")]) == 3
+    assert str(missing) in capsys.readouterr().err
+
+
 # one block of the wrong YAML type per case: (file, key path, value, key named)
 TYPE_ERRORS = [
     ("source_alpha.yaml", ("class_map",), ["a", "b"], "class_map"),
@@ -179,10 +285,7 @@ def test_blocks_of_the_wrong_type_exit_2_without_a_traceback(config_dir, tmp_pat
     else:
         argv = ["derive", "--config", str(path), "--source", str(config_dir / "source_alpha.yaml"),
                 "--input", str(tmp_path / "flows.csv"), "--batches", "4", "--out", str(out)]
-    # a fresh interpreter does not see pytest's pythonpath; hand it the source tree
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "faacflow", *argv], capture_output=True, text=True, env=env)
+    proc = _faacflow(argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"configuration error: {path}: {key} must be a " in proc.stderr
