@@ -3,6 +3,9 @@
 
 Example:
     python scripts/run_pipeline.py --config configs/pipeline_desk.yaml --out out/desk
+
+Exit codes are the faacflow command's: 0 success, 2 configuration problem,
+3 data problem (a missing file included), 4 evaluation problem.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from faacflow.cli import orchestrate
-from faacflow.errors import FaacflowError
+from faacflow.cli import orchestrate, run_with_exit_codes
 
 
 def main() -> int:
@@ -23,11 +25,11 @@ def main() -> int:
     ap.add_argument("--out", required=True, help="output directory for all artifacts")
     ap.add_argument("--seed", type=int, default=None, help="root seed override (default: from config)")
     args = ap.parse_args()
-    try:
-        artifacts = orchestrate(args.config, args.out, seed=args.seed)
-    except FaacflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return run_with_exit_codes(lambda: run(args))
+
+
+def run(args: argparse.Namespace) -> int:
+    artifacts = orchestrate(args.config, args.out, seed=args.seed)
     print(f"wrote {len(artifacts)} artifacts under {args.out}:")
     for key in sorted(artifacts):
         print(f"  {key:28s} {artifacts[key]}")

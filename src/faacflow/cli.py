@@ -518,12 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run_with_exit_codes(run: Callable[[], int]) -> int:
+    """``run()``'s exit code; a faacflow error or a missing file is reported on stderr,
+    without a traceback, as exit 2 (configuration), 3 (data) or 4 (evaluation)."""
     try:
-        return args.func(args)
+        return run()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -539,6 +538,13 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+
+
+def main(argv: list[str] | None = None) -> int:
+    _configure_logging()
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    return run_with_exit_codes(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -61,19 +61,19 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
 
 
 def _doubled_midranks(values: np.ndarray) -> np.ndarray:
-    """Twice the midrank of each value: an exact integer even under ties."""
+    """Twice the midrank of each value: an exact integer even under ties.
+
+    One stable sort; a run of equal values starts wherever a sorted value
+    differs from the one before it, so -0.0 and 0.0 share a run and each
+    NaN (sorted last, equal to nothing) is a run of its own. Every value of
+    the run over sorted positions i to j - 1 gets (i + 1) + j.
+    """
     order = np.argsort(values, kind="stable")
-    n = len(values)
-    out = np.empty(n, dtype=np.int64)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        dmr = (i + 1) + (j + 1)  # first 1-based rank + last 1-based rank
-        for pos in range(i, j + 1):
-            out[order[pos]] = dmr
-        i = j + 1
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], len(values))
+    out = np.empty(len(values), dtype=np.int64)
+    out[order] = np.repeat(starts + ends + 1, ends - starts)
     return out
 
 

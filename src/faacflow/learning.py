@@ -349,13 +349,19 @@ def _code_columns(Z: np.ndarray) -> np.ndarray:
     codes = np.empty(Z.shape[::-1], dtype=np.int64)
     for j in range(Z.shape[1]):
         codes[j] = np.unique(Z[:, j], return_inverse=True)[1]
-    return codes
+    # the narrowest unsigned type: gathers then move a byte per code, not eight
+    return codes.astype(np.min_scalar_type(codes.max(initial=0)))
 
 
 #: work per group while trees grow, counted as the cells of a dense (node x class x sampled
 #: feature x code) histogram plus the drawn (row, sampled feature) codes; bounds the memory of
-#: a step of many trees. Only the occupied cells are counted, cut and ranked.
+#: a step of many trees. Only the occupied cells are counted, cut and ranked. Prediction moves
+#: at most this many (tree, row) positions per pass.
 HIST_CELLS = 1 << 16
+
+#: the largest weighted node size whose best cut is the first cell at its float maximum;
+#: N^5 < 2^56 holds up to here (see ``_pick_cuts``)
+EXACT_FLOAT_ROWS = 2352
 
 
 def _first_exact_max(num: np.ndarray, den: np.ndarray) -> int:
@@ -367,10 +373,12 @@ def _first_exact_max(num: np.ndarray, den: np.ndarray) -> int:
     among them, so the pick never depends on rounding. A cell with num 0
     never wins while any cell is positive.
 
-    No tree-level test can reach the window: num <= t(n-t)n <= n^3/4, so
-    below about 330k rows in a node every value stays under 2^53, rounding
-    is monotone, and ``q >= q.max()`` would pick the same cells. Only the
-    crafted ratios in the unit test tell the two apart.
+    ``_pick_cuts`` calls this for nodes of more than ``EXACT_FLOAT_ROWS``
+    weighted rows only: up to that size different ratios round to different
+    doubles, in order, so the float maximum alone is exact. Above it two
+    different ratios can round to one double;
+    ``test_split_pick_breaks_float_ties_of_large_nodes_exactly`` holds such
+    a pair, from a node of 22 000 rows.
     """
     q = num / den
     best_num = -1
@@ -383,7 +391,32 @@ def _first_exact_max(num: np.ndarray, den: np.ndarray) -> int:
     return best
 
 
-@dataclass
+def _draw_features(rngs: Sequence[np.random.Generator], p: int, m: int, k: int) -> np.ndarray:
+    """The next ``k`` draws ``rng.choice(p, m, False)`` of every generator, each sorted:
+    shape (len(rngs), k, m), and every generator left as those calls leave it.
+
+    Up to 10 000 columns numpy's ``Generator.choice`` without replacement
+    runs Floyd's algorithm: for j = p-m, ..., p-1 it draws an integer u on
+    [0, j] and keeps u, or j when u is already kept. It then shuffles the m
+    kept values with m-1 more draws on [0, i], i = m-1, ..., 1. One
+    ``integers`` call with those bounds, k times over, consumes a generator
+    as k ``choice`` calls do; Floyd's rule is replayed on every draw at
+    once, and the sort drops the shuffle's order. A test holds this against
+    ``choice`` itself.
+    """
+    if p > 10_000:  # choice may tail-shuffle arange(p) instead
+        return np.array([[np.sort(rng.choice(p, m, False)) for _ in range(k)] for rng in rngs])
+    bounds = np.tile(np.concatenate([np.arange(p - m, p), np.arange(m - 1, 0, -1)]) + 1, k)
+    u = np.array([rng.integers(0, bounds) for rng in rngs]).reshape(-1, 2 * m - 1)
+    out = np.empty((len(u), m), dtype=np.int64)
+    for s in range(m):
+        taken = (out[:, :s] == u[:, s, None]).any(axis=1)
+        out[:, s] = np.where(taken, p - m + s, u[:, s])
+    out.sort(axis=1)
+    return out.reshape(len(rngs), k, m)
+
+
+@dataclass(slots=True)
 class _Node:
     """A node waiting for its split search: its dict (filled in place), its sample, depth
     and class counts. The sample holds the node's distinct rows, in the order of their
@@ -393,7 +426,6 @@ class _Node:
     sample: np.ndarray
     depth: int
     counts: list[int]
-    feats: np.ndarray | None = None
 
 
 def _stops(depth: int | np.ndarray, counts: np.ndarray, max_depth: int, min_leaf: int) -> np.ndarray:
@@ -425,26 +457,33 @@ def _grow_forest(
 
     Only nodes that need a split search go onto a stack; a leaf (too deep,
     too small or pure) settles where it is made and draws nothing. Each
-    step pops one node per tree. The popped nodes are handled a group at a
-    time, each group at most ``HIST_CELLS`` of work: one class histogram
-    over the group's occupied (node, sampled feature, code) cells, one pick
-    of every node's best cut, and one partition of every node's rows (see
+    step pops one node per tree, so every tree still growing at step s
+    searches its s-th node then and takes its s-th feature draw; the draws
+    are made for all those trees a block of steps ahead (see
+    ``_draw_features``). The popped nodes are handled a group at a time,
+    each group at most ``HIST_CELLS`` of work: one class histogram over the
+    group's occupied (node, sampled feature, code) cells, one pick of every
+    node's best cut, and one partition of every node's rows (see
     ``_split_group``).
     """
     n, p = Z.shape
     codes = _code_columns(Z)
     width = int(codes.max(initial=0)) + 1
-    all_feats = np.arange(p)
     rngs = [np.random.default_rng(s) for s in tree_seeds]
     roots = [{} for _ in tree_seeds]
     stacks: list[list[_Node]] = [[] for _ in tree_seeds]
     for rng, root, stack in zip(rngs, roots, stacks):
         if bootstrap:
-            # each drawn row once, in the order of its last draw
-            rows, first_from_end, mult = np.unique(
-                rng.integers(0, n, size=n)[::-1], return_index=True, return_counts=True
-            )
-            sample = np.stack([rows, mult])[:, np.argsort(-first_from_end)]
+            # each drawn row once, in the order of its last draw: the last draws are distinct
+            # positions, so one scatter by position sorts the rows
+            draw = rng.integers(0, n, size=n)
+            last = np.full(n, -1)
+            np.maximum.at(last, draw, np.arange(n))
+            drawn = (last >= 0).nonzero()[0]
+            by_last = np.full(n, -1)
+            by_last[last[drawn]] = drawn
+            rows = by_last[by_last >= 0]
+            sample = np.stack([rows, np.bincount(draw, minlength=n)[rows]])
         else:
             sample = np.stack([np.arange(n), np.ones(n, dtype=np.int64)])
         counts = np.bincount(y[sample[0]], weights=sample[1], minlength=n_classes).astype(np.int64)
@@ -452,25 +491,34 @@ def _grow_forest(
             root.update(_leaf(counts.tolist()))
         else:
             stack.append(_Node(root, sample, 0, counts.tolist()))
+    sampled = m_features < p
+    draws = np.empty((len(rngs), 0, m_features), dtype=np.int64)
+    first = step = 0  # draws[:, s - first] belongs to step s
+
+    def split(group: list[tuple[int, _Node]]) -> None:
+        trees = [tree for tree, _ in group]
+        feats = draws[trees, step - first] if sampled else np.tile(np.arange(p), (len(group), 1))
+        _split_group(Z, codes, y, width, group, feats, stacks, max_depth, min_leaf)
+
     live = [tree for tree, stack in enumerate(stacks) if stack]
     while live:
+        if sampled and step == first + draws.shape[1]:
+            first = step
+            draws = np.empty((len(rngs), max(32, step), m_features), dtype=np.int64)
+            draws[live] = _draw_features([rngs[tree] for tree in live], p, m_features, draws.shape[1])
         group: list[tuple[int, _Node]] = []
         work = 0
         for tree in live:
             node = stacks[tree].pop()
-            if m_features < p:
-                node.feats = rngs[tree].choice(p, size=m_features, replace=False)
-                node.feats.sort()
-            else:
-                node.feats = all_feats
-            cost = m_features * (n_classes * width + sum(node.counts))
+            cost = m_features * (n_classes * width + node.sample.shape[1])
             if group and work + cost > HIST_CELLS:
-                _split_group(Z, codes, y, width, group, stacks, max_depth, min_leaf)
+                split(group)
                 group, work = [], 0
             group.append((tree, node))
             work += cost
-        _split_group(Z, codes, y, width, group, stacks, max_depth, min_leaf)
+        split(group)
         live = [tree for tree in live if stacks[tree]]
+        step += 1
     return tuple(roots)
 
 
@@ -480,58 +528,60 @@ def _split_group(
     y: np.ndarray,
     width: int,
     group: list[tuple[int, _Node]],
+    feats: np.ndarray,
     stacks: list[list[_Node]],
     max_depth: int,
     min_leaf: int,
 ) -> None:
     """Search, pick and partition the group's nodes at once; split each or make it a leaf.
 
-    One gather of each row's chosen column and one stable sort by (node,
-    side) keep every child's rows in their parent's order. Each threshold
-    is the value of the last row in its node's chosen cell. Children take
-    their class counts from the histogram and own copies of their samples;
-    a child that is a leaf settles on the spot.
+    ``feats[i]`` holds node i's sampled columns in ascending order. One
+    gather of each row's chosen column and one stable sort by (node, side)
+    keep every child's rows in their parent's order; the sort key is
+    narrowed to the fewest unsigned bits, which makes it numpy's radix
+    sort. Each threshold is the value of the last row in its node's picked
+    cell. Children take their class counts from the histogram and own
+    copies of their samples; a child that is a leaf settles on the spot.
     """
     nodes = [node for _, node in group]
-    k = len(nodes)
+    k, m = feats.shape
     sample = np.concatenate([node.sample for node in nodes], axis=1)
     rows = sample[0]
-    owner = np.repeat(np.arange(k), [node.sample.shape[1] for node in nodes])
-    feats = np.array([node.feats for node in nodes])
+    sizes = [node.sample.shape[1] for node in nodes]
+    owner = np.repeat(np.arange(k), sizes)
     counts = np.array([node.counts for node in nodes])
-    m = feats.shape[1]
-    n = codes.shape[1]
-    occ, left = _cut_counts(codes, y, width, sample, owner, feats, counts)
+    occ, left = _cut_counts(codes, y, width, sample, sizes, feats, counts)
     pick, found = _pick_cuts(left, counts, occ // (m * width), min_leaf)
-    cell, left_counts = occ[pick], left[:, pick].T
+    cell, left_counts = occ[pick], left.take(pick, axis=1).T
     del occ, left  # free the cells before the partition allocates its own
+    # every picked cell holds a row of its node, found or not; only found nodes use theirs
     chosen = feats[np.arange(k), cell // width % m]
-    # a node without a split takes no row to its cell and every row to its left
-    code = np.where(found, cell % width, width)[owner]
-    col = codes.take((chosen * n)[owner] + rows)
+    code = (cell % width)[owner]
+    col = codes.take((chosen * codes.shape[1])[owner] + rows)
     in_cell = (col == code).nonzero()[0]
-    split = found.nonzero()[0]
-    last = in_cell[np.searchsorted(owner[in_cell], split, side="right") - 1]
-    thr = np.zeros(k)
-    thr[split] = Z[rows[last], chosen[split]]
-    side = owner * 2 + (col > code)
-    sample = sample[:, np.argsort(side, kind="stable")]
-    bounds = np.zeros(2 * k + 1, dtype=np.int64)
-    np.cumsum(np.bincount(side, minlength=2 * k), out=bounds[1:])
+    last = in_cell[np.searchsorted(owner[in_cell], np.arange(1, k + 1)) - 1]
+    thr = Z[rows[last], chosen]
+    side = owner * 2
+    side += col > code
+    side = side.astype(np.min_scalar_type(2 * k - 1))
+    sample = sample.take(np.argsort(side, kind="stable"), axis=1)
+    at = [0] + np.bincount(side, minlength=2 * k).cumsum().tolist()
     kids = np.concatenate([left_counts, counts - left_counts], axis=1).reshape(k, 2, -1)
     stops = _stops(np.array([node.depth + 1 for node in nodes])[:, None], kids, max_depth, min_leaf)
-    per_node = zip(range(k), group, found.tolist(), chosen.tolist(), thr.tolist(), kids.tolist(), stops.tolist())
-    for i, (tree, node), ok, f, th, kid_counts, kid_stops in per_node:
+    per_node = zip(
+        group, found.tolist(), chosen.tolist(), thr.tolist(), kids.tolist(), stops.tolist(),
+        at[:-1:2], at[1::2], at[2::2],
+    )
+    for (tree, node), ok, f, th, (lc, rc), (lstop, rstop), lo, mid, hi in per_node:
         if not ok:
             node.out.update(_leaf(node.counts))
             continue
-        node.out.update(f=f, t=th, l={}, r={})
-        for s, key in ((1, "r"), (0, "l")):
-            if kid_stops[s]:
-                node.out[key].update(_leaf(kid_counts[s]))
-            else:
-                lo, hi = bounds[2 * i + s], bounds[2 * i + s + 1]
-                stacks[tree].append(_Node(node.out[key], sample[:, lo:hi].copy(), node.depth + 1, kid_counts[s]))
+        l, r = _leaf(lc) if lstop else {}, _leaf(rc) if rstop else {}
+        node.out.update(f=f, t=th, l=l, r=r)
+        if not rstop:
+            stacks[tree].append(_Node(r, sample[:, mid:hi].copy(), node.depth + 1, rc))
+        if not lstop:
+            stacks[tree].append(_Node(l, sample[:, lo:mid].copy(), node.depth + 1, lc))
 
 
 def _cut_counts(
@@ -539,7 +589,7 @@ def _cut_counts(
     y: np.ndarray,
     width: int,
     sample: np.ndarray,
-    owner: np.ndarray,
+    sizes: list[int],
     feats: np.ndarray,
     counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -557,19 +607,22 @@ def _cut_counts(
     n_classes = counts.shape[1]
     plane = k * m * width
     rows, mult = sample
-    cells = (feats * codes.shape[1])[owner]
-    cells += rows[:, None]
-    cells = codes.take(cells)
-    cells += (owner * (m * width))[:, None]
-    cells += np.arange(0, m * width, width)
+    # each node's sampled columns: where they start in the codes, and in the plane of cells
+    tab = np.concatenate([feats.T * codes.shape[1], np.arange(0, plane, width).reshape(k, m).T])
+    tab = np.repeat(tab, sizes, axis=1)
+    at = tab[:m]
+    at += rows
+    cells = np.add(codes.take(at), tab[m:], out=tab[m:])
     seen = np.zeros(plane, dtype=bool)
     seen[cells] = True
     occ = seen.nonzero()[0]
     index = np.empty(plane, dtype=np.intp)
     index[occ] = np.arange(len(occ))
     cells = index.take(cells)
-    cells += (y[rows] * len(occ))[:, None]
-    hist = np.bincount(cells.ravel(), weights=mult.astype(np.float64).repeat(m), minlength=n_classes * len(occ))
+    cells += y[rows] * len(occ)
+    weights = np.empty(cells.shape)  # float weights spare bincount a conversion
+    weights[:] = mult
+    hist = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=n_classes * len(occ))
     hist = hist.reshape(n_classes, len(occ))
     # a (node, feature) run's cells sum to its node's class counts: taking the previous run's
     # counts off each run's first cell restarts one cumulative sum at every run. Multiplicities
@@ -584,16 +637,23 @@ def _pick_cuts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each node's best cut, as an index into ``left``'s cells, and whether it has any.
 
-    The Gini ranking ratio (A(n-t) + Bt) / (t(n-t)), with A and B the
-    summed squared child class counts, is formed in int64 for every cell.
-    One segmented maximum per node and one 1e-9 window serve all nodes. A
-    node whose window holds one cell takes it; only a node with more goes
-    through ``_first_exact_max``, so ties still go to the first (feature,
-    code) and rounding never decides.
+    The Gini ranking ratio num/den = (A(N-t) + Bt) / (t(N-t)), with A and B
+    the summed squared child class counts, is formed in int64 for every
+    cell, and ties go to the first (feature, code). One segmented maximum
+    per node serves all nodes, and rounding never decides the pick:
+
+    - A node of weighted size N has den <= N^2/4 and num/den <= N, so two
+      different ratios differ by at least 16/N^4, while doubles in (0, N]
+      lie at most N 2^-52 apart, and num < 2^53 converts exactly. For
+      N^5 < 2^56, that is N <= ``EXACT_FLOAT_ROWS``, different ratios round
+      to different doubles in the same order, so the node's first cell
+      equal to its float maximum is the exact pick.
+    - A larger node goes through ``_first_exact_max``, which compares the
+      cells within 1e-9 of its float maximum in integers.
     """
     k = len(counts)
     starts = np.searchsorted(node_of, np.arange(k + 1))
-    right = np.repeat(counts.T, starts[1:] - starts[:-1], axis=1) - left
+    right = counts.T.take(node_of, axis=1) - left
     t = left.sum(axis=0)
     nt = right.sum(axis=0)
     valid = (t >= min_leaf) & (nt >= min_leaf)
@@ -601,14 +661,12 @@ def _pick_cuts(
     den = np.where(valid, t * nt, 1)
     q = num / den
     qmax = np.maximum.reduceat(q, starts[:-1])
-    found = qmax > 0.0
-    window = (q >= (qmax * (1.0 - 1e-9))[node_of]).nonzero()[0]
-    firsts = np.searchsorted(node_of[window], np.arange(k + 1))
-    pick = window[firsts[:-1]]
-    for i in (found & (firsts[1:] - firsts[:-1] > 1)).nonzero()[0]:
+    at_max = (q == qmax[node_of]).nonzero()[0]
+    pick = at_max[np.searchsorted(node_of[at_max], np.arange(k))]
+    for i in (counts.sum(axis=1) > EXACT_FLOAT_ROWS).nonzero()[0]:
         s, e = starts[i], starts[i + 1]
         pick[i] = s + _first_exact_max(num[s:e], den[s:e])
-    return pick, found
+    return pick, qmax > 0.0
 
 
 def build_tree(
@@ -634,35 +692,54 @@ def _features_per_split(m_features: int, p: int) -> int:
     return m_features if p else 0
 
 
-def apply_tree(node: dict, Z: np.ndarray) -> np.ndarray:
-    """Class prediction of one tree for every row; leaf ties go to the lowest index.
+def _descend(trees: Sequence[dict], Z: np.ndarray) -> np.ndarray:
+    """Class prediction of every tree for every row, shape (trees, rows); leaf ties go
+    to the lowest index.
 
-    The dict tree is flattened into arrays once; then every row moves down
-    one level per pass. A leaf sends its rows back to itself, and
-    ``nxt[2i + 1]`` / ``nxt[2i]`` are node i's left / right child, so a
-    failed ``<=`` (NaN included) goes right.
+    The dict trees are flattened into one set of arrays; then every
+    (tree, row) position moves down one level per pass, at most
+    ``HIST_CELLS`` positions at a time. A leaf sends its positions back to
+    itself, and ``nxt[2i + 1]`` / ``nxt[2i]`` are node i's left / right
+    child, so a failed ``<=`` (NaN included) goes right.
     """
-    feat, thr, nxt, leaf = [], [], [], []
-    nodes, depths = [node], [0]
-    for i, nd in enumerate(nodes):
-        if "n" in nd:
-            feat.append(0)
-            thr.append(0.0)
-            nxt += [i, i]
-            leaf.append(nd["n"].index(max(nd["n"])))
-            continue
-        feat.append(nd["f"])
-        thr.append(nd["t"])
-        nxt += [len(nodes), len(nodes) + 1]
-        nodes += [nd["r"], nd["l"]]
-        depths += [depths[i] + 1] * 2
-        leaf.append(0)
-    feat_a, thr_a, nxt_a = np.array(feat), np.array(thr), np.array(nxt)
-    rows = np.arange(Z.shape[0])
-    pos = np.zeros(Z.shape[0], dtype=np.int64)
-    for _ in range(max(depths)):
-        pos = nxt_a[2 * pos + (Z[rows, feat_a[pos]] <= thr_a[pos])]
-    return np.array(leaf)[pos]
+    feat, thr, nxt, leaf, roots = [], [], [], [], []
+    depth = 0
+    for tree in trees:
+        base = len(feat)
+        roots.append(base)
+        nodes, depths = [tree], [0]
+        for i, nd in enumerate(nodes):
+            if "n" in nd:
+                feat.append(0)
+                thr.append(0.0)
+                nxt += [base + i, base + i]
+                leaf.append(nd["n"].index(max(nd["n"])))
+                continue
+            feat.append(nd["f"])
+            thr.append(nd["t"])
+            nxt += [base + len(nodes), base + len(nodes) + 1]
+            nodes += [nd["r"], nd["l"]]
+            depths += [depths[i] + 1] * 2
+            leaf.append(0)
+        depth = max(depth, max(depths))
+    feat_a, thr_a, nxt_a, leaf_a = np.array(feat), np.array(thr), np.array(nxt), np.array(leaf)
+    n, p = Z.shape
+    flat = np.ascontiguousarray(Z).ravel()
+    out = np.empty((len(roots), n), dtype=np.int64)
+    chunk = max(1, HIST_CELLS // len(roots))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        at = np.tile(np.arange(lo, hi) * p, len(roots))
+        pos = np.repeat(roots, hi - lo)
+        for _ in range(depth):
+            pos = nxt_a[2 * pos + (flat.take(at + feat_a[pos]) <= thr_a[pos])]
+        out[:, lo:hi] = leaf_a[pos].reshape(len(roots), hi - lo)
+    return out
+
+
+def apply_tree(node: dict, Z: np.ndarray) -> np.ndarray:
+    """Class prediction of one tree for every row; leaf ties go to the lowest index."""
+    return _descend([node], np.asarray(Z, dtype=np.float64))[0]
 
 
 @dataclass(frozen=True)
@@ -700,11 +777,10 @@ def fit_rf(
 def predict_proba_rf(forest: ForestModel, Z: np.ndarray) -> np.ndarray:
     """Fraction of trees voting for each class."""
     Z = np.asarray(Z, dtype=np.float64)
-    votes = np.zeros((Z.shape[0], forest.n_classes))
-    for tree in forest.trees:
-        preds = apply_tree(tree, Z)
-        votes[np.arange(Z.shape[0]), preds] += 1.0
-    return votes / len(forest.trees)
+    n, c = Z.shape[0], forest.n_classes
+    votes = _descend(forest.trees, Z)
+    votes += np.arange(0, n * c, c)
+    return np.bincount(votes.ravel(), minlength=n * c).reshape(n, c) / len(forest.trees)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,27 @@ def doubled_midranks(values) -> list[int]:
     return ranks2
 
 
+def doubled_midranks_loop(values) -> list[int]:
+    """Doubled midranks run by run after numpy's stable argsort, one value at a time.
+
+    A run holds the values equal to its first one, so each NaN (sorted
+    last, equal to nothing) ranks alone and -0.0 and 0.0 share a run.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    n = len(values)
+    out = [0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for pos in range(i, j + 1):
+            out[order[pos]] = (i + 1) + (j + 1)  # first 1-based rank + last 1-based rank
+        i = j + 1
+    return out
+
+
 def wilcoxon_exact_enum(a, b) -> tuple[int, float, float]:
     """(n, W, two-sided p) by enumerating all 2^n sign assignments."""
     d = [x - y for x, y in zip(a, b) if x - y != 0.0]

@@ -291,6 +291,28 @@ def test_unknown_pipeline_keys_are_rejected(cfg_dir, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "extra, source, code, kind",
+    [("bogus: 1\n", "source_s1.yaml", 2, "configuration error"), ("", "missing.yaml", 3, "data error")],
+    ids=["unknown_pipeline_key", "missing_source_config"],
+)
+def test_pipeline_script_exits_with_the_cli_codes_without_a_traceback(cfg_dir, tmp_path, extra, source, code, kind):
+    plan = tmp_path / "pipeline.yaml"
+    plan.write_text(
+        f"batches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\nsources:\n  s1: {cfg_dir / source}\n{extra}",
+        encoding="utf-8",
+    )
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--config", str(plan), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"{kind}: ")
+    assert ("'bogus'" if extra else "missing.yaml") in proc.stderr
+
+
 def test_thread_counts_other_than_one_are_rejected(cfg_dir, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faacflow import evaluation
 from faacflow.errors import EvaluationError
 from faacflow.evaluation import (
     EvalReport,
@@ -39,7 +41,7 @@ from faacflow.ingest import generate_synthetic, load_source_config
 from faacflow.learning import fit_pipeline
 from faacflow.seeds import derive_seed
 
-from oracles import auc_by_pairs, auc_trapezoid, wilcoxon_exact_enum
+from oracles import auc_by_pairs, auc_trapezoid, doubled_midranks_loop, wilcoxon_exact_enum
 
 FULL = ("Background", "DoS", "PortScanning")
 
@@ -153,6 +155,21 @@ def test_auc_equals_pair_counting_and_trapezoid(pos, neg):
     assert abs(auc - auc_trapezoid(scores, labels)) <= 1e-12
     flipped = auc_binary(scores, 1 - labels)
     assert auc + flipped == pytest.approx(1.0, abs=1e-12)
+
+
+_RANKED = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_RANKED, max_size=40))
+def test_doubled_midranks_match_the_run_by_run_loop(values):
+    # ties, NaN (each ranks alone), signed zeros (one run) and infinities
+    got = evaluation._doubled_midranks(np.array(values, dtype=np.float64))
+    assert got.dtype == np.int64
+    assert got.tolist() == doubled_midranks_loop(values)
 
 
 def test_weighted_auc_hand_cases():

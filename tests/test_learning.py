@@ -361,6 +361,41 @@ def test_split_pick_compares_near_maximal_ratios_exactly():
     assert learning._first_exact_max(np.array([0, 6, 3, 9]), np.array([1, 2, 1, 3])) == 1
 
 
+def test_split_pick_breaks_float_ties_of_large_nodes_exactly():
+    # one node of 22 000 rows: the two cells' ratios differ, but their float quotients are
+    # one double; the second cell's ratio is the larger, so a pick by float maximum alone
+    # would return the first
+    counts = np.array([[20_000, 1_500, 500]])
+    left = np.array([[14_266, 6_216], [384, 961], [456, 430]])
+    right = counts.T - left
+    t, nt = left.sum(axis=0), right.sum(axis=0)
+    num = (left * left).sum(axis=0) * nt + (right * right).sum(axis=0) * t
+    den = t * nt
+    assert counts.sum() > learning.EXACT_FLOAT_ROWS
+    assert num[0] / den[0] == num[1] / den[1]
+    assert int(num[0]) * int(den[1]) < int(num[1]) * int(den[0])
+    pick, found = learning._pick_cuts(left, counts, np.array([0, 0]), 1)
+    assert pick.tolist() == [1] and found.tolist() == [True]
+    # at most EXACT_FLOAT_ROWS rows the float maximum is exact, and equal ratios go to the first cell
+    counts = np.array([[6, 2], [3, 3]])
+    left = np.array([[1, 3, 0, 3], [0, 1, 3, 0]])
+    pick, found = learning._pick_cuts(left, counts, np.array([0, 0, 1, 1]), 1)
+    assert pick.tolist() == [0, 2] and found.tolist() == [True, True]
+
+
+@pytest.mark.parametrize("p, m", [(1, 1), (2, 1), (7, 3), (25, 5), (32, 6), (40, 39), (10_001, 3)])
+def test_forest_feature_draws_replay_generator_choice(p, m):
+    drawn = [np.random.default_rng(s) for s in (3, 4)]
+    called = [np.random.default_rng(s) for s in (3, 4)]
+    for rng in drawn + called:
+        rng.integers(0, 50, size=50)  # the bootstrap draw comes first
+    got = learning._draw_features(drawn, p, m, 12)
+    expect = [[np.sort(rng.choice(p, m, replace=False)) for _ in range(12)] for rng in called]
+    assert got.shape == (2, 12, m)
+    assert np.array_equal(got, np.array(expect))
+    assert [rng.bit_generator.state for rng in drawn] == [rng.bit_generator.state for rng in called]
+
+
 def test_tree_determinism_and_bootstrap_variety():
     Z, y = lasso_instance(seed=10)
     a = build_tree(Z, y, 3, tree_seed=42, max_depth=6, m_features=4, min_leaf=1)
@@ -474,6 +509,31 @@ def test_wide_sampled_forest_bytes_match_the_recorded_digests():
     )
 
 
+def paper_shaped_instance():
+    """20 000 rows, 32 counters on a 1/20 lattice, three unbalanced classes."""
+    rng = np.random.default_rng(17)
+    X = rng.integers(0, 21, (20_000, 32)) / 20.0
+    s = X[:, 0] + X[:, 5] - X[:, 9] + 0.5 * X[:, 14] * X[:, 27]
+    y = np.digitize(s, np.quantile(s, [0.5, 0.95]))
+    flip = rng.random(len(y)) < 0.05
+    y[flip] = rng.integers(0, 3, int(flip.sum()))
+    return X, y
+
+
+def test_paper_scale_forest_bytes_match_the_recorded_digests():
+    # recorded before nodes of at most EXACT_FLOAT_ROWS rows picked their cut by float maximum;
+    # the upper levels here hold larger nodes, and prediction takes several chunks of rows
+    X, y = paper_shaped_instance()
+    forest = fit_rf(X, y, 3, n_trees=8, max_depth=10, m_features=6, min_leaf=1, seed=23)
+    assert hashlib.sha256(json.dumps(forest.trees).encode()).hexdigest() == (
+        "202b415219094664bdd3b7d1add31dc4ae7e7e2db3c40a3f21646bc74a6ba320"
+    )
+    assert len(forest.trees) * len(X) > learning.HIST_CELLS
+    assert hashlib.sha256(predict_proba_rf(forest, X).tobytes()).hexdigest() == (
+        "7d66aa74b6ffbb205b13596335a9cc0e6899d398eac808ecf27b0148afcde496"
+    )
+
+
 def test_forest_zero_thresholds_keep_the_sign_of_the_last_drawn_row():
     # a threshold is the value of the node's last-drawn row in its cell, so on a column
     # holding both -0.0 and 0.0 the bootstrap draw order decides each zero threshold's sign
@@ -521,6 +581,7 @@ def test_tree_features_per_split_are_checked_like_the_forest():
     assert "n" in build_tree(empty, y, 3, tree_seed=0, max_depth=3, m_features=0, min_leaf=1)
     forest = fit_rf(empty, y, 3, n_trees=2, max_depth=3, m_features=0, min_leaf=1, seed=0)
     assert all("n" in tree for tree in forest.trees)
+    assert np.array_equal(predict_proba_rf(forest, empty).sum(axis=1), np.ones(len(y)))
 
 
 def test_forest_probabilities_are_vote_fractions():
