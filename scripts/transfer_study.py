@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from faacflow.evaluation import EvalSettings, run_holdout_study, run_single_dataset
 from faacflow.faac import derive_dataset, load_faac_config
-from faacflow.ingest import generate_synthetic, load_source_config
+from faacflow.ingest import generate_chunks, load_source_config
 from faacflow.integrate import IntegrationSpec, integrate
 from faacflow.seeds import derive_seed
 
@@ -38,8 +38,8 @@ def run_root(root: int, batches: int, faac, schemas) -> tuple[float, bool, list[
     derived = {}
     for name, schema in schemas.items():
         profile = replace(schema.profile, seed=derive_seed(root, "synth", name))
-        records = generate_synthetic(profile, schema)
-        derived[name] = derive_dataset(records, batches, faac, n_records=profile.total)
+        chunks = generate_chunks(profile, schema)
+        derived[name] = derive_dataset(chunks, batches, faac, n_records=profile.total)
     merged = integrate(list(derived.values()), IntegrationSpec())
 
     cv_settings = EvalSettings(k=5, repetitions=3, models=("rf",), fixed_hyper={"rf": RF})

@@ -2,7 +2,8 @@
 
 Subcommands: ``synth`` (generate flows), ``derive`` (flows to counters),
 ``integrate`` (merge derived sets), ``evaluate`` (cross-validation and
-transfer), ``report`` (summarize an evaluation CSV). Exit codes: 0 success,
+transfer), ``report`` (summarize an evaluation CSV), ``pipeline`` (all of
+them from one config, through :func:`orchestrate`). Exit codes: 0 success,
 2 configuration problem, 3 data problem, 4 evaluation problem.
 
 Every command that writes files also writes ``manifest.json`` holding the
@@ -40,7 +41,7 @@ from .evaluation import (
     write_report_csv,
     write_significance_csv,
 )
-from .faac import derive_dataset, load_faac_config, read_derived, write_derived
+from .faac import DerivedDataset, FaacConfig, derive_dataset, load_faac_config, read_derived, write_derived
 from .files import as_list, as_mapping, check_keys, read_yaml_mapping, write_csv
 from .hyperopt import write_trial_log
 from .ingest import SourceSchema, generate_chunks, load_source_config, parse_chunks, write_flows
@@ -103,14 +104,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _reading_schema(schema: SourceSchema) -> SourceSchema:
-    """Accept canonical class names on input alongside the raw mapping."""
-    merged = dict(schema.class_map)
-    for name in schema.taxonomy.classes:
-        merged.setdefault(name, name)
-    return replace(schema, class_map=merged)
-
-
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", text)
 
@@ -158,17 +151,9 @@ def cmd_derive(args: argparse.Namespace) -> int:
     schema = load_source_config(args.source)
     out = _out_dir(args)
     n_records = args.count if args.count is not None else schema.record_count_hint
-    chunks = parse_chunks(args.input, _reading_schema(schema))
-    dataset = derive_dataset(chunks, args.batches, config, n_records=n_records)
-    path, dist_path = _write_dataset(dataset, out, schema.dataset_id)
-    _write_manifest(
-        out,
-        "derive",
-        [path, dist_path],
-        [Path(args.config), Path(args.source)],
-        args.seed,
-        inputs=[Path(args.input)],
-    )
+    dataset, path, dist_path = _derive_flows(args.input, schema, config, args.batches, n_records, out)
+    configs = [Path(args.config), Path(args.source)]
+    _write_manifest(out, "derive", [path, dist_path], configs, args.seed, inputs=[Path(args.input)])
     print(
         f"wrote {dataset.n_rows} rows x {dataset.n_features} features to {path} "
         f"(batch size {int(dataset.batch_sizes[0]) if dataset.n_rows else 0})"
@@ -178,7 +163,18 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_dataset(dataset, out: Path, stem: str) -> tuple[Path, Path]:
+def _derive_flows(
+    flows: str | Path, schema: SourceSchema, config: FaacConfig, batches: int, n_records: int | None, out: Path
+) -> tuple[DerivedDataset, Path, Path]:
+    """Parse a flows CSV, canonical class names accepted alongside the raw ones,
+    derive it, and write its matrix and class sheet."""
+    class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}
+    chunks = parse_chunks(flows, replace(schema, class_map=class_map))
+    dataset = derive_dataset(chunks, batches, config, n_records=n_records)
+    return (dataset, *_write_dataset(dataset, out, schema.dataset_id))
+
+
+def _write_dataset(dataset: DerivedDataset, out: Path, stem: str) -> tuple[Path, Path]:
     """Write ``<stem>_derived.csv`` and the class sheet ``<stem>_distribution.csv``."""
     path = out / f"{stem}_derived.csv"
     write_derived(dataset, path)
@@ -202,9 +198,7 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     )
     print(f"wrote {merged.n_rows} rows over classes {list(merged.classes)} to {path}")
     for row in distribution_report(merged):
-        print(
-            f"  {row['origin']} {row['class']}: {row['rows']} rows ({row['fraction']:.4%})"
-        )
+        print(f"  {row['origin']} {row['class']}: {row['rows']} rows ({row['fraction']:.4%})")
     return EXIT_OK
 
 
@@ -239,19 +233,31 @@ def _write_significance(report: EvalReport, out: Path, outputs: list[Path]) -> C
     return rows, skipped
 
 
-def _write_eval_outputs(report: EvalReport, out: Path) -> tuple[list[Path], Comparison]:
-    """Report, significance and trial-log files; returns their paths and the model comparisons."""
-    outputs = []
+def _evaluate(
+    singles: list[tuple[str | None, DerivedDataset]],
+    transfer: dict[str, DerivedDataset] | None,
+    settings: EvalSettings, seed: int, out: Path,
+) -> list[Path]:
+    """Cross-validate each (name, dataset) single and, unless ``transfer`` is
+    None, run the transfer matrix over it; write the report, significance and
+    trial-log files, print the summary, and return the paths written."""
+    report = EvalReport()
+    for name, ds in singles:
+        report.extend(run_single_dataset(ds, settings, seed=seed, name=name))
+    if transfer is not None:
+        report.extend(run_transfer_matrix(transfer, settings, seed=seed))
+    if not report.rows:
+        return []
     report_path = out / "report.csv"
     write_report_csv(report, report_path)
-    outputs.append(report_path)
+    outputs = [report_path]
     sig = _write_significance(report, out, outputs)
     for run in report.trial_runs:
-        name = f"trials_{_slug(run.label)}_{run.model}_r{run.repetition}_f{run.fold}.csv"
-        path = out / name
+        path = out / f"trials_{_slug(run.label)}_{run.model}_r{run.repetition}_f{run.fold}.csv"
         write_trial_log(run.trials, path)
         outputs.append(path)
-    return outputs, sig
+    _print_eval_summary(report, sig)
+    return outputs
 
 
 def _print_eval_summary(report: EvalReport, sig: Comparison) -> None:
@@ -282,31 +288,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     doc, resolve = _load_plan(cfg_path)
     settings = _settings_from_doc(doc, ("single", "transfer", "seed"), cfg_path)
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    report = EvalReport()
     data_paths: list[Path] = []
+    singles = []
     for entry in as_list(doc.get("single") or [], "single", cfg_path):
         if isinstance(entry, str):
             entry = {"path": entry}
-        path = resolve(entry["path"])
-        data_paths.append(path)
-        ds = read_derived(path)
-        name = str(entry["name"]) if "name" in entry else None
-        report.extend(run_single_dataset(ds, settings, seed=seed, name=name))
-    transfer = as_mapping(doc.get("transfer") or {}, "transfer", cfg_path)
-    if transfer:
-        datasets = {}
-        for name, p in transfer.items():
-            path = resolve(p)
-            data_paths.append(path)
-            datasets[str(name)] = read_derived(path)
-        report.extend(run_transfer_matrix(datasets, settings, seed=seed))
-    if not report.rows:
+        check_keys(entry, ("path", "name"), "single entry key", cfg_path)
+        if "path" not in entry:
+            raise ConfigError(f"{cfg_path}: single entry {entry!r} has no 'path' key")
+        data_paths.append(resolve(entry["path"]))
+        singles.append((str(entry["name"]) if "name" in entry else None, read_derived(data_paths[-1])))
+    transfer = {}
+    for name, p in as_mapping(doc.get("transfer") or {}, "transfer", cfg_path).items():
+        data_paths.append(resolve(p))
+        transfer[str(name)] = read_derived(data_paths[-1])
+    if not singles and not transfer:
         raise ConfigError(f"{cfg_path}: no 'single' or 'transfer' inputs given")
 
     out = _out_dir(args)
-    outputs, sig = _write_eval_outputs(report, out)
+    outputs = _evaluate(singles, transfer or None, settings, seed, out)
     _write_manifest(out, "evaluate", outputs, [cfg_path], seed, inputs=data_paths)
-    _print_eval_summary(report, sig)
     return EXIT_OK
 
 
@@ -373,10 +374,7 @@ _PIPELINE_KEYS = ("seed", "batches", "faac", "sources", "integration", "evaluati
 
 
 def orchestrate(
-    config_path: str | Path,
-    out_dir: str | Path,
-    seed: int | None = None,
-    threads: int = 1,
+    config_path: str | Path, out_dir: str | Path, seed: int | None = None, threads: int = 1
 ) -> dict[str, Path]:
     """Run synth, derive, integrate, and evaluate from a single pipeline config.
 
@@ -407,7 +405,7 @@ def orchestrate(
     artifacts: dict[str, Path] = {}
     config_files = [config_path, resolve(doc["faac"])]
 
-    derived: dict[str, "object"] = {}
+    derived: dict[str, DerivedDataset] = {}
     for name, src in as_mapping(doc["sources"], "sources", config_path).items():
         name = str(name)
         schema = load_source_config(resolve(src))
@@ -415,20 +413,15 @@ def orchestrate(
         if schema.profile is None:
             raise ConfigError(f"source {name!r} has no synthetic profile to generate from")
         profile = replace(schema.profile, seed=derive_seed(seed, "synth", name))
-        flows_path = out / f"{schema.dataset_id}_flows.csv"
+        flows_path = artifacts[f"flows:{name}"] = out / f"{schema.dataset_id}_flows.csv"
         write_flows(generate_chunks(profile, schema), schema, flows_path)
-        artifacts[f"flows:{name}"] = flows_path
-        chunks = parse_chunks(flows_path, _reading_schema(schema))
-        ds = derive_dataset(chunks, batches, faac_config, n_records=profile.total)
-        paths = _write_dataset(ds, out, schema.dataset_id)
+        derived[name], *paths = _derive_flows(flows_path, schema, faac_config, batches, profile.total, out)
         artifacts[f"derived:{name}"], artifacts[f"distribution:{name}"] = paths
-        derived[name] = ds
 
+    spec = IntegrationSpec()
     if "integration" in doc:
         spec = load_integration_spec(resolve(doc["integration"]))
         config_files.append(resolve(doc["integration"]))
-    else:
-        spec = IntegrationSpec()
     merged = None
     if len(derived) >= 2:
         merged = integrate(list(derived.values()), spec)
@@ -436,38 +429,25 @@ def orchestrate(
         artifacts["derived:integrated"], artifacts["distribution:integrated"] = paths
 
     if eval_doc:
-        report = EvalReport()
+        singles = []
         for target in as_list(eval_doc.get("singles") or [], "evaluation.singles", config_path):
             target = str(target)
-            if target == "integrated":
-                if merged is None:
-                    raise ConfigError("'integrated' evaluation target needs at least two sources")
-                ds = merged
-            elif target in derived:
-                ds = derived[target]
-            else:
+            if target == "integrated" and merged is None:
+                raise ConfigError("'integrated' evaluation target needs at least two sources")
+            if target != "integrated" and target not in derived:
                 raise ConfigError(f"unknown evaluation target {target!r}")
-            report.extend(run_single_dataset(ds, settings, seed=seed, name=target))
-        if eval_doc.get("transfer", False):
-            report.extend(run_transfer_matrix(dict(derived), settings, seed=seed))
-        if report.rows:
-            paths, sig = _write_eval_outputs(report, out)
-            for path in paths:
-                artifacts[f"eval:{path.name}"] = path
-            _print_eval_summary(report, sig)
+            singles.append((target, merged if target == "integrated" else derived[target]))
+        transfer = dict(derived) if eval_doc.get("transfer", False) else None
+        for path in _evaluate(singles, transfer, settings, seed, out):
+            artifacts[f"eval:{path.name}"] = path
         if derived:
             # export one deployable model per kind, fit on the widest dataset
-            primary_name = "integrated" if merged is not None else next(iter(derived))
-            primary = merged if merged is not None else derived[primary_name]
+            primary_name, primary = ("integrated", merged) if merged is not None else next(iter(derived.items()))
             for kind in settings.models:
+                hyper = resolve_hyperparams(kind, settings.fixed_hyper.get(kind))
                 model = fit_pipeline(
-                    primary.X,
-                    primary.y,
-                    primary.classes,
-                    kind,
-                    hyperparams=resolve_hyperparams(kind, settings.fixed_hyper.get(kind)),
-                    seed=derive_seed(seed, "final", kind),
-                    provenance={"dataset": primary_name},
+                    primary.X, primary.y, primary.classes, kind, hyperparams=hyper,
+                    seed=derive_seed(seed, "final", kind), provenance={"dataset": primary_name},
                 )
                 model_path = out / f"model_{kind}.json"
                 save_model(model, model_path)
@@ -476,6 +456,17 @@ def orchestrate(
     manifest = _write_manifest(out, "pipeline", list(artifacts.values()), config_files, seed)
     artifacts["manifest"] = manifest
     return artifacts
+
+
+def cmd_pipeline(args: argparse.Namespace) -> int:
+    if not args.config:
+        raise ConfigError("pipeline requires --config pointing at a pipeline configuration")
+    out = args.out or "."
+    artifacts = orchestrate(args.config, out, seed=args.seed)
+    print(f"wrote {len(artifacts)} artifacts under {out}:")
+    for key in sorted(artifacts):
+        print(f"  {key:28s} {artifacts[key]}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +506,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common], help="summarize an evaluation report CSV")
     p.add_argument("--input", required=True, help="report.csv produced by evaluate")
     p.set_defaults(func=cmd_report)
+
+    p = sub.add_parser("pipeline", parents=[common], help="synth, derive, integrate and evaluate from one config")
+    p.set_defaults(func=cmd_pipeline)
     return parser
 
 
-def run_with_exit_codes(run: Callable[[], int]) -> int:
-    """``run()``'s exit code; a faacflow error or a missing file is reported on stderr,
-    without a traceback, as exit 2 (configuration), 3 (data) or 4 (evaluation)."""
+def main(argv: list[str] | None = None) -> int:
+    """The command's exit code; a faacflow error or a missing file is reported on
+    stderr, without a traceback, as exit 2 (configuration), 3 (data) or 4 (evaluation)."""
+    _configure_logging()
+    args = build_parser().parse_args(argv)
     try:
-        return run()
+        return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -538,13 +534,6 @@ def run_with_exit_codes(run: Callable[[], int]) -> int:
     except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-
-
-def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return run_with_exit_codes(lambda: args.func(args))
 
 
 if __name__ == "__main__":

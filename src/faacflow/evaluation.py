@@ -637,11 +637,6 @@ def compare_models(report: EvalReport) -> Comparison:
     return rows, skipped
 
 
-def significance_rows(report: EvalReport) -> list[dict[str, object]]:
-    """The rows of ``compare_models``: model pairs with enough differences for a test."""
-    return compare_models(report)[0]
-
-
 def write_significance_csv(rows: list[dict[str, object]], dest: str | Path | TextIO) -> None:
     lines = (
         [

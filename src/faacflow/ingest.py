@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -621,11 +620,6 @@ def generate_chunks(profile: SyntheticProfile, schema: SourceSchema) -> Iterator
 def generate_synthetic(profile: SyntheticProfile, schema: SourceSchema) -> Iterator[FlowRecord]:
     """Generate a deterministic synthetic record stream: :func:`generate_chunks` row by row."""
     return iter_records(generate_chunks(profile, schema))
-
-
-def class_histogram(records: Iterable[FlowRecord]) -> dict[str, int]:
-    """Count records per canonical class."""
-    return dict(Counter(rec.label for rec in records))
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,36 @@ def test_pipeline_script_exits_with_the_cli_codes_without_a_traceback(cfg_dir, t
     assert ("'bogus'" if extra else "missing.yaml") in proc.stderr
 
 
+def test_pipeline_subcommand_writes_the_manifest_orchestrate_writes(cfg_dir, tmp_path, capsys):
+    out = tmp_path / "cmd"
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(cfg_dir / "pipeline.yaml"), "--seed", "5", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    artifacts = orchestrate(cfg_dir / "pipeline.yaml", tmp_path / "lib", seed=5)
+    capsys.readouterr()
+    listed = printed[printed.index(f"wrote {len(artifacts)} artifacts under {out}:") + 1 :]
+    assert [line.split()[0] for line in listed] == sorted(artifacts)
+    assert (out / "manifest.json").read_bytes() == artifacts["manifest"].read_bytes()
+    assert main(["pipeline", "--out", str(tmp_path / "none")]) == 2
+    assert "pipeline requires --config" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [("{name: x}", "has no 'path' key"), ("5", "expected a mapping of single entry keys, got 5"),
+     ("{path: a.csv, nme: x}", "unknown single entry key 'nme'")],
+    ids=["no_path", "not_a_mapping", "unknown_key"],
+)
+def test_malformed_single_entries_are_configuration_errors(tmp_path, capsys, entry, message):
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(f"single:\n  - {entry}\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(plan), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {plan}: ")
+    assert message in err
+
+
 def test_thread_counts_other_than_one_are_rejected(cfg_dir, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()

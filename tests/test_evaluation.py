@@ -29,7 +29,6 @@ from faacflow.evaluation import (
     run_single_dataset,
     run_transfer_matrix,
     score_fold,
-    significance_rows,
     stratified_folds,
     weighted_avg_auc,
     wilcoxon_signed_rank,
@@ -471,7 +470,7 @@ def test_significance_rows_flag_consistent_differences():
     for i, d in enumerate(deltas):
         rows.append(mk_row("lr", 1, i + 1, 0.85))
         rows.append(mk_row("rf", 1, i + 1, 0.85 + d))
-    sig = significance_rows(EvalReport(rows=rows))
+    sig = compare_models(EvalReport(rows=rows))[0]
     assert len(sig) == 1
     assert sig[0]["model_a"] == "lr" and sig[0]["model_b"] == "rf"
     assert sig[0]["n"] == 8
@@ -489,7 +488,7 @@ def test_model_pairs_with_too_few_differences_are_left_untested():
         rows.append(mk_row("rf", 1, i + 1, 0.85 + d))
     report = EvalReport(rows=rows)
     assert compare_models(report) == ([], [("lr", "rf", 3)])
-    assert significance_rows(report) == []
+    assert compare_models(report)[0] == []
     # all-zero differences stay a degenerate p = 1 row
     tied = EvalReport(rows=[mk_row(m, 1, i + 1, 0.9) for i in range(3) for m in ("lr", "rf")])
     (row,), skipped = compare_models(tied)

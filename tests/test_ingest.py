@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from faacflow.ingest import (
     FlowRecord,
     SourceSchema,
     SyntheticProfile,
-    class_histogram,
     generate_synthetic,
     load_source_config,
     parse_flows,
@@ -216,15 +216,6 @@ def test_parser_oracle_sees_every_kind_of_row():
         assert fatal == want[2][1]
 
 
-def test_class_histogram_counts_labels():
-    records = [
-        FlowRecord(values={}, label="Background", origin="t"),
-        FlowRecord(values={}, label="DoS", origin="t"),
-        FlowRecord(values={}, label="Background", origin="t"),
-    ]
-    assert class_histogram(records) == {"Background": 2, "DoS": 1}
-
-
 # ---------------------------------------------------------------------------
 # Distributions
 
@@ -320,7 +311,7 @@ def test_generate_is_deterministic_and_respects_total():
 
 def test_generate_honors_proportions_and_class_distributions():
     records = list(generate_synthetic(flat_profile(), tiny_schema()))
-    hist = class_histogram(records)
+    hist = Counter(r.label for r in records)
     assert abs(hist["Background"] / 6_000 - 0.8) < 0.02
     assert abs(hist["DoS"] / 6_000 - 0.15) < 0.02
     # DoS bytes come from the class override, everything else from default
