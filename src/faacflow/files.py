@@ -69,6 +69,20 @@ def as_list(value: object, key: str, where: object) -> list:
     return value
 
 
+def as_int(value: object, key: str, where: object) -> int:
+    """``value`` if it is an integer and not a boolean; otherwise a ConfigError naming ``where`` and ``key``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
+
+
+def as_bool(value: object, key: str, where: object) -> bool:
+    """``value`` if it is a boolean; otherwise a ConfigError naming ``where`` and ``key``."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
+    return value
+
+
 def read_csv(source: str | Path | TextIO | Iterable[str]) -> Iterator[list[str]]:
     """Rows of a CSV file, open handle or iterable of lines, in order."""
     if isinstance(source, (str, Path)):

@@ -42,7 +42,7 @@ from faacflow.hyperopt import (
     optimize,
     posterior_variance,
 )
-from faacflow.ingest import FlowRecord, generate_synthetic, load_source_config
+from faacflow.ingest import FlowRecord, generate_chunks, load_source_config
 from faacflow.integrate import IntegrationSpec, integrate
 from faacflow.learning import (
     build_tree,
@@ -384,8 +384,8 @@ def test_criterion_09_transfer_study(config_dir):
             derived = {}
             for name, schema in schemas.items():
                 profile = replace(schema.profile, seed=derive_seed(root, "synth", name))
-                records = generate_synthetic(profile, schema)
-                derived[name] = derive_dataset(records, 300, faac, n_records=profile.total)
+                chunks = generate_chunks(profile, schema)
+                derived[name] = derive_dataset(chunks, 300, faac, n_records=profile.total)
             merged = integrate(list(derived.values()), IntegrationSpec())
 
             report = run_single_dataset(merged, cv_settings, seed=root, name="integrated")

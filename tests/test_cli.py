@@ -1,8 +1,9 @@
-"""End-to-end command line checks on a miniature two-source corpus."""
+"""End-to-end command line checks on a miniature three-source corpus."""
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 
 from faacflow.cli import main, orchestrate
 from faacflow.errors import ConfigError
+from faacflow.evaluation import EvalSettings, run_holdout_study, run_single_dataset, write_report_csv
 from faacflow.faac import read_derived
 from faacflow.learning import load_model
 
@@ -92,6 +94,26 @@ evaluation:
   transfer: true
 """
 
+HOLDOUT_PIPELINE = """\
+seed: 5
+batches: 40
+faac: mini_faac.yaml
+
+sources:
+  s1: source_s1.yaml
+  s2: source_s2.yaml
+  s3: source_s3.yaml
+
+evaluation:
+  models: {models}
+  k: 2
+  repetitions: 1
+  fixed_hyper:
+    rf: {{n_trees: 5, max_depth: 4}}
+  singles: [integrated]
+  transfer: holdout
+"""
+
 
 @pytest.fixture(scope="module")
 def cfg_dir(tmp_path_factory):
@@ -106,6 +128,12 @@ def cfg_dir(tmp_path_factory):
     (d / "source_s2.yaml").write_text(
         SOURCE_TEMPLATE.format(sid="s2", proto="protocol", port="port", size="size",
                                bg="benign", dos="flood", scan="probe", seed=202),
+        encoding="utf-8",
+    )
+    # s3 is held out against the merged s1 and s2 in the held-out study
+    (d / "source_s3.yaml").write_text(
+        SOURCE_TEMPLATE.format(sid="s3", proto="proto", port="port", size="bytes",
+                               bg="normal", dos="ddos", scan="sweep", seed=303),
         encoding="utf-8",
     )
     (d / "pipeline.yaml").write_text(PIPELINE, encoding="utf-8")
@@ -341,6 +369,88 @@ def test_malformed_single_entries_are_configuration_errors(tmp_path, capsys, ent
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {plan}: ")
     assert message in err
+
+
+def _plan_with(cfg_dir, command: str, key: str, value: str) -> str:
+    """A small plan for ``command`` whose ``key`` (``evaluation.k`` in a pipeline) holds ``value``."""
+    if command == "evaluate":
+        return f"models: [lr]\nsingle: [missing.csv]\n{key}: {value}\n"
+    sources = ", ".join(f"{sid}: {cfg_dir / f'source_{sid}.yaml'}" for sid in ("s1", "s2", "s3"))
+    top = {"seed": "5", "batches": "40", "faac": str(cfg_dir / "mini_faac.yaml"), "sources": f"{{{sources}}}"}
+    evaluation = {"models": "[lr]", "k": "2", "repetitions": "1", "singles": "[integrated]"}
+    block, _, name = key.rpartition(".")
+    (evaluation if block else top)[name] = value
+    top["evaluation"] = "{" + ", ".join(f"{k}: {v}" for k, v in evaluation.items()) + "}"
+    return "".join(f"{k}: {v}\n" for k, v in top.items())
+
+
+BAD_PLAN_VALUES = [
+    ("pipeline", "batches", "lots", "must be an integer, got 'lots'"),
+    ("pipeline", "seed", "seven", "must be an integer, got 'seven'"),
+    ("pipeline", "evaluation.k", "five", "must be an integer, got 'five'"),
+    ("pipeline", "evaluation.repetitions", "true", "must be an integer, got True"),
+    ("pipeline", "evaluation.n_init", "2.5", "must be an integer, got 2.5"),
+    ("pipeline", "evaluation.tune", "1", "must be true or false, got 1"),
+    ("pipeline", "evaluation.tune_once", "'yes'", "must be true or false, got 'yes'"),
+    ("pipeline", "evaluation.fixed_hyper", "[rf]", "must be a mapping, got ['rf']"),
+    ("pipeline", "evaluation.transfer", "1", "must be true, false or holdout, got 1"),
+    ("pipeline", "evaluation.transfer", "matrix", "must be true, false or holdout, got 'matrix'"),
+    ("evaluate", "seed", "seven", "must be an integer, got 'seven'"),
+    ("evaluate", "n_iter", "'4'", "must be an integer, got '4'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message", BAD_PLAN_VALUES, ids=[f"{c}-{k}-{v}" for c, k, v, _ in BAD_PLAN_VALUES]
+)
+def test_wrongly_typed_plan_values_exit_2_before_any_work(cfg_dir, tmp_path, capsys, command, key, value, message):
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(_plan_with(cfg_dir, command, key, value), encoding="utf-8")
+    assert main([command, "--config", str(plan), "--seed", "5", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {plan}: {key} {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("models", [["lr"], ["lr", "rf"]], ids=["one_model", "two_models"])
+def test_holdout_pipeline_writes_the_report_of_the_study_run_directly(cfg_dir, tmp_path, capsys, models):
+    plan = cfg_dir / f"holdout_{len(models)}.yaml"
+    plan.write_text(HOLDOUT_PIPELINE.format(models=f"[{', '.join(models)}]"), encoding="utf-8")
+    capsys.readouterr()
+    artifacts = orchestrate(plan, tmp_path / "pipe", seed=5)
+    printed = capsys.readouterr().out.splitlines()
+
+    derived = {sid: read_derived(artifacts[f"derived:{sid}"]) for sid in ("s1", "s2", "s3")}
+    rf = {"n_trees": 5, "max_depth": 4}
+    settings = EvalSettings(k=2, repetitions=1, models=tuple(models), fixed_hyper={"rf": rf})
+    report = run_single_dataset(read_derived(artifacts["derived:integrated"]), settings, seed=5, name="integrated")
+    study = run_holdout_study(derived, settings, seed=5)
+    report.extend(study)
+    buf = io.StringIO()
+    write_report_csv(report, buf)
+    assert artifacts["eval:report.csv"].read_bytes() == buf.getvalue().encode("utf-8")
+
+    held_out = [line for line in printed if line.startswith("    held-out ")]
+    assert len(held_out) == 3 * len(models)
+    for held in derived:
+        for model in models:
+            pair, *alone = [r for r in study.rows if r.test_origin == held and r.model == model]
+            assert pair.train_origin == "+".join(sid for sid in derived if sid != held)
+            tag = f" ({model})" if len(models) > 1 else ""
+            best = max(r.weighted_auc for r in alone)
+            assert f"    held-out {held}{tag}: pair {pair.weighted_auc:.4f} vs best single {best:.4f}" in held_out
+
+
+def test_holdout_pipeline_with_two_sources_is_an_evaluation_error(cfg_dir, tmp_path, capsys):
+    plan = tmp_path / "pair.yaml"
+    plan.write_text(
+        f"batches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\n"
+        f"sources:\n  s1: {cfg_dir / 'source_s1.yaml'}\n  s2: {cfg_dir / 'source_s2.yaml'}\n"
+        "evaluation:\n  models: [lr]\n  transfer: holdout\n",
+        encoding="utf-8",
+    )
+    assert main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(tmp_path / "out")]) == 4
+    assert "at least three" in capsys.readouterr().err
 
 
 def test_thread_counts_other_than_one_are_rejected(cfg_dir, tmp_path, capsys):

@@ -36,7 +36,7 @@ from faacflow.evaluation import (
     write_significance_csv,
 )
 from faacflow.faac import DerivedDataset, derive_dataset, load_faac_config
-from faacflow.ingest import generate_synthetic, load_source_config
+from faacflow.ingest import generate_chunks, load_source_config
 from faacflow.learning import fit_pipeline
 from faacflow.seeds import derive_seed
 
@@ -380,7 +380,7 @@ def test_holdout_study_bytes_match_the_recorded_digest(config_dir):
     for name in ("alpha", "beta", "gamma"):
         schema = load_source_config(config_dir / f"source_{name}.yaml")
         profile = replace(schema.profile, seed=derive_seed(11, "synth", name))
-        derived[name] = derive_dataset(generate_synthetic(profile, schema), 100, faac, n_records=profile.total)
+        derived[name] = derive_dataset(generate_chunks(profile, schema), 100, faac, n_records=profile.total)
     settings_ = EvalSettings(models=("lr", "rf"), fixed_hyper={"rf": {"n_trees": 10, "max_depth": 6}})
     report = run_holdout_study(derived, settings_, seed=11)
     assert [(r.train_origin, r.test_origin, r.model) for r in report.rows[:6]] == [
