@@ -210,14 +210,22 @@ _SETTINGS_CHECKS = {"models": as_list, "k": as_int, "repetitions": as_int, "tune
 def _settings_from_doc(doc: dict, input_keys: tuple[str, ...], where: object, prefix: str = "") -> EvalSettings:
     """Evaluation settings from a plan whose other keys must be among ``input_keys``.
 
-    ``where`` and ``prefix`` name the file and the block in type errors.
+    ``where`` and ``prefix`` name the file and the block in errors. Each
+    ``fixed_hyper`` entry must be a mapping of hyperparameters its model kind has.
     """
     check_keys(doc, (*_SETTINGS_CHECKS, *input_keys), "evaluation key")
     fields = {k: check(doc[k], prefix + k, where) for k, check in _SETTINGS_CHECKS.items() if k in doc}
     fields["models"] = tuple(str(m) for m in fields.get("models", EvalSettings.models))
     for m in fields["models"]:
         if m not in ("lr", "rf"):
-            raise ConfigError(f"unknown model {m!r}; expected 'lr' or 'rf'")
+            raise ConfigError(f"{where}: {prefix}models: unknown model {m!r}; expected 'lr' or 'rf'")
+    for kind, hyper in fields.get("fixed_hyper", {}).items():
+        key = f"{prefix}fixed_hyper.{kind}"
+        hyper = as_mapping(hyper, key, where)
+        try:
+            resolve_hyperparams(str(kind), hyper)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {key}: {exc}") from None
     return EvalSettings(**fields)
 
 
@@ -408,6 +416,16 @@ def orchestrate(
     transfer = eval_doc.get("transfer", False) if eval_doc else False
     if not isinstance(transfer, bool) and transfer != "holdout":
         raise ConfigError(f"{config_path}: evaluation.transfer must be true, false or holdout, got {transfer!r}")
+    sources = as_mapping(doc["sources"], "sources", config_path)
+    targets = as_list((eval_doc or {}).get("singles") or [], "evaluation.singles", config_path)
+    targets = [str(t) for t in targets]
+    for target in targets:
+        if target == "integrated" and len(sources) < 2:
+            raise ConfigError(f"{config_path}: evaluation.singles: 'integrated' needs at least two sources")
+        if target != "integrated" and target not in {str(name) for name in sources}:
+            raise ConfigError(
+                f"{config_path}: evaluation.singles: unknown target {target!r}; expected a source or 'integrated'"
+            )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -416,7 +434,7 @@ def orchestrate(
     config_files = [config_path, resolve(doc["faac"])]
 
     derived: dict[str, DerivedDataset] = {}
-    for name, src in as_mapping(doc["sources"], "sources", config_path).items():
+    for name, src in sources.items():
         name = str(name)
         schema = load_source_config(resolve(src))
         config_files.append(resolve(src))
@@ -439,14 +457,7 @@ def orchestrate(
         artifacts["derived:integrated"], artifacts["distribution:integrated"] = paths
 
     if eval_doc:
-        singles = []
-        for target in as_list(eval_doc.get("singles") or [], "evaluation.singles", config_path):
-            target = str(target)
-            if target == "integrated" and merged is None:
-                raise ConfigError("'integrated' evaluation target needs at least two sources")
-            if target != "integrated" and target not in derived:
-                raise ConfigError(f"unknown evaluation target {target!r}")
-            singles.append((target, merged if target == "integrated" else derived[target]))
+        singles = [(t, merged if t == "integrated" else derived[t]) for t in targets]
         studied = dict(derived) if transfer else None
         for path in _evaluate(singles, studied, settings, seed, out, holdout=transfer == "holdout"):
             artifacts[f"eval:{path.name}"] = path

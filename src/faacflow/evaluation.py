@@ -279,15 +279,26 @@ def _tune_on_train(
     The training rows are split once, stratified, with a fifth held out for
     validation; every candidate configuration is fit on the remainder under
     one shared seed so scores differ only through the configuration.
+
+    Each trial after the first starts its l1 selection from the
+    coefficients of the trial already fit whose log penalty is nearest (the
+    earliest on ties), as a path solver does; the first starts from zero.
+    At small penalties on collinear columns a trial may then end on another
+    support than a cold start would, both within ``OPT_TOL``. The fits are
+    kept only for this search, and the caller's final fit starts from zero.
     """
     inner = stratified_folds(y, 5, derive_seed(tune_seed, "inner-split"))
     val_idx = inner[0]
     fit_mask = np.ones(len(y), dtype=bool)
     fit_mask[val_idx] = False
     fit_idx = np.flatnonzero(fit_mask)
+    fitted: list[tuple[float, np.ndarray]] = []  # (log penalty, selection coefficients) per trial fit
 
     def objective(config: dict) -> float:
-        model = fit_pipeline(X[fit_idx], y[fit_idx], classes, kind, hyperparams=config, seed=fit_seed)
+        log_lam = math.log(config["lambda"])  # the search space is logarithmic in the penalty, so it is positive
+        start = min(fitted, key=lambda f: abs(f[0] - log_lam))[1] if fitted else None
+        model = fit_pipeline(X[fit_idx], y[fit_idx], classes, kind, hyperparams=config, seed=fit_seed, start=start)
+        fitted.append((log_lam, model.selector.betas))
         _, _, wavg = score_fold(model, X[val_idx], y[val_idx], classes)
         return wavg
 

@@ -175,7 +175,9 @@ def _pivot_quadratic(beta0: np.ndarray, g: np.ndarray, G: np.ndarray, lam: float
     return None
 
 
-def fit_lasso(Z: np.ndarray, y: np.ndarray, n_classes: int, lam: float) -> LassoResult:
+def fit_lasso(
+    Z: np.ndarray, y: np.ndarray, n_classes: int, lam: float, start: np.ndarray | None = None
+) -> LassoResult:
     """One-vs-all l1 logistic regression solved by proximal Newton steps.
 
     Each outer iteration builds the local quadratic model at the current
@@ -184,6 +186,10 @@ def fit_lasso(Z: np.ndarray, y: np.ndarray, n_classes: int, lam: float) -> Lasso
     the intercept. A class converges when its largest first-order violation
     drops to ``OPT_TOL``; the support is the union over classes of
     coefficients above ``SUPPORT_EPSILON`` in magnitude.
+
+    ``start`` holds the ``(n_classes, p + 1)`` coefficients the iterations
+    begin from, such as another penalty's ``betas`` on the same ``Z``; None
+    begins from zero.
     """
     if lam < 0:
         raise ConfigError(f"penalty weight must be non-negative, got {lam}")
@@ -191,6 +197,10 @@ def fit_lasso(Z: np.ndarray, y: np.ndarray, n_classes: int, lam: float) -> Lasso
     if not np.all(np.isfinite(Z)):
         raise DataError("selection input contains non-finite values")
     n, p = Z.shape
+    if start is not None:
+        start = np.asarray(start, dtype=np.float64)
+        if start.shape != (n_classes, p + 1):
+            raise ConfigError(f"selection start must have shape {(n_classes, p + 1)}, got {start.shape}")
     X1 = np.hstack([np.ones((n, 1)), Z])
 
     betas = np.zeros((n_classes, p + 1))
@@ -198,7 +208,7 @@ def fit_lasso(Z: np.ndarray, y: np.ndarray, n_classes: int, lam: float) -> Lasso
     iters: list[int] = []
     for c in range(n_classes):
         yc = (np.asarray(y) == c).astype(np.float64)
-        beta = np.zeros(p + 1)
+        beta = np.zeros(p + 1) if start is None else start[c].copy()
         obj, s = _penalized_objective(beta, X1, yc, lam)
         ok = False
         it = 0
@@ -852,8 +862,13 @@ def fit_pipeline(
     hyperparams: dict | None = None,
     seed: int = 0,
     provenance: dict | None = None,
+    start: np.ndarray | None = None,
 ) -> PipelineModel:
-    """Standardize, select features, and fit the classifier on the support."""
+    """Standardize, select features, and fit the classifier on the support.
+
+    ``start`` is handed to ``fit_lasso``: selection coefficients on the
+    standardized columns of these same rows to begin from, or None for zero.
+    """
     hp = resolve_hyperparams(kind, hyperparams)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -862,7 +877,7 @@ def fit_pipeline(
     n_classes = len(classes)
     mean, scale = standardize_fit(X)
     Z = standardize_apply(X, mean, scale)
-    selector = fit_lasso(Z, y, n_classes, float(hp["lambda"]))
+    selector = fit_lasso(Z, y, n_classes, float(hp["lambda"]), start=start)
     cols = list(selector.support)
     Zs = Z[:, cols]
 

@@ -412,6 +412,23 @@ def test_wrongly_typed_plan_values_exit_2_before_any_work(cfg_dir, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+BAD_PLAN_ENTRIES = [
+    ("evaluation.fixed_hyper", "{lr: 5}", "evaluation.fixed_hyper.lr must be a mapping, got 5"),
+    ("evaluation.fixed_hyper", "{lr: {lamda: 0.1}}", "evaluation.fixed_hyper.lr: unknown hyperparameter 'lamda'"),
+    ("evaluation.singles", "[s9]", "evaluation.singles: unknown target 's9'"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", BAD_PLAN_ENTRIES, ids=[v for _, v, _ in BAD_PLAN_ENTRIES])
+def test_bad_plan_entries_exit_2_before_any_work(cfg_dir, tmp_path, capsys, key, value, message):
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(_plan_with(cfg_dir, "pipeline", key, value), encoding="utf-8")
+    assert main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {plan}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("models", [["lr"], ["lr", "rf"]], ids=["one_model", "two_models"])
 def test_holdout_pipeline_writes_the_report_of_the_study_run_directly(cfg_dir, tmp_path, capsys, models):
     plan = cfg_dir / f"holdout_{len(models)}.yaml"

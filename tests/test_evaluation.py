@@ -333,6 +333,30 @@ def test_tuning_runs_once_per_model_and_reuses_the_config():
     assert len(tuned) == 1  # every fold reuses the tuned configuration
 
 
+def test_tuning_trials_start_from_the_nearest_penalty_already_fit(monkeypatch):
+    ds = counter_dataset(seed=27)
+    calls = []
+
+    def recording(*args, start=None, **kwargs):
+        model = fit_pipeline(*args, start=start, **kwargs)
+        calls.append({"lambda": kwargs["hyperparams"]["lambda"], "start": start, "betas": model.selector.betas})
+        return model
+
+    monkeypatch.setattr(evaluation, "fit_pipeline", recording)
+    settings_ = EvalSettings(k=2, repetitions=1, models=("lr",), tune=True, tune_once=False, n_init=2, n_iter=4)
+    report = run_single_dataset(ds, settings_, seed=8, name="unit")
+    assert [len(run.trials) for run in report.trial_runs] == [6, 6]
+    assert len(calls) == 2 * 7  # per fold: six trials, then the fit that is scored
+    for fold in (calls[:7], calls[7:]):
+        *trials, final = fold
+        assert trials[0]["start"] is None
+        for i, trial in enumerate(trials[1:], start=1):
+            # min keeps the earliest trial on ties
+            nearest = min(trials[:i], key=lambda t: abs(math.log(t["lambda"]) - math.log(trial["lambda"])))
+            assert trial["start"] is nearest["betas"]
+        assert final["start"] is None  # the reported fit on the whole training fold starts from zero
+
+
 def test_tuned_forest_runs_on_one_feature():
     ds = counter_dataset(seed=31, p=1, classes=FULL[:2])
     settings_ = EvalSettings(k=2, repetitions=1, models=("rf",), tune=True, n_init=2, n_iter=1)

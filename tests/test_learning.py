@@ -198,6 +198,42 @@ def test_lasso_input_contracts():
     bad[0, 0] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         fit_lasso(bad, y, 3, 0.1)
+    for shape in ((3, Z.shape[1]), (2, Z.shape[1] + 1)):
+        with pytest.raises(ConfigError, match="selection start"):
+            fit_lasso(Z, y, 3, 0.1, start=np.zeros(shape))
+
+
+def penalized_objectives(Z, y, betas, lam):
+    """Per-class penalized objective of ``betas``, as ``fit_lasso`` minimizes it, and a bound
+    on its rounding error: n + p + 1 roundings (the row dot products, then the sum over rows)
+    of terms no larger than 1 + |x_i . beta| in size."""
+    X1 = np.hstack([np.ones((Z.shape[0], 1)), Z])
+    values = np.array([
+        logistic_nll_grad(betas[c], X1, (y == c).astype(np.float64))[0] + lam * np.sum(np.abs(betas[c, 1:]))
+        for c in range(betas.shape[0])
+    ])
+    sizes = np.sum(1.0 + np.abs(X1) @ np.abs(betas.T), axis=0)
+    return values, sum(X1.shape) * np.finfo(np.float64).eps * sizes
+
+
+WARM_PENALTIES = (1e-3, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("lam", WARM_PENALTIES)
+def test_a_warm_started_lasso_reaches_the_cold_optimum(lam):
+    Z, y = lasso_instance(seed=9)
+    cold = fit_lasso(Z, y, 3, lam)
+    for other in (o for o in WARM_PENALTIES if o != lam):
+        warm = fit_lasso(Z, y, 3, lam, start=fit_lasso(Z, y, 3, other).betas)
+        assert all(warm.converged)
+        assert kkt_violation(Z, y, warm.betas, lam) < 5e-6
+        assert kkt_violation(Z, y, cold.betas, lam) < 5e-6
+        # by convexity, F(b) - F(b') <= v * |b - b'|_1 for every b' when some subgradient of F
+        # at b has sup norm v; both fits stop with v <= OPT_TOL in every class
+        (f_warm, r_warm), (f_cold, r_cold) = (penalized_objectives(Z, y, b, lam) for b in (warm.betas, cold.betas))
+        bound = learning.OPT_TOL * np.sum(np.abs(warm.betas - cold.betas), axis=1)
+        assert np.all(np.abs(f_warm - f_cold) <= bound + r_warm + r_cold)
+        assert warm.support == cold.support
 
 
 def lasso_digest(result):
