@@ -168,10 +168,10 @@ def _derive_flows(
     flows: str | Path, schema: SourceSchema, config: FaacConfig, batches: int, n_records: int | None, out: Path
 ) -> tuple[DerivedDataset, Path, Path]:
     """Parse a flows CSV, canonical class names accepted alongside the raw ones,
-    derive it, and write its matrix and class sheet."""
+    derive it under the source's own taxonomy, and write its matrix and class sheet."""
     class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}
     chunks = parse_chunks(flows, replace(schema, class_map=class_map))
-    dataset = derive_dataset(chunks, batches, config, n_records=n_records)
+    dataset = derive_dataset(chunks, batches, replace(config, taxonomy=schema.taxonomy), n_records=n_records)
     return (dataset, *_write_dataset(dataset, out, schema.dataset_id))
 
 
@@ -211,7 +211,8 @@ def _settings_from_doc(doc: dict, input_keys: tuple[str, ...], where: object, pr
     """Evaluation settings from a plan whose other keys must be among ``input_keys``.
 
     ``where`` and ``prefix`` name the file and the block in errors. Each
-    ``fixed_hyper`` entry must be a mapping of hyperparameters its model kind has.
+    ``fixed_hyper`` entry must be a mapping of hyperparameters its model kind
+    has, each within the range ``learning.check_hyperparam`` allows.
     """
     check_keys(doc, (*_SETTINGS_CHECKS, *input_keys), "evaluation key")
     fields = {k: check(doc[k], prefix + k, where) for k, check in _SETTINGS_CHECKS.items() if k in doc}
@@ -223,9 +224,9 @@ def _settings_from_doc(doc: dict, input_keys: tuple[str, ...], where: object, pr
         key = f"{prefix}fixed_hyper.{kind}"
         hyper = as_mapping(hyper, key, where)
         try:
-            resolve_hyperparams(str(kind), hyper)
+            resolve_hyperparams(str(kind), hyper, key)
         except ConfigError as exc:
-            raise ConfigError(f"{where}: {key}: {exc}") from None
+            raise ConfigError(f"{where}: {exc}") from None
     return EvalSettings(**fields)
 
 

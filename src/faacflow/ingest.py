@@ -16,14 +16,14 @@ import logging
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, DataError, RowError
-from .files import as_list, as_mapping, check_keys, read_csv, read_yaml_mapping, write_csv
+from .files import CsvBlock, as_list, as_mapping, check_keys, read_csv_blocks, read_yaml_mapping, write_csv_blocks
 
 log = logging.getLogger(__name__)
 
@@ -325,7 +325,7 @@ def _convert_column(tokens: Sequence[str], col: Column, bad: dict[int, str]) -> 
     """Values of one column's tokens; a token ``_convert`` rejects reads as None
     and its row's first message goes into ``bad``."""
     if col.kind != NUMERIC:
-        return [t or None for t in tokens]
+        return [t or None for t in tokens] if "" in tokens else list(tokens)
     try:
         values = [float(t) if t else None for t in tokens] if "" in tokens else list(map(float, tokens))
     except ValueError:
@@ -367,32 +367,37 @@ class _BlockParser:
         else:
             log.warning("skipping row: %s", err)
 
-    def parse(self, block: list[list[str]], first_line: int) -> tuple[FlowChunk, DataError | None]:
+    def parse(self, block: CsvBlock, first_line: int) -> tuple[FlowChunk, DataError | None]:
         """The block's records and, when a row's class has no mapping, the fatal error.
 
         Rows from the fatal one on are left out, and so are their row errors.
         """
         width = self.width
         short: dict[int, str] = {}  # block index -> message
-        if min(map(len, block)) >= width:
-            where = range(len(block))
-            good = block
+        if block.columns is not None and len(block.columns) >= width:
+            where: Sequence[int] = range(len(block))
+            tokens: Sequence[Sequence[str]] = block.columns
         else:
-            where = [i for i, row in enumerate(block) if len(row) >= width]
-            short = {i: f"expected at least {width} fields, got {len(row)}"
-                     for i, row in enumerate(block) if 0 < len(row) < width}
-            good = [block[i] for i in where]
-        bad: dict[int, str] = {}  # index into good -> message
-        tokens = list(zip(*good)) or [()] * width  # rows may be longer than width, never shorter
+            rows = block.rows if block.columns is None else list(zip(*block.columns))
+            if min(map(len, rows)) >= width:
+                where = range(len(rows))
+                good = rows
+            else:
+                where = [i for i, row in enumerate(rows) if len(row) >= width]
+                short = {i: f"expected at least {width} fields, got {len(row)}"
+                         for i, row in enumerate(rows) if 0 < len(row) < width}
+                good = [rows[i] for i in where]
+            tokens = list(zip(*good)) or [()] * width  # rows may be longer than width, never shorter
+        bad: dict[int, str] = {}  # index into the rows of tokens -> message
         columns = {col.name: _convert_column(tokens[p], col, bad) for col, p in self.fields}
         raw_labels = list(map(str.strip, tokens[self.label_pos]))
         labels = list(map(self.schema.class_map.get, raw_labels))
 
-        end = len(good)  # the first row whose class has no mapping, if any
+        end = len(labels)  # the first row whose class has no mapping, if any
         if None in labels:
             end = next((j for j, name in enumerate(labels) if name is None and j not in bad), end)
         fatal = None
-        if end < len(good):
+        if end < len(labels):
             fatal = DataError(
                 f"line {first_line + where[end]}: class {raw_labels[end]!r} has no mapping "
                 f"in schema {self.schema.dataset_id!r}"
@@ -400,7 +405,7 @@ class _BlockParser:
         stop = where[end] if fatal else len(block)
         for i, message in sorted([*short.items(), *((where[j], msg) for j, msg in bad.items())]):
             if i < stop:
-                self.report(first_line + i, message, block[i])
+                self.report(first_line + i, message, block.row(i))
         if bad or fatal:
             keep = [j for j in range(end) if j not in bad]
             columns = {name: [values[j] for j in keep] for name, values in columns.items()}
@@ -423,36 +428,34 @@ def parse_chunks(
     reported before its chunk is yielded; a fatal row ends the stream after
     the chunk of the rows before it.
     """
-    rows = read_csv(source)
-    line_no = 0
-    for row in rows:
-        line_no += 1
-        if row:
-            break
-    else:
-        return
-    stripped = [t.strip() for t in row]
-    if set(stripped) >= set(schema.column_names) | {schema.label_column}:
-        header_index = {name: i for i, name in enumerate(stripped)}
-        parser = _BlockParser(
-            schema, [header_index[c.name] for c in schema.columns], header_index[schema.label_column], on_error
-        )
-        pending: list[list[str]] = []
-        line_no += 1
-    else:
-        parser = _BlockParser(schema, list(range(len(schema.columns))), len(schema.columns), on_error)
-        pending = [row]
-    size = _chunk_rows()
-    block = pending + list(islice(rows, size - len(pending)))
-    while block:
-        chunk, fatal = parser.parse(block, line_no)
-        line_no += len(block)
-        del block  # free the rows before the next block is read
-        if len(chunk):
-            yield chunk
-        if fatal is not None:
-            raise fatal
-        block = list(islice(rows, size))
+    with read_csv_blocks(source) as reader:
+        line_no = 0
+        while (row := reader.row()) is not None:
+            line_no += 1
+            if row:
+                break
+        else:
+            return
+        stripped = [t.strip() for t in row]
+        if set(stripped) >= set(schema.column_names) | {schema.label_column}:
+            header_index = {name: i for i, name in enumerate(stripped)}
+            parser = _BlockParser(
+                schema, [header_index[c.name] for c in schema.columns], header_index[schema.label_column], on_error
+            )
+            line_no += 1
+        else:
+            parser = _BlockParser(schema, list(range(len(schema.columns))), len(schema.columns), on_error)
+            reader.unread(row)
+        size = _chunk_rows()
+        while block := reader.block(size):
+            chunk, fatal = parser.parse(block, line_no)
+            line_no += len(block)
+            del block  # free the rows before the next block is read
+            if len(chunk):
+                yield chunk
+            del chunk  # nor keep a chunk the caller let go while the next is parsed
+            if fatal is not None:
+                raise fatal
 
 
 def parse_flows(
@@ -473,13 +476,19 @@ def _format_value(v: object) -> str:
 
 
 def _format_column(values: list[object]) -> Iterable[str]:
-    """The column's CSV fields, formatted as they are written."""
+    """The column's CSV fields, formatted as they are written: a list, or a lazy
+    map when each field is a float's repr, which never needs quoting."""
     kinds = set(map(type, values))
     if kinds <= {str}:
         return values  # type: ignore[return-value]
     if kinds <= {float}:
         return map(float.__repr__, values)
-    return map(_format_value, values)
+    if kinds <= {str, type(None)}:
+        return [v or "" for v in values]  # type: ignore[misc]
+    if kinds <= {float, type(None)}:
+        fmt = float.__repr__
+        return ["" if v is None else fmt(v) for v in values]  # type: ignore[arg-type]
+    return list(map(_format_value, values))
 
 
 def write_flows(
@@ -492,10 +501,8 @@ def write_flows(
     ``schema.canonicalized()`` reproduces the records exactly.
     """
     names = schema.column_names
-    rows = chain.from_iterable(
-        zip(*[_format_column(chunk.columns[c]) for c in names], chunk.labels) for chunk in as_chunks(records)
-    )
-    return write_csv(dest, [*names, schema.label_column], rows)
+    blocks = ([*(_format_column(chunk.columns[c]) for c in names), chunk.labels] for chunk in as_chunks(records))
+    return write_csv_blocks(dest, [*names, schema.label_column], blocks)
 
 
 def _class_sequence(profile: SyntheticProfile, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

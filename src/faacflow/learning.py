@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -32,6 +33,21 @@ SUPPORT_EPSILON = 1e-8
 
 DEFAULT_HYPER_LR = {"lambda": 0.1}
 DEFAULT_HYPER_RF = {"lambda": 0.1, "n_trees": 100, "max_depth": 10, "m_features": 0, "min_leaf": 1}
+#: the smallest value of each hyperparameter; all but lambda are integers,
+#: and m_features 0 takes the square root of the support size
+HYPER_MIN = {"lambda": 0.0, "n_trees": 1, "max_depth": 1, "m_features": 0, "min_leaf": 1}
+
+
+def check_hyperparam(name: str, value: object, key: str | None = None) -> None:
+    """Raise a ConfigError naming ``key`` (default ``name``) unless ``value`` is
+    a number of the hyperparameter's kind and at least its ``HYPER_MIN``."""
+    low = HYPER_MIN[name]
+    kind = numbers.Real if name == "lambda" else numbers.Integral
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "a number" if name == "lambda" else "an integer"
+        raise ConfigError(f"{key or name} must be {what}, got {value!r}")
+    if not value >= low:
+        raise ConfigError(f"{key or name} must be at least {low}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +207,7 @@ def fit_lasso(
     begin from, such as another penalty's ``betas`` on the same ``Z``; None
     begins from zero.
     """
-    if lam < 0:
-        raise ConfigError(f"penalty weight must be non-negative, got {lam}")
+    check_hyperparam("lambda", lam)
     Z = np.asarray(Z, dtype=np.float64)
     if not np.all(np.isfinite(Z)):
         raise DataError("selection input contains non-finite values")
@@ -772,12 +787,8 @@ def fit_rf(
     """Bootstrap forest; tree t draws all randomness from a seed derived for t."""
     Z = np.asarray(Z, dtype=np.float64)
     y = np.asarray(y)
-    if n_trees < 1:
-        raise ConfigError(f"forest needs at least one tree, got {n_trees}")
-    if max_depth < 1:
-        raise ConfigError(f"tree depth must be positive, got {max_depth}")
-    if min_leaf < 1:
-        raise ConfigError(f"minimum leaf size must be positive, got {min_leaf}")
+    for name, value in (("n_trees", n_trees), ("max_depth", max_depth), ("min_leaf", min_leaf)):
+        check_hyperparam(name, value)
     m = _features_per_split(m_features, Z.shape[1])
     seeds = tuple(derive_seed(seed, "tree", t) for t in range(n_trees))
     trees = _grow_forest(Z, y, n_classes, seeds, max_depth, m, min_leaf, bootstrap=True)
@@ -840,16 +851,20 @@ class PipelineModel:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
-def resolve_hyperparams(kind: str, hyperparams: dict | None) -> dict:
+def resolve_hyperparams(kind: str, hyperparams: dict | None, key: str | None = None) -> dict:
+    """The defaults of model ``kind`` updated by ``hyperparams``, each checked
+    by ``check_hyperparam``; errors name the mapping as ``key`` when given."""
+    where = f"{key}: " if key else ""
     if kind == "lr":
         merged = dict(DEFAULT_HYPER_LR)
     elif kind == "rf":
         merged = dict(DEFAULT_HYPER_RF)
     else:
-        raise ConfigError(f"unknown model kind {kind!r}; expected 'lr' or 'rf'")
+        raise ConfigError(f"{where}unknown model kind {kind!r}; expected 'lr' or 'rf'")
     for k, v in (hyperparams or {}).items():
         if k not in merged:
-            raise ConfigError(f"unknown hyperparameter {k!r} for model {kind!r}")
+            raise ConfigError(f"{where}unknown hyperparameter {k!r} for model {kind!r}")
+        check_hyperparam(k, v, f"{key}.{k}" if key else k)
         merged[k] = v
     return merged
 

@@ -250,7 +250,7 @@ def parse_flows_one_row_at_a_time(text: str, schema):
     records, errors = [], []
     names = [c.name for c in schema.columns]
     positions = label_pos = None
-    for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+    for line_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
         if not row:
             continue
         if positions is None:

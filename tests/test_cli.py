@@ -16,7 +16,8 @@ import pytest
 from faacflow.cli import main, orchestrate
 from faacflow.errors import ConfigError
 from faacflow.evaluation import EvalSettings, run_holdout_study, run_single_dataset, write_report_csv
-from faacflow.faac import read_derived
+from faacflow.faac import load_faac_config, read_derived
+from faacflow.ingest import load_source_config
 from faacflow.learning import load_model
 
 MINI_FAAC = """\
@@ -429,6 +430,31 @@ def test_bad_plan_entries_exit_2_before_any_work(cfg_dir, tmp_path, capsys, key,
     assert not (tmp_path / "out").exists()
 
 
+BAD_HYPERPARAMETERS = [
+    ("lr", "lambda", "-0.1", "must be at least 0.0, got -0.1"),
+    ("rf", "lambda", "-1", "must be at least 0.0, got -1"),
+    ("rf", "n_trees", "-3", "must be at least 1, got -3"),
+    ("rf", "max_depth", "0", "must be at least 1, got 0"),
+    ("rf", "min_leaf", "0", "must be at least 1, got 0"),
+    ("rf", "m_features", "-1", "must be at least 0, got -1"),
+    ("rf", "n_trees", "2.5", "must be an integer, got 2.5"),
+    ("lr", "lambda", "small", "must be a number, got 'small'"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, name, value, message", BAD_HYPERPARAMETERS, ids=[f"{k}-{n}-{v}" for k, n, v, _ in BAD_HYPERPARAMETERS]
+)
+def test_hyperparameters_out_of_range_exit_2_before_any_work(cfg_dir, tmp_path, capsys, kind, name, value, message):
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(_plan_with(cfg_dir, "pipeline", "evaluation.fixed_hyper", f"{{{kind}: {{{name}: {value}}}}}"),
+                    encoding="utf-8")
+    assert main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {plan}: evaluation.fixed_hyper.{kind}.{name} {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("models", [["lr"], ["lr", "rf"]], ids=["one_model", "two_models"])
 def test_holdout_pipeline_writes_the_report_of_the_study_run_directly(cfg_dir, tmp_path, capsys, models):
     plan = cfg_dir / f"holdout_{len(models)}.yaml"
@@ -555,3 +581,24 @@ def test_tuned_pipeline_runs_are_byte_identical(cfg_dir, tmp_path, capsys):
     assert len(trial_logs) == 2  # one search per fold
     for key in trial_logs + ["manifest"]:
         assert runs[0][key].read_bytes() == runs[1][key].read_bytes(), key
+
+
+@pytest.mark.parametrize("name", ["nslkdd_like", "unsw_like", "ugr16_like"])
+def test_benchmark_shaped_sources_derive_under_their_own_taxonomy(config_dir, tmp_path, capsys, name):
+    text = (config_dir / f"{name}.yaml").read_text(encoding="utf-8")
+    total = load_source_config(config_dir / f"{name}.yaml").profile.total
+    assert text.count(f" {total}\n") == 2  # the profile total and the record count hint
+    source = tmp_path / f"{name}.yaml"
+    source.write_text(text.replace(f" {total}\n", " 3000\n"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["synth", "--config", str(source), "--out", str(tmp_path)]) == 0
+    flow_classes = {line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()[1:]}
+    # flows of classes the counter configuration's taxonomy lacks
+    assert flow_classes - set(load_faac_config(config_dir / "faac_reference.yaml").taxonomy.classes)
+    schema = load_source_config(source)
+    flows = tmp_path / f"{schema.dataset_id}_flows.csv"
+    assert main(["derive", "--config", str(config_dir / "faac_reference.yaml"), "--source", str(source),
+                 "--input", str(flows), "--batches", "200", "--out", str(tmp_path / "derived")]) == 0
+    dataset = read_derived(tmp_path / "derived" / f"{schema.dataset_id}_derived.csv")
+    assert set(dataset.classes) <= set(schema.taxonomy.classes)
+    assert dataset.n_rows >= 200

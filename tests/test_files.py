@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 import subprocess
@@ -10,12 +11,14 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from faacflow import files
 from faacflow.cli import main, orchestrate
 from faacflow.errors import ConfigError
 from faacflow.faac import load_faac_config
-from faacflow.files import check_keys, read_csv, read_yaml_mapping, write_csv
+from faacflow.files import check_keys, read_csv, read_csv_blocks, read_yaml_mapping, write_csv
 from faacflow.ingest import load_source_config
 from faacflow.integrate import IntegrationSpec, load_integration_spec
 
@@ -300,3 +303,66 @@ def test_plan_blocks_of_the_wrong_type_are_configuration_errors(config_dir, tmp_
     pipeline.write_text(f"batches: 4\nfaac: {config_dir / 'faac_reference.yaml'}\nsources: [a, b]\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="sources must be a mapping"):
         orchestrate(pipeline, tmp_path / "pipe", seed=1)
+
+
+def _rows_in_blocks(lines, size, unread):
+    """The rows of ``lines`` read through read_csv_blocks, or csv.Error."""
+    rows = []
+    try:
+        with read_csv_blocks(lines) as reader:
+            if unread:
+                first = reader.row()
+                if first is not None:
+                    reader.unread(first)
+            while block := reader.block(size):
+                rows += map(block.row, range(len(block)))
+    except csv.Error:
+        return csv.Error
+    return [list(row) for row in rows]
+
+
+# lines a block may split at commas, mostly with one comma each; lines whose
+# line ends are not one at the end; and any lines
+PLAIN_LINES = st.sampled_from(["a,b\n", ",\n", "ab,\n", "b,a\n", "a,,b\n"])
+ODD_LINES = st.sampled_from(["a,b\nc,d", "a\nb,c\n", "a,", "b\n", "a,b\n\n", "a,b", "\n"])
+ANY_LINES = st.text(alphabet='ab,"\r\n\0', max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lines=st.lists(st.one_of(PLAIN_LINES, PLAIN_LINES, ODD_LINES, ANY_LINES), max_size=12),
+    size=st.integers(1, 5),
+    unread=st.booleans(),
+)
+@example(lines=["a,b\nc,d", "\n"], size=2, unread=False)  # the csv module rejects an LF inside a line
+@example(lines=["a,", "b\n", "c,d\n"], size=3, unread=False)
+def test_block_reader_gives_the_rows_of_the_csv_module(lines, size, unread):
+    try:
+        want = list(csv.reader(lines))
+    except csv.Error:
+        want = csv.Error
+    assert _rows_in_blocks(lines, size, unread) == want
+    # the same lines as a text stream, where a line ends at each line end
+    text = "".join(lines)
+    try:
+        want = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error:
+        want = csv.Error
+    assert _rows_in_blocks(io.StringIO(text, newline=""), size, unread) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    rows=st.lists(st.lists(st.text(alphabet='ab,"\r\n\0 ', max_size=4), min_size=3, max_size=3), max_size=5),
+)
+def test_block_writer_writes_the_bytes_of_the_csv_module(width, rows):
+    rows = [row[:width] for row in rows]
+    blocks = [[list(col) for col in zip(*rows[i:i + 2])] for i in range(0, len(rows), 2)]  # two rows a block
+    got = io.StringIO()
+    assert files.write_csv_blocks(got, ["h"] * width, blocks) == len(rows)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["h"] * width)
+    writer.writerows(rows)
+    assert got.getvalue() == want.getvalue()

@@ -24,6 +24,7 @@ from faacflow.hyperopt import (
     posterior_variance,
     write_trial_log,
 )
+from faacflow.learning import resolve_hyperparams
 from faacflow.seeds import derive_seed
 
 from oracles import gp_posterior_dense
@@ -255,3 +256,11 @@ def test_trial_log_format():
     assert len(lines) == 3
     cfg = json.loads(lines[1].split(",", 1)[1].rsplit(",", 1)[0].strip('"').replace('""', '"'))
     assert cfg == {"n": 3, "x": 0.5}
+
+
+def test_the_hyperparameters_the_search_proposes_pass_the_range_checks():
+    for kind in ("lr", "rf"):
+        space = default_space(kind, n_features=6)
+        for u in np.linspace(0.0, 1.0, 11):
+            config = space.decode(np.full(space.n_dims, u))
+            assert resolve_hyperparams(kind, config) == {**resolve_hyperparams(kind, None), **config}

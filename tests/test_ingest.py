@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 from collections import Counter
 from unittest import mock
@@ -153,34 +154,61 @@ LABEL_TOKENS = st.sampled_from(["bg", "dos", "scan", " bg ", "dos ", "worm", ""]
 FIELD_NAMES = ("proto", "bytes", "port", "flags", "cls")
 
 
+def quoted(token):
+    return '"' + token.replace('"', '""') + '"'
+
+
+# fields the csv module reads otherwise than a split at commas would: quoted
+# fields holding a comma, a doubled quote, a line end or nothing, a quote
+# inside an unquoted field, and a quote that is never closed
+CSV_TOKENS = st.one_of(
+    st.sampled_from(["t,cp", 'a"b', "x\ny", "1,0", "bg\r\n", "", "dos"]).map(quoted),
+    st.sampled_from(['x"y', '"open']),
+)
+LINE_ENDS = st.sampled_from(["\n"] * 8 + ["\r\n", "\r"])
+
+
 @st.composite
 def flow_texts(draw):
     """CSV text with an optional header in any column order, blank lines,
-    short and long rows, odd numeric tokens and now and then an unmapped label."""
+    short and long rows, odd numeric tokens and now and then an unmapped label;
+    now and then a quoted or otherwise csv-only field, a CRLF or lone CR line
+    end, or no final line end."""
     header = draw(st.one_of(st.none(), st.permutations(FIELD_NAMES)))
     order = header or FIELD_NAMES
     kinds = {"proto": TEXT_TOKENS, "flags": TEXT_TOKENS, "bytes": NUMERIC_TOKENS, "port": NUMERIC_TOKENS,
              "cls": LABEL_TOKENS}
+    csv_only = draw(st.booleans())
+
+    def field(name):
+        if csv_only and draw(st.integers(0, 9)) == 0:
+            return draw(st.one_of(CSV_TOKENS, kinds[name].map(quoted)))
+        return draw(kinds[name])
+
     lines = [] if header is None else [",".join(f" {n}" if draw(st.booleans()) else n for n in header)]
     for _ in range(draw(st.integers(0, 30))):
         shape = draw(st.sampled_from(["row"] * 6 + ["blank", "short", "long"]))
         if shape == "blank":
             lines.append("")
             continue
-        fields = [draw(kinds[name]) for name in order]
+        fields = [field(name) for name in order]
         if shape == "short":
             fields = fields[: draw(st.integers(1, len(fields) - 1))]
         elif shape == "long":
             fields.append("extra")
         lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    ends = [draw(LINE_ENDS) if csv_only else "\n" for _ in lines]
+    if lines and csv_only and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)) if lines else "\n"
 
 
 def parsed_with_chunk_rows(text, chunk_rows):
     records, errors, fatal = [], [], None
     with mock.patch.object(faac, "CHUNK_RECORDS", chunk_rows):
         try:
-            for rec in parse_flows(io.StringIO(text), PROP_SCHEMA, on_error=errors.append):
+            # newline="" as files are opened: a lone CR ends a line
+            for rec in parse_flows(io.StringIO(text, newline=""), PROP_SCHEMA, on_error=errors.append):
                 records.append(rec)
         except DataError as exc:
             fatal = str(exc)
@@ -196,6 +224,35 @@ def test_parser_matches_the_one_row_at_a_time_oracle(text, chunk_rows):
     assert [repr((r.values, r.label, r.origin)) for r in records] == [repr(r) for r in want_records]
     assert [(e.line_no, e.message, e.raw) for e in errors] == want_errors
     assert fatal == (None if want_fatal is None else want_fatal[1])
+
+
+# categorical values the csv module quotes (or, for a lone CR, writes as it is)
+CATEGORICAL_VALUES = st.one_of(
+    st.none(), st.sampled_from(["tcp", "udp", "", '""', "a,b", 'say "hi"', "x\ry", "x\ny", "\r\n", " S "])
+)
+NUMERIC_VALUES = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(CATEGORICAL_VALUES, NUMERIC_VALUES, NUMERIC_VALUES, CATEGORICAL_VALUES,
+                  st.sampled_from(["Background", "DoS", "PortScanning"])),
+        max_size=14,
+    ),
+    chunk_rows=st.sampled_from([1, 3, 4, faac.CHUNK_RECORDS]),
+)
+def test_write_flows_writes_the_bytes_of_the_csv_module(rows, chunk_rows):
+    names = PROP_SCHEMA.column_names
+    records = [FlowRecord(values=dict(zip(names, row[:-1])), label=row[-1], origin="prop") for row in rows]
+    got = io.StringIO()
+    with mock.patch.object(faac, "CHUNK_RECORDS", chunk_rows):
+        assert write_flows(records, PROP_SCHEMA, got) == len(rows)
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")  # writes None as an empty field and a float as its repr
+    writer.writerow([*names, PROP_SCHEMA.label_column])
+    writer.writerows(rows)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_parser_oracle_sees_every_kind_of_row():
