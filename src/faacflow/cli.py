@@ -34,6 +34,7 @@ from .evaluation import (
     EvalReport,
     EvalSettings,
     aggregate_report,
+    check_fold_count,
     compare_models,
     read_report_csv,
     run_holdout_study,
@@ -42,9 +43,10 @@ from .evaluation import (
     write_report_csv,
     write_significance_csv,
 )
-from .faac import DerivedDataset, FaacConfig, derive_dataset, load_faac_config, read_derived, write_derived
+from .faac import (DerivedDataset, FaacConfig, derive_dataset, load_faac_config, plan_batches, read_derived,
+                   write_derived)
 from .files import as_bool, as_int, as_list, as_mapping, check_keys, read_yaml_mapping, write_csv
-from .hyperopt import write_trial_log
+from .hyperopt import check_budget, write_trial_log
 from .ingest import SourceSchema, generate_chunks, load_source_config, parse_chunks, write_flows
 # cli no longer calls the record-stream forms; perfbench's traced pass still wraps them here
 from .ingest import generate_synthetic, parse_flows  # noqa: F401
@@ -109,12 +111,14 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", text)
 
 
-def _load_plan(path: Path) -> tuple[dict, Callable[[object], Path]]:
-    """The top-level mapping of a YAML plan and a resolver for paths relative to it."""
+def _load_plan(path: Path) -> tuple[dict, Callable[[str, object], Path]]:
+    """The top-level mapping of a YAML plan and a resolver of its path values (strings) relative to it."""
     doc = read_yaml_mapping(path)
 
-    def resolve(p: object) -> Path:
-        target = Path(str(p))
+    def resolve(key: str, p: object) -> Path:
+        if not isinstance(p, str):
+            raise ConfigError(f"{path}: {key} must be a path, got {p!r}")
+        target = Path(p)
         return target if target.is_absolute() else path.parent / target
 
     return doc, resolve
@@ -212,22 +216,25 @@ def _settings_from_doc(doc: dict, input_keys: tuple[str, ...], where: object, pr
 
     ``where`` and ``prefix`` name the file and the block in errors. Each
     ``fixed_hyper`` entry must be a mapping of hyperparameters its model kind
-    has, each within the range ``learning.check_hyperparam`` allows.
+    has, each within the range ``learning.check_hyperparam`` allows, and ``k``,
+    ``n_init`` and ``n_iter`` within ``check_fold_count``'s and ``check_budget``'s.
     """
-    check_keys(doc, (*_SETTINGS_CHECKS, *input_keys), "evaluation key")
+    check_keys(doc, (*_SETTINGS_CHECKS, *input_keys), "evaluation key", where)
     fields = {k: check(doc[k], prefix + k, where) for k, check in _SETTINGS_CHECKS.items() if k in doc}
     fields["models"] = tuple(str(m) for m in fields.get("models", EvalSettings.models))
     for m in fields["models"]:
         if m not in ("lr", "rf"):
             raise ConfigError(f"{where}: {prefix}models: unknown model {m!r}; expected 'lr' or 'rf'")
-    for kind, hyper in fields.get("fixed_hyper", {}).items():
-        key = f"{prefix}fixed_hyper.{kind}"
-        hyper = as_mapping(hyper, key, where)
-        try:
-            resolve_hyperparams(str(kind), hyper, key)
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    return EvalSettings(**fields)
+    settings = EvalSettings(**fields)
+    hypers = {kind: as_mapping(h, f"{prefix}fixed_hyper.{kind}", where) for kind, h in settings.fixed_hyper.items()}
+    try:
+        for kind, hyper in hypers.items():
+            resolve_hyperparams(str(kind), hyper, f"{prefix}fixed_hyper.{kind}")
+        check_fold_count(settings.k, prefix + "k")
+        check_budget(settings.n_init, settings.n_iter, prefix)
+    except (ConfigError, EvaluationError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    return settings
 
 
 def _write_significance(report: EvalReport, out: Path, outputs: list[Path]) -> Comparison:
@@ -312,11 +319,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         check_keys(entry, ("path", "name"), "single entry key", cfg_path)
         if "path" not in entry:
             raise ConfigError(f"{cfg_path}: single entry {entry!r} has no 'path' key")
-        data_paths.append(resolve(entry["path"]))
+        data_paths.append(resolve("single", entry["path"]))
         singles.append((str(entry["name"]) if "name" in entry else None, read_derived(data_paths[-1])))
     transfer = {}
     for name, p in as_mapping(doc.get("transfer") or {}, "transfer", cfg_path).items():
-        data_paths.append(resolve(p))
+        data_paths.append(resolve(f"transfer.{name}", p))
         transfer[str(name)] = read_derived(data_paths[-1])
     if not singles and not transfer:
         raise ConfigError(f"{cfg_path}: no 'single' or 'transfer' inputs given")
@@ -394,8 +401,8 @@ def orchestrate(
 ) -> dict[str, Path]:
     """Run synth, derive, integrate, and evaluate from a single pipeline config.
 
-    Returns the paths of everything written. Paths inside the config
-    resolve relative to the config file.
+    Returns the paths of everything written. Every value is checked and every
+    path, relative to the config file, read before the output directory is made.
     """
     # forests grow serially; the keyword stays only for callers that pass threads=1
     if threads != 1:
@@ -408,8 +415,6 @@ def orchestrate(
     doc_seed = as_int(doc.get("seed", 0), "seed", config_path)
     seed = doc_seed if seed is None else seed
     batches = as_int(doc.get("batches", 0), "batches", config_path)
-    if batches < 1:
-        raise ConfigError(f"{config_path}: 'batches' must be a positive target batch count")
     eval_doc = doc.get("evaluation")
     settings = (
         _settings_from_doc(eval_doc, ("singles", "transfer"), config_path, "evaluation.") if eval_doc else None
@@ -418,8 +423,9 @@ def orchestrate(
     if not isinstance(transfer, bool) and transfer != "holdout":
         raise ConfigError(f"{config_path}: evaluation.transfer must be true, false or holdout, got {transfer!r}")
     sources = as_mapping(doc["sources"], "sources", config_path)
-    targets = as_list((eval_doc or {}).get("singles") or [], "evaluation.singles", config_path)
-    targets = [str(t) for t in targets]
+    if len(sources) < (needed := {True: 2, "holdout": 3}.get(transfer, 0)):
+        raise ConfigError(f"{config_path}: evaluation.transfer: {str(transfer).lower()} needs {needed} or more sources")
+    targets = [str(t) for t in as_list((eval_doc or {}).get("singles") or [], "evaluation.singles", config_path)]
     for target in targets:
         if target == "integrated" and len(sources) < 2:
             raise ConfigError(f"{config_path}: evaluation.singles: 'integrated' needs at least two sources")
@@ -427,30 +433,34 @@ def orchestrate(
             raise ConfigError(
                 f"{config_path}: evaluation.singles: unknown target {target!r}; expected a source or 'integrated'"
             )
+    configs = [config_path, resolve("faac", doc["faac"])]
+    faac_config = load_faac_config(configs[-1])
+    schemas: dict[str, SourceSchema] = {}
+    for name, src in sources.items():
+        configs.append(resolve(f"sources.{name}", src))
+        schema = schemas[str(name)] = load_source_config(configs[-1])
+        if schema.profile is None:
+            raise ConfigError(f"{configs[-1]}: source {name!r} has no synthetic profile to generate from")
+        try:
+            plan_batches(schema.profile.total, batches)
+        except (ConfigError, DataError) as exc:
+            raise ConfigError(f"{config_path}: batches: {exc} (source {name!r})") from None
+    spec = IntegrationSpec()
+    if "integration" in doc:
+        configs.append(resolve("integration", doc["integration"]))
+        spec = load_integration_spec(configs[-1])
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    faac_config = load_faac_config(resolve(doc["faac"]))
     artifacts: dict[str, Path] = {}
-    config_files = [config_path, resolve(doc["faac"])]
-
     derived: dict[str, DerivedDataset] = {}
-    for name, src in sources.items():
-        name = str(name)
-        schema = load_source_config(resolve(src))
-        config_files.append(resolve(src))
-        if schema.profile is None:
-            raise ConfigError(f"source {name!r} has no synthetic profile to generate from")
+    for name, schema in schemas.items():
         profile = replace(schema.profile, seed=derive_seed(seed, "synth", name))
         flows_path = artifacts[f"flows:{name}"] = out / f"{schema.dataset_id}_flows.csv"
         write_flows(generate_chunks(profile, schema), schema, flows_path)
         derived[name], *paths = _derive_flows(flows_path, schema, faac_config, batches, profile.total, out)
         artifacts[f"derived:{name}"], artifacts[f"distribution:{name}"] = paths
 
-    spec = IntegrationSpec()
-    if "integration" in doc:
-        spec = load_integration_spec(resolve(doc["integration"]))
-        config_files.append(resolve(doc["integration"]))
     merged = None
     if len(derived) >= 2:
         merged = integrate(list(derived.values()), spec)
@@ -475,7 +485,7 @@ def orchestrate(
                 save_model(model, model_path)
                 artifacts[f"model:{kind}"] = model_path
 
-    manifest = _write_manifest(out, "pipeline", list(artifacts.values()), config_files, seed)
+    manifest = _write_manifest(out, "pipeline", list(artifacts.values()), configs, seed)
     artifacts["manifest"] = manifest
     return artifacts
 

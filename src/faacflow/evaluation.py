@@ -32,6 +32,12 @@ log = logging.getLogger(__name__)
 # Folds
 
 
+def check_fold_count(k: int, key: str = "fold count") -> None:
+    """Raise an EvaluationError naming ``key`` unless ``k`` is at least 2."""
+    if k < 2:
+        raise EvaluationError(f"{key} must be at least 2, got {k}")
+
+
 def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     """k disjoint validation folds preserving class proportions.
 
@@ -40,8 +46,7 @@ def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
     split could not keep every class on both sides.
     """
     y = np.asarray(y)
-    if k < 2:
-        raise EvaluationError(f"fold count must be at least 2, got {k}")
+    check_fold_count(k)
     folds: list[list[int]] = [[] for _ in range(k)]
     for ci in np.unique(y):
         rows = np.flatnonzero(y == ci)

@@ -38,7 +38,7 @@ def read_yaml_mapping(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a UnicodeDecodeError, or a NUL in the path
         raise ConfigError(f"{path}: cannot read as UTF-8 text: {exc}") from exc
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)

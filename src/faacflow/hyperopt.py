@@ -190,6 +190,16 @@ def write_trial_log(trials: Sequence[TrialRow], dest: str | Path | TextIO) -> No
     write_csv(dest, ["trial", "config_json", "score"], rows)
 
 
+def check_budget(n_init: int, n_iter: int, prefix: str = "") -> None:
+    """Raise a ConfigError naming ``prefix``-ed keys unless 1 <= n_init, 0 <= n_iter and their sum <= N_CANDIDATES."""
+    if n_init < 1:
+        raise ConfigError(f"{prefix}n_init must be at least 1, got {n_init}")
+    if n_iter < 0:
+        raise ConfigError(f"{prefix}n_iter must be at least 0, got {n_iter}")
+    if n_init + n_iter > N_CANDIDATES:
+        raise ConfigError(f"{prefix}n_init + n_iter must be at most the candidate set size {N_CANDIDATES}")
+
+
 def optimize(
     objective: Callable[[dict], float],
     space: SearchSpace,
@@ -205,13 +215,8 @@ def optimize(
     earliest index winning ties. A configuration is never evaluated twice:
     candidates decoding to an already-tried configuration are skipped.
     """
-    if n_init < 1:
-        raise ConfigError(f"initial design needs at least one trial, got {n_init}")
-    if n_iter < 0:
-        raise ConfigError(f"refinement budget must be non-negative, got {n_iter}")
+    check_budget(n_init, n_iter)
     total = n_init + n_iter
-    if total > N_CANDIDATES:
-        raise ConfigError(f"budget {total} exceeds the candidate set size {N_CANDIDATES}")
     candidates = halton_candidates(N_CANDIDATES, space.n_dims, derive_seed(seed, "candidates"))
 
     trials: list[TrialRow] = []
