@@ -35,6 +35,7 @@ from .evaluation import (
     EvalSettings,
     aggregate_report,
     check_fold_count,
+    check_repetitions,
     compare_models,
     read_report_csv,
     run_holdout_study,
@@ -217,20 +218,21 @@ def _settings_from_doc(doc: dict, input_keys: tuple[str, ...], where: object, pr
     ``where`` and ``prefix`` name the file and the block in errors. Each
     ``fixed_hyper`` entry must be a mapping of hyperparameters its model kind
     has, each within the range ``learning.check_hyperparam`` allows, and ``k``,
-    ``n_init`` and ``n_iter`` within ``check_fold_count``'s and ``check_budget``'s.
+    ``repetitions``, ``n_init`` and ``n_iter`` within ``check_fold_count``'s,
+    ``check_repetitions``' and ``check_budget``'s.
     """
     check_keys(doc, (*_SETTINGS_CHECKS, *input_keys), "evaluation key", where)
     fields = {k: check(doc[k], prefix + k, where) for k, check in _SETTINGS_CHECKS.items() if k in doc}
     fields["models"] = tuple(str(m) for m in fields.get("models", EvalSettings.models))
-    for m in fields["models"]:
-        if m not in ("lr", "rf"):
-            raise ConfigError(f"{where}: {prefix}models: unknown model {m!r}; expected 'lr' or 'rf'")
     settings = EvalSettings(**fields)
     hypers = {kind: as_mapping(h, f"{prefix}fixed_hyper.{kind}", where) for kind, h in settings.fixed_hyper.items()}
     try:
+        for kind in settings.models:
+            resolve_hyperparams(kind, None, prefix + "models")
         for kind, hyper in hypers.items():
             resolve_hyperparams(str(kind), hyper, f"{prefix}fixed_hyper.{kind}")
         check_fold_count(settings.k, prefix + "k")
+        check_repetitions(settings.repetitions, prefix + "repetitions")
         check_budget(settings.n_init, settings.n_iter, prefix)
     except (ConfigError, EvaluationError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
@@ -416,9 +418,8 @@ def orchestrate(
     seed = doc_seed if seed is None else seed
     batches = as_int(doc.get("batches", 0), "batches", config_path)
     eval_doc = doc.get("evaluation")
-    settings = (
-        _settings_from_doc(eval_doc, ("singles", "transfer"), config_path, "evaluation.") if eval_doc else None
-    )
+    if eval_doc is not None:  # checked even when falsy; {} runs no evaluation below
+        settings = _settings_from_doc(eval_doc, ("singles", "transfer"), config_path, "evaluation.")
     transfer = eval_doc.get("transfer", False) if eval_doc else False
     if not isinstance(transfer, bool) and transfer != "holdout":
         raise ConfigError(f"{config_path}: evaluation.transfer must be true, false or holdout, got {transfer!r}")
@@ -436,9 +437,12 @@ def orchestrate(
     configs = [config_path, resolve("faac", doc["faac"])]
     faac_config = load_faac_config(configs[-1])
     schemas: dict[str, SourceSchema] = {}
+    owners: dict[str, str] = {}  # dataset id -> the source key whose outputs it names
     for name, src in sources.items():
         configs.append(resolve(f"sources.{name}", src))
         schema = schemas[str(name)] = load_source_config(configs[-1])
+        if (owner := owners.setdefault(schema.dataset_id, str(name))) != str(name):
+            raise ConfigError(f"{config_path}: sources: {owner} and {name} both name dataset {schema.dataset_id!r}")
         if schema.profile is None:
             raise ConfigError(f"{configs[-1]}: source {name!r} has no synthetic profile to generate from")
         try:
@@ -476,9 +480,8 @@ def orchestrate(
             # export one deployable model per kind, fit on the widest dataset
             primary_name, primary = ("integrated", merged) if merged is not None else next(iter(derived.items()))
             for kind in settings.models:
-                hyper = resolve_hyperparams(kind, settings.fixed_hyper.get(kind))
                 model = fit_pipeline(
-                    primary.X, primary.y, primary.classes, kind, hyperparams=hyper,
+                    primary.X, primary.y, primary.classes, kind, hyperparams=settings.fixed_hyper.get(kind),
                     seed=derive_seed(seed, "final", kind), provenance={"dataset": primary_name},
                 )
                 model_path = out / f"model_{kind}.json"

@@ -22,7 +22,7 @@ from .faac import DerivedDataset
 from .files import read_csv, write_csv
 from .hyperopt import TrialRow, default_space, optimize
 from .integrate import IntegrationSpec, integrate, restrict, shared_classes
-from .learning import PipelineModel, fit_pipeline, resolve_hyperparams
+from .learning import PipelineModel, fit_pipeline
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -36,6 +36,12 @@ def check_fold_count(k: int, key: str = "fold count") -> None:
     """Raise an EvaluationError naming ``key`` unless ``k`` is at least 2."""
     if k < 2:
         raise EvaluationError(f"{key} must be at least 2, got {k}")
+
+
+def check_repetitions(n: int, key: str = "repetitions") -> None:
+    """Raise an EvaluationError naming ``key`` unless ``n`` is at least 1."""
+    if n < 1:
+        raise EvaluationError(f"{key} must be at least 1, got {n}")
 
 
 def stratified_folds(y: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
@@ -358,10 +364,9 @@ def _fit_and_score(
             report.trial_runs.append(
                 TrialRun(model=kind, repetition=repetition, fold=fold, trials=trials, label=trial_label)
             )
-        resolved = resolve_hyperparams(kind, hyper)
         model = fit_pipeline(
             *train, classes, kind,
-            hyperparams=resolved,
+            hyperparams=hyper,
             seed=derive_seed(seed, "fit", kind, *labels),
             provenance={"dataset": train_name, "repetition": repetition, "fold": fold},
         )
@@ -372,7 +377,7 @@ def _fit_and_score(
         FoldResult(
             setting=setting, model=kind, train_origin=train_name, test_origin=test_name,
             repetition=repetition, fold=fold, class_aucs=aucs, class_counts=counts,
-            weighted_auc=wavg, hyperparams_json=json.dumps(resolved, sort_keys=True),
+            weighted_auc=wavg, hyperparams_json=json.dumps(model.hyperparams, sort_keys=True),
         )
     )
     return hyper
@@ -389,6 +394,7 @@ def run_single_dataset(
     Folds are drawn once per repetition and shared by all models, so the
     per-fold scores of two models are matched pairs.
     """
+    check_repetitions(settings.repetitions)
     name = name or _dataset_name(dataset)
     report = EvalReport()
     X, y, classes = dataset.X, dataset.y, dataset.classes
@@ -540,7 +546,6 @@ def read_report_csv(path: str | Path | TextIO) -> EvalReport:
     if header != REPORT_HEADER.split(","):
         raise EvaluationError(f"unexpected report header: {','.join(header)}")
     groups: dict[tuple, dict] = {}
-    order: list[tuple] = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -553,12 +558,10 @@ def read_report_csv(path: str | Path | TextIO) -> EvalReport:
             raise EvaluationError(f"line {line_no}: {exc}") from exc
         if key not in groups:
             groups[key] = {"aucs": [], "counts": [], "wavg": wavg, "hyper": row[10]}
-            order.append(key)
         groups[key]["aucs"].append((cname, auc))
         groups[key]["counts"].append((cname, q))
     report = EvalReport()
-    for key in order:
-        g = groups[key]
+    for key, g in groups.items():
         report.rows.append(
             FoldResult(
                 setting=key[0],

@@ -11,7 +11,7 @@ broken by a configured priority order.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -19,6 +19,7 @@ from typing import TextIO
 
 import numpy as np
 
+from . import ingest
 from .errors import ConfigError, DataError
 from .files import as_list, as_mapping, check_keys, read_csv, read_yaml_mapping, write_csv
 from .ingest import DEFAULT_TAXONOMY, CanonicalTaxonomy, FlowChunk, FlowRecord, as_chunks, taxonomy_from
@@ -159,7 +160,6 @@ class FaacConfig:
 @dataclass(frozen=True)
 class BatchPlan:
     n_records: int
-    target_batches: int
     batch_size: int
     full_batches: int
 
@@ -181,15 +181,10 @@ def plan_batches(n_records: int, target_batches: int) -> BatchPlan:
         )
     return BatchPlan(
         n_records=n_records,
-        target_batches=target_batches,
         batch_size=batch_size,
         full_batches=n_records // batch_size,
     )
 
-
-#: rows per FlowChunk that synthesis, parsing and the record adapter produce; derivation
-#: counts this many records per numpy pass, rounded down to whole batches (at least one batch)
-CHUNK_RECORDS = 4096
 
 _FLOAT_OR_MISSING = {float, type(None)}
 
@@ -420,9 +415,6 @@ class DerivedDataset:
         return out
 
     def take(self, rows: np.ndarray) -> "DerivedDataset":
-        rows = np.asarray(rows)
-        if rows.dtype == bool:
-            rows = np.flatnonzero(rows)
         return DerivedDataset(
             feature_names=self.feature_names,
             X=self.X[rows],
@@ -441,7 +433,7 @@ def derive_dataset(
 ) -> DerivedDataset:
     """Derive the normalized counter matrix from a stream of chunks or records.
 
-    Records are counted in chunks of whole batches: ``CHUNK_RECORDS``
+    Records are counted in chunks of whole batches: ``ingest.CHUNK_RECORDS``
     rounded down to a multiple of the batch size, or one batch when a
     batch is larger. A record stream is gathered into chunks first
     (``ingest.as_chunks``). ``n_records`` enables single-pass streaming
@@ -456,7 +448,7 @@ def derive_dataset(
     plan = plan_batches(n_records, target_batches)
     compiled = _CompiledFaac(config)
     size = plan.batch_size
-    chunk_records = max(1, CHUNK_RECORDS // size) * size
+    chunk_records = max(1, ingest.CHUNK_RECORDS // size) * size
 
     rows = np.empty((plan.full_batches, compiled.n_features), dtype=np.float64)
     y = np.empty(plan.full_batches, dtype=np.int64)
@@ -510,12 +502,11 @@ def write_derived(dataset: DerivedDataset, dest: str | Path | TextIO) -> int:
     return write_csv(dest, list(dataset.feature_names) + list(_META_COLUMNS), rows)
 
 
-def read_derived(path: str | Path | TextIO, taxonomy: CanonicalTaxonomy | None = None) -> DerivedDataset:
+def read_derived(path: str | Path | TextIO) -> DerivedDataset:
     """Read a derived CSV back into memory.
 
-    With a taxonomy, labels index into it (unknown labels are fatal);
-    without one, classes are collected in first-seen order with Background
-    moved to the front when present.
+    Classes are collected in first-seen order with Background moved to the
+    front when present.
     """
     reader = read_csv(path)
     try:
@@ -541,22 +532,16 @@ def read_derived(path: str | Path | TextIO, taxonomy: CanonicalTaxonomy | None =
             raise DataError(f"line {line_no}: {exc}") from exc
         label_names.append(row[-3])
         origins.append(row[-2])
-    if taxonomy is not None:
-        classes = taxonomy.classes
-    else:
-        seen: list[str] = []
-        for name in label_names:
-            if name not in seen:
-                seen.append(name)
-        if "Background" in seen:
-            seen.remove("Background")
-            seen.insert(0, "Background")
-        classes = tuple(seen)
+    seen: list[str] = []
+    for name in label_names:
+        if name not in seen:
+            seen.append(name)
+    if "Background" in seen:
+        seen.remove("Background")
+        seen.insert(0, "Background")
+    classes = tuple(seen)
     index = {name: i for i, name in enumerate(classes)}
-    try:
-        y = np.array([index[name] for name in label_names], dtype=np.int64)
-    except KeyError as exc:
-        raise DataError(f"label {exc.args[0]!r} not in taxonomy {list(classes)}") from None
+    y = np.array([index[name] for name in label_names], dtype=np.int64)
     X = np.array(data, dtype=np.float64) if data else np.empty((0, len(feature_names)))
     return DerivedDataset(
         feature_names=feature_names,

@@ -2,7 +2,7 @@
 
 A source dataset is described by a :class:`SourceSchema` loaded from a YAML
 file. Flows move between stages as :class:`FlowChunk` objects: up to
-``faac.CHUNK_RECORDS`` consecutive flows held one column per variable, so
+``CHUNK_RECORDS`` consecutive flows held one column per variable, so
 generating, formatting, parsing and counting each work a column at a time.
 Parsing maps each source label to a canonical class name through the
 schema's ``class_map`` and streams chunks in file order with memory bounded
@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, TextIO
@@ -29,6 +29,10 @@ log = logging.getLogger(__name__)
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
+
+#: rows per FlowChunk that synthesis, parsing and the record adapter produce; derivation
+#: counts this many records per numpy pass, rounded down to whole batches (at least one batch)
+CHUNK_RECORDS = 4096
 
 #: Canonical class order used when a config does not override it.
 DEFAULT_CLASSES = ("Background", "DoS", "PortScanning")
@@ -58,9 +62,6 @@ class CanonicalTaxonomy:
 
     def __contains__(self, name: object) -> bool:
         return name in self.classes
-
-    def __len__(self) -> int:
-        return len(self.classes)
 
 
 DEFAULT_TAXONOMY = CanonicalTaxonomy()
@@ -97,18 +98,11 @@ class FlowChunk:
         return len(self.labels)
 
 
-def _chunk_rows() -> int:
-    """Rows per chunk: ``faac.CHUNK_RECORDS``, read at call time."""
-    from . import faac  # faac imports this module, so import it late
-
-    return faac.CHUNK_RECORDS
-
-
 def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[FlowChunk]:
     """The stream as chunks, in order.
 
     A stream of chunks passes through. A stream of records is gathered into
-    chunks of up to ``faac.CHUNK_RECORDS`` rows; a record whose variable
+    chunks of up to ``CHUNK_RECORDS`` rows; a record whose variable
     names differ from those of the chunk being gathered starts a new one.
     """
     it = iter(stream)
@@ -117,8 +111,7 @@ def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[Fl
         yield first
         yield from it
         return
-    limit = _chunk_rows()
-    pending = [] if first is None else [first, *islice(it, limit - 1)]
+    pending = [] if first is None else [first, *islice(it, CHUNK_RECORDS - 1)]
     while pending:
         dicts = [rec.values for rec in pending]
         names = dicts[0].keys()
@@ -139,7 +132,7 @@ def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[Fl
             origins=[rec.origin for rec in pending[:end]],
         )
         pending = pending[end:]
-        pending.extend(islice(it, limit - len(pending)))
+        pending.extend(islice(it, CHUNK_RECORDS - len(pending)))
 
 
 def iter_records(chunks: Iterable[FlowChunk]) -> Iterator[FlowRecord]:
@@ -296,15 +289,7 @@ class SourceSchema:
 
     def canonicalized(self) -> "SourceSchema":
         """Schema for re-parsing the canonical CSV form (identity class map)."""
-        return SourceSchema(
-            dataset_id=self.dataset_id,
-            columns=self.columns,
-            label_column=self.label_column,
-            class_map={c: c for c in self.taxonomy.classes},
-            taxonomy=self.taxonomy,
-            record_count_hint=self.record_count_hint,
-            profile=self.profile,
-        )
+        return replace(self, class_map={c: c for c in self.taxonomy.classes})
 
 
 def _convert(token: str, col: Column) -> object:
@@ -424,7 +409,7 @@ def parse_chunks(
     without one, fields are positional: variable columns in schema order,
     label last. Malformed rows are reported through ``on_error`` (default:
     warning log) and skipped; an unmapped class name is fatal. Rows are
-    read ``faac.CHUNK_RECORDS`` at a time and each block's rows are
+    read ``CHUNK_RECORDS`` at a time and each block's rows are
     reported before its chunk is yielded; a fatal row ends the stream after
     the chunk of the rows before it.
     """
@@ -446,8 +431,7 @@ def parse_chunks(
         else:
             parser = _BlockParser(schema, list(range(len(schema.columns))), len(schema.columns), on_error)
             reader.unread(row)
-        size = _chunk_rows()
-        while block := reader.block(size):
+        while block := reader.block(CHUNK_RECORDS):
             chunk, fatal = parser.parse(block, line_no)
             line_no += len(block)
             del block  # free the rows before the next block is read
@@ -566,7 +550,7 @@ def generate_chunks(profile: SyntheticProfile, schema: SourceSchema) -> Iterator
     class declares variants) decides which distribution serves each variable,
     falling back to the class entry and then to ``default``. Each variable
     is drawn for the whole source and then cut into chunks of
-    ``faac.CHUNK_RECORDS`` rows. The seed fully determines the output.
+    ``CHUNK_RECORDS`` rows. The seed fully determines the output.
     """
     rng = np.random.default_rng(profile.seed)
     names = [c for c, _ in profile.proportions]
@@ -614,9 +598,8 @@ def generate_chunks(profile: SyntheticProfile, schema: SourceSchema) -> Iterator
         columns[col.name] = vals.tolist()
 
     labels = list(map(names.__getitem__, seq.tolist()))
-    size = _chunk_rows()
-    for start in range(0, profile.total, size):
-        rows = slice(start, start + size)
+    for start in range(0, profile.total, CHUNK_RECORDS):
+        rows = slice(start, start + CHUNK_RECORDS)
         yield FlowChunk(
             columns={name: vals[rows] for name, vals in columns.items()},
             labels=labels[rows],

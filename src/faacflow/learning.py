@@ -334,12 +334,6 @@ def fit_lr(Z: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
     return betas
 
 
-def predict_scores_lr(betas: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    Z = np.asarray(Z, dtype=np.float64)
-    X1 = np.hstack([np.ones((Z.shape[0], 1)), Z])
-    return _sigmoid(X1 @ betas.T)
-
-
 def renormalize_scores(scores: np.ndarray) -> np.ndarray:
     """Rescale non-negative per-class scores so each row sums to one.
 
@@ -352,7 +346,9 @@ def renormalize_scores(scores: np.ndarray) -> np.ndarray:
 
 def predict_proba_lr(betas: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Per-class sigmoid scores rescaled to sum to one per row."""
-    return renormalize_scores(predict_scores_lr(betas, Z))
+    Z = np.asarray(Z, dtype=np.float64)
+    X1 = np.hstack([np.ones((Z.shape[0], 1)), Z])
+    return renormalize_scores(_sigmoid(X1 @ betas.T))
 
 
 # ---------------------------------------------------------------------------
@@ -912,10 +908,7 @@ def fit_pipeline(
         model.lr_betas = fit_lr(Zs, y, n_classes)
     else:
         s = len(selector.support)
-        m = int(hp["m_features"])
-        if m <= 0:
-            m = max(1, round(math.sqrt(s))) if s else 0
-        m = min(m, s) if s else 0
+        m = min(int(hp["m_features"]) or max(1, round(math.sqrt(s))), s)
         model.forest = fit_rf(
             Zs,
             y,

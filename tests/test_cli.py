@@ -336,10 +336,12 @@ def test_pipeline_script_exits_with_the_cli_codes_without_a_traceback(cfg_dir, t
         f"batches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\nsources:\n  s1: {cfg_dir / source}\n{extra}",
         encoding="utf-8",
     )
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline.py"
+    # a fresh interpreter does not see pytest's pythonpath; hand it the source tree
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, str(script), "--config", str(plan), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        [sys.executable, "-m", "faacflow", "pipeline", "--config", str(plan), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
@@ -385,7 +387,7 @@ def _plan_with(cfg_dir, command: str, key: str, value: str) -> str:
     top = {"seed": "5", "batches": "40", "faac": str(cfg_dir / "mini_faac.yaml"), "sources": f"{{{sources}}}"}
     evaluation = {"models": "[lr]", "k": "2", "repetitions": "1", "singles": "[integrated]"}
     block, _, name = key.rpartition(".")
-    (evaluation if block else top)[name] = value
+    (evaluation if block else top)[name] = value.replace("<cfg>", str(cfg_dir))
     top["evaluation"] = "{" + ", ".join(f"{k}: {v}" for k, v in evaluation.items()) + "}"
     return "".join(f"{k}: {v}\n" for k, v in top.items())
 
@@ -411,6 +413,8 @@ BAD_PLAN_VALUES = [
     ("pipeline", "evaluation.n_iter", "-1", "must be at least 0, got -1"),
     ("evaluate", "k", "0", "must be at least 2, got 0"),
     ("evaluate", "n_init", "-2", "must be at least 1, got -2"),
+    ("pipeline", "evaluation.repetitions", "0", "must be at least 1, got 0"),
+    ("evaluate", "repetitions", "0", "must be at least 1, got 0"),
 ]
 
 
@@ -436,6 +440,8 @@ BAD_PLAN_ENTRIES = [
     ("evaluation.n_iter", "1000", "evaluation.n_init + n_iter must be at most the candidate set size 256"),
     ("batches", "10000000", "batches: batch size would be zero: 4000 records cannot fill 10000000 batches"),
     ("batches", "0", "batches: target batch count must be positive, got 0 (source 's1')"),
+    ("sources", "{a: <cfg>/source_s1.yaml, b: <cfg>/source_s1.yaml}", "sources: a and b both name dataset 's1'"),
+    ("evaluation.models", "[svm]", "evaluation.models: unknown model kind 'svm'; expected 'lr' or 'rf'"),
 ]
 
 
@@ -478,12 +484,17 @@ PLAN_SHAPE_FAULTS = [
     ("s1, s2", "{models: [lr], transfer: holdout}", "evaluation.transfer: holdout needs 3 or more sources"),
     ("s1", "{models: [lr], transfer: true}", "evaluation.transfer: true needs 2 or more sources"),
     ("s1, s2", "[a]", "expected a mapping of evaluation keys, got ['a']"),
+    ("s1, s2", "0", "expected a mapping of evaluation keys, got 0"),
+    ("s1, s2", "false", "expected a mapping of evaluation keys, got False"),
+    ("s1, s2", "''", "expected a mapping of evaluation keys, got ''"),
+    ("s1, s2", "[]", "expected a mapping of evaluation keys, got []"),
 ]
 
 
 @pytest.mark.parametrize(
     "sources, evaluation, message", PLAN_SHAPE_FAULTS,
-    ids=["holdout_with_two_sources", "transfer_with_one_source", "evaluation_not_a_mapping"],
+    ids=["holdout_with_two_sources", "transfer_with_one_source", "evaluation_not_a_mapping", "evaluation_zero",
+         "evaluation_false", "evaluation_empty_text", "evaluation_empty_list"],
 )
 def test_plan_shape_faults_exit_2_before_any_work(cfg_dir, tmp_path, capsys, sources, evaluation, message):
     plan = tmp_path / "plan.yaml"

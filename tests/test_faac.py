@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faacflow import faac
+from faacflow import ingest
 from faacflow.errors import ConfigError, DataError
 from faacflow.faac import (
     DerivedDataset,
@@ -304,8 +304,8 @@ def test_a_batch_reads_the_columns_its_first_record_names():
     cfg = replace(small_config(), aliases={"dport": "port"})
     records = [rec(proto="tcp", port=80.0), rec(proto="tcp", dport=80.0),
                rec(proto="tcp", dport=443.0), rec(proto="tcp", port=443.0)]
-    for chunk in (1, 3, faac.CHUNK_RECORDS):
-        with mock.patch.object(faac, "CHUNK_RECORDS", chunk):
+    for chunk in (1, 3, ingest.CHUNK_RECORDS):
+        with mock.patch.object(ingest, "CHUNK_RECORDS", chunk):
             ds = derive_dataset(records, 2, cfg)
         for row in ds.X:
             counts = dict(zip(ds.feature_names, row))
@@ -469,12 +469,12 @@ def mixed_streams(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(stream=mixed_streams(), as_list=st.booleans(), chunk=st.sampled_from([1, 4, 9, faac.CHUNK_RECORDS]))
+@given(stream=mixed_streams(), as_list=st.booleans(), chunk=st.sampled_from([1, 4, 9, ingest.CHUNK_RECORDS]))
 def test_counters_match_brute_force_recount(stream, as_list, chunk):
     records, batch_size, n_batches = stream
     source = records if as_list else iter(records)
     # small chunks split streams into several chunks, most with a short last one
-    with mock.patch.object(faac, "CHUNK_RECORDS", chunk):
+    with mock.patch.object(ingest, "CHUNK_RECORDS", chunk):
         ds = derive_dataset(source, n_batches, PROP_CONFIG, n_records=len(records))
     rows, labels, origins = recount(records, batch_size, n_batches, PROP_CONFIG)
     assert list(ds.batch_sizes) == [batch_size] * n_batches
@@ -484,10 +484,10 @@ def test_counters_match_brute_force_recount(stream, as_list, chunk):
 
 
 @settings(max_examples=200, deadline=None)
-@given(stream=mixed_streams(), chunk=st.sampled_from([1, 4, 9, faac.CHUNK_RECORDS]))
+@given(stream=mixed_streams(), chunk=st.sampled_from([1, 4, 9, ingest.CHUNK_RECORDS]))
 def test_records_round_trip_through_chunks(stream, chunk):
     records, _, n_batches = stream
-    with mock.patch.object(faac, "CHUNK_RECORDS", chunk):
+    with mock.patch.object(ingest, "CHUNK_RECORDS", chunk):
         chunks = list(as_chunks(records))
         from_chunks = derive_dataset(chunks, n_batches, PROP_CONFIG)
         from_records = derive_dataset(iter(records), n_batches, PROP_CONFIG, n_records=len(records))
@@ -591,7 +591,7 @@ def test_derived_round_trip_with_taxonomy():
     buf = io.StringIO()
     write_derived(ds, buf)
     buf.seek(0)
-    back = read_derived(buf, taxonomy=TAX)
+    back = read_derived(buf)
     assert back.feature_names == ds.feature_names
     assert back.classes == ds.classes
     assert np.array_equal(back.y, ds.y)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from faacflow import faac
+from faacflow import ingest
 from faacflow.errors import ConfigError, DataError
 from faacflow.ingest import (
     CATEGORICAL,
@@ -205,7 +205,7 @@ def flow_texts(draw):
 
 def parsed_with_chunk_rows(text, chunk_rows):
     records, errors, fatal = [], [], None
-    with mock.patch.object(faac, "CHUNK_RECORDS", chunk_rows):
+    with mock.patch.object(ingest, "CHUNK_RECORDS", chunk_rows):
         try:
             # newline="" as files are opened: a lone CR ends a line
             for rec in parse_flows(io.StringIO(text, newline=""), PROP_SCHEMA, on_error=errors.append):
@@ -216,7 +216,7 @@ def parsed_with_chunk_rows(text, chunk_rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=flow_texts(), chunk_rows=st.sampled_from([1, 4, 9, faac.CHUNK_RECORDS]))
+@given(text=flow_texts(), chunk_rows=st.sampled_from([1, 4, 9, ingest.CHUNK_RECORDS]))
 def test_parser_matches_the_one_row_at_a_time_oracle(text, chunk_rows):
     records, errors, fatal = parsed_with_chunk_rows(text, chunk_rows)
     want_records, want_errors, want_fatal = parse_flows_one_row_at_a_time(text, PROP_SCHEMA)
@@ -240,13 +240,13 @@ NUMERIC_VALUES = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=
                   st.sampled_from(["Background", "DoS", "PortScanning"])),
         max_size=14,
     ),
-    chunk_rows=st.sampled_from([1, 3, 4, faac.CHUNK_RECORDS]),
+    chunk_rows=st.sampled_from([1, 3, 4, ingest.CHUNK_RECORDS]),
 )
 def test_write_flows_writes_the_bytes_of_the_csv_module(rows, chunk_rows):
     names = PROP_SCHEMA.column_names
     records = [FlowRecord(values=dict(zip(names, row[:-1])), label=row[-1], origin="prop") for row in rows]
     got = io.StringIO()
-    with mock.patch.object(faac, "CHUNK_RECORDS", chunk_rows):
+    with mock.patch.object(ingest, "CHUNK_RECORDS", chunk_rows):
         assert write_flows(records, PROP_SCHEMA, got) == len(rows)
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")  # writes None as an empty field and a float as its repr
@@ -266,7 +266,7 @@ def test_parser_oracle_sees_every_kind_of_row():
         (8, "line 8: class 'worm' has no mapping in schema 'prop'"),
     )
     assert parse_flows_one_row_at_a_time(text, PROP_SCHEMA) == want
-    for chunk_rows in (1, 4, 9, faac.CHUNK_RECORDS):
+    for chunk_rows in (1, 4, 9, ingest.CHUNK_RECORDS):
         records, errors, fatal = parsed_with_chunk_rows(text, chunk_rows)
         assert [(r.values, r.label, r.origin) for r in records] == want[0]
         assert [(e.line_no, e.message, e.raw) for e in errors] == want[1]
