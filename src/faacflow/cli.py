@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__
 from .errors import ConfigError, DataError, EvaluationError, FaacflowError
@@ -48,7 +48,7 @@ from .faac import (DerivedDataset, FaacConfig, derive_dataset, load_faac_config,
                    write_derived)
 from .files import as_bool, as_int, as_list, as_mapping, check_keys, read_yaml_mapping, write_csv
 from .hyperopt import check_budget, write_trial_log
-from .ingest import SourceSchema, generate_chunks, load_source_config, parse_chunks, write_flows
+from .ingest import FlowChunk, SourceSchema, generate_chunks, load_source_config, parse_chunks, write_flows
 # cli no longer calls the record-stream forms; perfbench's traced pass still wraps them here
 from .ingest import generate_synthetic, parse_flows  # noqa: F401
 from .integrate import IntegrationSpec, distribution_report, integrate, load_integration_spec
@@ -157,7 +157,9 @@ def cmd_derive(args: argparse.Namespace) -> int:
     schema = load_source_config(args.source)
     out = _out_dir(args)
     n_records = args.count if args.count is not None else schema.record_count_hint
-    dataset, path, dist_path = _derive_flows(args.input, schema, config, args.batches, n_records, out)
+    class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}  # raw or canonical names
+    chunks = parse_chunks(args.input, replace(schema, class_map=class_map))
+    dataset, path, dist_path = _derive_source(chunks, schema, config, args.batches, n_records, out)
     configs = [Path(args.config), Path(args.source)]
     _write_manifest(out, "derive", [path, dist_path], configs, args.seed, inputs=[Path(args.input)])
     print(
@@ -169,13 +171,9 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _derive_flows(
-    flows: str | Path, schema: SourceSchema, config: FaacConfig, batches: int, n_records: int | None, out: Path
-) -> tuple[DerivedDataset, Path, Path]:
-    """Parse a flows CSV, canonical class names accepted alongside the raw ones,
-    derive it under the source's own taxonomy, and write its matrix and class sheet."""
-    class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}
-    chunks = parse_chunks(flows, replace(schema, class_map=class_map))
+def _derive_source(chunks: Iterable[FlowChunk], schema: SourceSchema, config: FaacConfig, batches: int,
+                   n_records: int | None, out: Path) -> tuple[DerivedDataset, Path, Path]:
+    """Derive one source's flows under its own taxonomy, and write its matrix and class sheet."""
     dataset = derive_dataset(chunks, batches, replace(config, taxonomy=schema.taxonomy), n_records=n_records)
     return (dataset, *_write_dataset(dataset, out, schema.dataset_id))
 
@@ -405,6 +403,7 @@ def orchestrate(
 
     Returns the paths of everything written. Every value is checked and every
     path, relative to the config file, read before the output directory is made.
+    Each source's flows go to ``<id>_flows.csv`` and are derived from memory by ``derive``'s helper.
     """
     # forests grow serially; the keyword stays only for callers that pass threads=1
     if threads != 1:
@@ -437,7 +436,8 @@ def orchestrate(
     configs = [config_path, resolve("faac", doc["faac"])]
     faac_config = load_faac_config(configs[-1])
     schemas: dict[str, SourceSchema] = {}
-    owners: dict[str, str] = {}  # dataset id -> the source key whose outputs it names
+    # dataset id -> the source key whose outputs it names; the merge of two or more names 'integrated'
+    owners = {"integrated": "the merged sources"} if len(sources) >= 2 else {}
     for name, src in sources.items():
         configs.append(resolve(f"sources.{name}", src))
         schema = schemas[str(name)] = load_source_config(configs[-1])
@@ -461,8 +461,10 @@ def orchestrate(
     for name, schema in schemas.items():
         profile = replace(schema.profile, seed=derive_seed(seed, "synth", name))
         flows_path = artifacts[f"flows:{name}"] = out / f"{schema.dataset_id}_flows.csv"
-        write_flows(generate_chunks(profile, schema), schema, flows_path)
-        derived[name], *paths = _derive_flows(flows_path, schema, faac_config, batches, profile.total, out)
+        chunks = list(generate_chunks(profile, schema))  # the whole source, held until it is derived
+        write_flows(chunks, schema, flows_path)
+        derived[name], *paths = _derive_source(chunks, schema, faac_config, batches, profile.total, out)
+        del chunks
         artifacts[f"derived:{name}"], artifacts[f"distribution:{name}"] = paths
 
     merged = None

@@ -182,7 +182,7 @@ class Distribution:
 
     def draw(self, rng: np.random.Generator, size: int, numeric: bool) -> list[object]:
         if self.kind == "choice":
-            opts = [float(v) if numeric else str(v) for v, _ in self.values]  # type: ignore[arg-type]
+            opts = [_flow_value(v, numeric) for v, _ in self.values]
             weights = np.array([w for _, w in self.values], dtype=float)
             weights = weights / weights.sum()
             idx = rng.choice(len(opts), size=size, p=weights)
@@ -194,7 +194,7 @@ class Distribution:
             draws = rng.uniform(self.lo, self.hi, size=size)
             out = draws.tolist() if numeric else [str(v) for v in draws]
         elif self.kind == "constant":
-            out = [float(self.value) if numeric else str(self.value)] * size  # type: ignore[arg-type]
+            out = [_flow_value(self.value, numeric)] * size
         elif self.kind == "mixture":
             weights = np.array([w for w, _ in self.components], dtype=float)
             weights = weights / weights.sum()
@@ -213,6 +213,18 @@ class Distribution:
                 masked[mask] = None
                 out = masked.tolist()
         return out
+
+
+def _flow_value(v: object, numeric: bool) -> object:
+    """A configured value in the record form, which a flows CSV carries unchanged: '' is the missing marker."""
+    if not numeric:
+        return str(v) or None
+    try:
+        if math.isfinite(x := float(v)):  # type: ignore[arg-type]
+            return x
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"numeric value {v!r} is not a finite number")
 
 
 #: One named variant of a class: (name, weight, per-variable overrides).
@@ -642,8 +654,8 @@ def _parse_distribution(node: dict) -> Distribution:
         return Distribution(kind="choice", values=values, missing_rate=missing_rate)
     if kind in ("uniform_int", "uniform_float"):
         lo, hi = float(node["lo"]), float(node["hi"])
-        if not lo < hi:
-            raise ConfigError(f"{kind} requires lo < hi, got [{lo}, {hi})")
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(f"{kind} requires finite lo < hi, got [{lo}, {hi})")
         return Distribution(kind=kind, lo=lo, hi=hi, missing_rate=missing_rate)
     if kind == "constant":
         return Distribution(kind="constant", value=node["value"], missing_rate=missing_rate)

@@ -142,6 +142,12 @@ def cfg_dir(tmp_path_factory):
                                bg="normal", dos="ddos", scan="sweep", seed=303),
         encoding="utf-8",
     )
+    # a source whose dataset id names the merged outputs of a plan
+    (d / "source_integrated.yaml").write_text(
+        SOURCE_TEMPLATE.format(sid="integrated", proto="proto", port="port", size="bytes",
+                               bg="normal", dos="ddos", scan="sweep", seed=404),
+        encoding="utf-8",
+    )
     (d / "pipeline.yaml").write_text(PIPELINE, encoding="utf-8")
     return d
 
@@ -234,6 +240,27 @@ def test_subcommands_write_the_bytes_orchestrate_writes(cfg_dir, tmp_path, capsy
     names += ["integrated_derived.csv", "integrated_distribution.csv", "report.csv"]
     for name in names:
         assert (sub / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
+def test_pipeline_sheets_are_the_sheets_derive_makes_of_its_flows(cfg_dir, tmp_path, capsys):
+    # pipeline derives each source from the flows in memory, derive from the CSV the pipeline wrote
+    pipe, sub = tmp_path / "pipe", tmp_path / "sub"
+    assert main(["pipeline", "--config", str(cfg_dir / "pipeline.yaml"), "--out", str(pipe)]) == 0
+    for sid in ("s1", "s2"):
+        assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),
+                     "--source", str(cfg_dir / f"source_{sid}.yaml"),
+                     "--input", str(pipe / f"{sid}_flows.csv"), "--batches", "40", "--out", str(sub)]) == 0
+        for name in (f"{sid}_derived.csv", f"{sid}_distribution.csv"):
+            assert (sub / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
+def test_a_single_source_may_be_named_integrated(cfg_dir, tmp_path, capsys):
+    # with one source there is no merge, so nothing else writes integrated_derived.csv
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(f"batches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\n"
+                    f"sources:\n  only: {cfg_dir / 'source_integrated.yaml'}\n", encoding="utf-8")
+    artifacts = orchestrate(plan, tmp_path / "out", seed=5)
+    assert artifacts["derived:only"] == tmp_path / "out" / "integrated_derived.csv"
 
 
 def test_two_source_transfer_with_two_models_skips_the_significance_sheet(cfg_dir, tmp_path, capsys):
@@ -442,6 +469,8 @@ BAD_PLAN_ENTRIES = [
     ("batches", "0", "batches: target batch count must be positive, got 0 (source 's1')"),
     ("sources", "{a: <cfg>/source_s1.yaml, b: <cfg>/source_s1.yaml}", "sources: a and b both name dataset 's1'"),
     ("evaluation.models", "[svm]", "evaluation.models: unknown model kind 'svm'; expected 'lr' or 'rf'"),
+    ("sources", "{s1: <cfg>/source_s1.yaml, s2: <cfg>/source_integrated.yaml}",
+     "sources: the merged sources and s2 both name dataset 'integrated'"),
 ]
 
 

@@ -558,7 +558,7 @@ FLOWS_DIGESTS = {
 
 @pytest.mark.parametrize("name", ["alpha", "beta", "gamma"])
 def test_chunk_path_bytes_match_the_recorded_digests(config_dir, tmp_path, name):
-    # the path cli takes: generate_chunks -> write_flows -> parse_chunks -> derive_dataset
+    # synth then derive: generate_chunks -> write_flows, then parse_chunks -> derive_dataset
     faac = load_faac_config(config_dir / "faac_reference.yaml")
     schema = load_source_config(config_dir / f"source_{name}.yaml")
     profile = replace(schema.profile, seed=4242)

@@ -308,6 +308,21 @@ def test_mixture_distribution_blends_components():
     assert 0.75 < frac_one < 0.85
 
 
+def test_drawn_values_take_the_form_a_flows_csv_carries():
+    # '' is the CSV's missing marker, and the parser rejects a number that is not finite
+    rng = np.random.default_rng(3)
+    assert Distribution(kind="choice", values=(("", 1.0),)).draw(rng, 2, numeric=False) == [None, None]
+    assert Distribution(kind="constant", value="").draw(rng, 1, numeric=False) == [None]
+    for bad in (float("nan"), "inf", "-Infinity", "http", None):
+        with pytest.raises(ConfigError, match="not a finite number"):
+            Distribution(kind="constant", value=bad).draw(rng, 1, numeric=True)
+        with pytest.raises(ConfigError, match="not a finite number"):
+            Distribution(kind="choice", values=(("1", 0.5), (bad, 0.5))).draw(rng, 1, numeric=True)
+    for kind in ("uniform_int", "uniform_float"):
+        with pytest.raises(ConfigError, match="finite lo < hi"):
+            ingest._parse_distribution({"kind": kind, "lo": 0, "hi": float("inf")})
+
+
 def test_unknown_distribution_kind_raises():
     with pytest.raises(ConfigError):
         Distribution(kind="zipf").draw(np.random.default_rng(0), 1, numeric=True)
@@ -364,6 +379,20 @@ def test_generate_is_deterministic_and_respects_total():
     assert len(a) == 6_000
     c = list(generate_synthetic(flat_profile(seed=6), tiny_schema()))
     assert c != a
+
+
+def test_generated_chunks_are_the_chunks_parsed_from_their_csv():
+    # the pipeline derives the chunks it generates; derive, the chunks parsed from the file written
+    proto = Distribution(kind="choice", values=(("tcp", 0.4), ("", 0.2), (" udp", 0.2), ('a,"b"', 0.2)),
+                         missing_rate=0.1)
+    dists = {"default": {"proto": proto, "bytes": Distribution(kind="uniform_float", lo=-1, hi=1e6, missing_rate=0.1)}}
+    profile = SyntheticProfile(proportions=(("Background", 0.7), ("DoS", 0.3)), distributions=dists, total=5_000, seed=9)
+    schema = tiny_schema(profile)
+    chunks = list(ingest.generate_chunks(profile, schema))
+    buf = io.StringIO()
+    write_flows(chunks, schema, buf)
+    buf.seek(0)
+    assert list(ingest.parse_chunks(buf, schema.canonicalized())) == chunks
 
 
 def test_generate_honors_proportions_and_class_distributions():
