@@ -155,8 +155,11 @@ def cmd_derive(args: argparse.Namespace) -> int:
         raise ConfigError("derive requires --config pointing at a counter configuration")
     config = load_faac_config(args.config)
     schema = load_source_config(args.source)
-    out = _out_dir(args)
+    config = _source_counters(config, args.config, schema, args.source)
     n_records = args.count if args.count is not None else schema.record_count_hint
+    if n_records is not None:
+        plan_batches(n_records, args.batches)
+    out = _out_dir(args)
     class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}  # raw or canonical names
     chunks = parse_chunks(args.input, replace(schema, class_map=class_map))
     dataset, path, dist_path = _derive_source(chunks, schema, config, args.batches, n_records, out)
@@ -171,10 +174,18 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _source_counters(config: FaacConfig, config_path: object, schema: SourceSchema, source_path: object) -> FaacConfig:
+    """The counter config under the source's own taxonomy, which derivation counts its flows by."""
+    try:
+        return replace(config, taxonomy=schema.taxonomy)
+    except ConfigError as exc:
+        raise ConfigError(f"{config_path}: {exc} under the taxonomy of {source_path}") from None
+
+
 def _derive_source(chunks: Iterable[FlowChunk], schema: SourceSchema, config: FaacConfig, batches: int,
                    n_records: int | None, out: Path) -> tuple[DerivedDataset, Path, Path]:
-    """Derive one source's flows under its own taxonomy, and write its matrix and class sheet."""
-    dataset = derive_dataset(chunks, batches, replace(config, taxonomy=schema.taxonomy), n_records=n_records)
+    """Derive one source's flows by ``config``, from :func:`_source_counters`, and write its matrix and class sheet."""
+    dataset = derive_dataset(chunks, batches, config, n_records=n_records)
     return (dataset, *_write_dataset(dataset, out, schema.dataset_id))
 
 
@@ -436,6 +447,7 @@ def orchestrate(
     configs = [config_path, resolve("faac", doc["faac"])]
     faac_config = load_faac_config(configs[-1])
     schemas: dict[str, SourceSchema] = {}
+    counters: dict[str, FaacConfig] = {}
     # dataset id -> the source key whose outputs it names; the merge of two or more names 'integrated'
     owners = {"integrated": "the merged sources"} if len(sources) >= 2 else {}
     for name, src in sources.items():
@@ -445,6 +457,7 @@ def orchestrate(
             raise ConfigError(f"{config_path}: sources: {owner} and {name} both name dataset {schema.dataset_id!r}")
         if schema.profile is None:
             raise ConfigError(f"{configs[-1]}: source {name!r} has no synthetic profile to generate from")
+        counters[str(name)] = _source_counters(faac_config, configs[1], schema, configs[-1])
         try:
             plan_batches(schema.profile.total, batches)
         except (ConfigError, DataError) as exc:
@@ -463,7 +476,7 @@ def orchestrate(
         flows_path = artifacts[f"flows:{name}"] = out / f"{schema.dataset_id}_flows.csv"
         chunks = list(generate_chunks(profile, schema))  # the whole source, held until it is derived
         write_flows(chunks, schema, flows_path)
-        derived[name], *paths = _derive_source(chunks, schema, faac_config, batches, profile.total, out)
+        derived[name], *paths = _derive_source(chunks, schema, counters[name], batches, profile.total, out)
         del chunks
         artifacts[f"derived:{name}"], artifacts[f"distribution:{name}"] = paths
 

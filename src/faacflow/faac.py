@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ingest
 from .errors import ConfigError, DataError
-from .files import as_list, as_mapping, check_keys, read_csv, read_yaml_mapping, write_csv
+from .files import as_list, as_mapping, check_keys, names_its_file, read_csv, read_yaml_mapping, write_csv
 from .ingest import DEFAULT_TAXONOMY, CanonicalTaxonomy, FlowChunk, FlowRecord, as_chunks, taxonomy_from
 
 EQUALS = "equals"
@@ -589,6 +589,7 @@ def _parse_matcher(node: dict) -> Matcher:
 _CONFIG_KEYS = ("features", "taxonomy", "class_priority", "aliases")
 
 
+@names_its_file
 def load_faac_config(path: str | Path) -> FaacConfig:
     """Load a counter configuration from YAML."""
     doc = read_yaml_mapping(path)

@@ -16,13 +16,14 @@ FileNotFoundError.
 from __future__ import annotations
 
 import csv
+import functools
 import io
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import TextIO
+from typing import TextIO, TypeVar
 
 import yaml
 
@@ -30,6 +31,7 @@ from .errors import ConfigError, DataError
 
 # either loader builds the same documents; tests/test_files.py compares them
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_Config = TypeVar("_Config")  # what a config loader returns
 
 
 def read_yaml_mapping(path: str | Path) -> dict:
@@ -49,6 +51,19 @@ def read_yaml_mapping(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a mapping at top level")
     return doc
+
+
+def names_its_file(load: Callable[[str | Path], _Config]) -> Callable[[str | Path], _Config]:
+    """A config loader whose every ConfigError names the file it read once, at the start."""
+    @functools.wraps(load)
+    def named(path: str | Path) -> _Config:
+        try:
+            return load(path)
+        except ConfigError as exc:
+            if str(exc).startswith(f"{path}: "):
+                raise
+            raise ConfigError(f"{path}: {exc}") from exc
+    return named
 
 
 def check_keys(doc: dict, known: Sequence[str], what: str, where: object = None) -> None:

@@ -23,7 +23,8 @@ from typing import Callable, TextIO
 import numpy as np
 
 from .errors import ConfigError, DataError, RowError
-from .files import CsvBlock, as_list, as_mapping, check_keys, read_csv_blocks, read_yaml_mapping, write_csv_blocks
+from .files import (CsvBlock, as_list, as_mapping, check_keys, names_its_file, read_csv_blocks, read_yaml_mapping,
+                    write_csv_blocks)
 
 log = logging.getLogger(__name__)
 
@@ -154,6 +155,16 @@ class Column:
             raise ConfigError(f"column {self.name!r}: unknown kind {self.kind!r}")
 
 
+# the keys each distribution kind reads, besides kind and missing_rate
+_DISTRIBUTION_ARGS = {
+    "choice": ("values",),
+    "uniform_int": ("lo", "hi"),
+    "uniform_float": ("lo", "hi"),
+    "constant": ("value",),
+    "mixture": ("components",),
+}
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Per-variable sampling rule for the synthetic generator.
@@ -174,11 +185,22 @@ class Distribution:
 
     def __post_init__(self) -> None:
         what = f"{self.kind} distribution"
+        if self.kind not in _DISTRIBUTION_ARGS:
+            raise ConfigError(f"unknown distribution kind {self.kind!r}")
         if not 0.0 <= self.missing_rate <= 1.0:
             raise ConfigError(f"{what}: missing_rate {self.missing_rate!r} is not in [0, 1]")
         weights = [w for _, w in self.values] + [w for w, _ in self.components]
         if weights and (min(weights) < 0 or not 0 < sum(weights) < math.inf):
             raise ConfigError(f"{what}: weights {weights} must be non-negative with a positive sum")
+        if self.kind.startswith("uniform") and not (self.lo < self.hi and math.isfinite(self.hi - self.lo)):
+            raise ConfigError(f"{self.kind} requires finite lo < hi and hi - lo, got [{self.lo}, {self.hi})")
+        if self.kind == "uniform_int" and not -(2**63) <= int(self.lo) < int(self.hi) <= 2**63:
+            raise ConfigError(f"{what}: [int(lo), int(hi)) must hold an int64, got [{self.lo}, {self.hi})")
+
+    def configured_values(self) -> list[object]:
+        """Its choice values and constant as configured, and those of its components."""
+        own = [v for v, _ in self.values] + ([self.value] if self.kind == "constant" else [])
+        return own + [v for _, dist in self.components for v in dist.configured_values()]
 
     def draw(self, rng: np.random.Generator, size: int, numeric: bool) -> list[object]:
         if self.kind == "choice":
@@ -195,7 +217,7 @@ class Distribution:
             out = draws.tolist() if numeric else [str(v) for v in draws]
         elif self.kind == "constant":
             out = [_flow_value(self.value, numeric)] * size
-        elif self.kind == "mixture":
+        else:  # mixture
             weights = np.array([w for w, _ in self.components], dtype=float)
             weights = weights / weights.sum()
             which = rng.choice(len(self.components), size=size, p=weights)
@@ -204,8 +226,6 @@ class Distribution:
                 slots = np.flatnonzero(which == ci)
                 scattered[slots] = dist.draw(rng, len(slots), numeric)
             out = scattered.tolist()
-        else:
-            raise ConfigError(f"unknown distribution kind {self.kind!r}")
         if self.missing_rate > 0.0:
             mask = rng.random(size) < self.missing_rate
             if mask.any():
@@ -215,8 +235,9 @@ class Distribution:
         return out
 
 
-def _flow_value(v: object, numeric: bool) -> object:
-    """A configured value in the record form, which a flows CSV carries unchanged: '' is the missing marker."""
+def _flow_value(v: object, numeric: bool, where: str = "") -> object:
+    """A configured value in the record form, which a flows CSV carries unchanged: '' is the missing marker.
+    A ConfigError for a value that is not in that form starts with ``where``."""
     if not numeric:
         return str(v) or None
     try:
@@ -224,7 +245,7 @@ def _flow_value(v: object, numeric: bool) -> object:
             return x
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"numeric value {v!r} is not a finite number")
+    raise ConfigError(f"{where}numeric value {v!r} is not a finite number")
 
 
 #: One named variant of a class: (name, weight, per-variable overrides).
@@ -267,6 +288,13 @@ class SyntheticProfile:
                 raise ConfigError(f"class {cls!r}: empty variant list")
             if any(w <= 0 for _, w, _ in vs):
                 raise ConfigError(f"class {cls!r}: variant weights must be positive")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"profile seed must be a non-negative integer, got {self.seed!r}")
+        if self.attack_run_mean is not None and "Background" not in names:
+            raise ConfigError("burst profiles require a Background class")
+        means = (self.attack_run_mean, self.background_run_mean)
+        if not all(-math.inf < m < 2.0**63 for m in means if m is not None):  # run lengths are drawn as int64
+            raise ConfigError(f"burst run means must be finite and below 2**63, got {means}")
 
 
 @dataclass(frozen=True)
@@ -282,6 +310,8 @@ class SourceSchema:
     profile: SyntheticProfile | None = None
 
     def __post_init__(self) -> None:
+        if "/" in self.dataset_id or "\0" in self.dataset_id:  # it names output files
+            raise ConfigError(f"dataset id {self.dataset_id!r} cannot name a file")
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise ConfigError(f"schema {self.dataset_id!r}: duplicate column names")
@@ -294,6 +324,8 @@ class SourceSchema:
                 raise ConfigError(
                     f"schema {self.dataset_id!r}: class_map target {dst!r} (from {src!r}) not in taxonomy"
                 )
+        if self.profile is not None:
+            profile_distributions(self.profile, self)
 
     @property
     def column_names(self) -> tuple[str, ...]:
@@ -519,10 +551,7 @@ def _class_sequence(profile: SyntheticProfile, rng: np.random.Generator) -> tupl
 
     # Alternating background runs and single-class attack bursts. Run-length
     # means are chosen so expected class fractions still match the profile.
-    try:
-        bg = names.index("Background")
-    except ValueError:
-        raise ConfigError("burst profiles require a Background class") from None
+    bg = names.index("Background")
     attack_idx = [i for i in range(len(names)) if i != bg and fracs[i] > 0]
     if not attack_idx or fracs[bg] >= 1.0:
         return np.full(n, bg, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -555,20 +584,38 @@ def _class_sequence(profile: SyntheticProfile, rng: np.random.Generator) -> tupl
     return seq, seg
 
 
+def profile_distributions(profile: SyntheticProfile, schema: SourceSchema) -> dict[str, list[dict[str, Distribution]]]:
+    """Per profile class, one mapping per variant (one for a class without variants) from variable
+    to distribution: the variant's, else the class's, else ``default``'s. Raises ConfigError for a
+    class outside the taxonomy, a column nothing serves, or a value its column cannot hold."""
+    served: dict[str, list[dict[str, Distribution]]] = {}
+    for cname, _ in profile.proportions:
+        if cname not in schema.taxonomy:
+            raise ConfigError(f"profile class {cname!r} not in taxonomy")
+        for vname, _, overrides in profile.variants.get(cname) or (("", 1.0, {}),):
+            dists = {**profile.distributions.get("default", {}), **profile.distributions.get(cname, {}), **overrides}
+            what = f"class {cname!r}" + (f", variant {vname!r}" if vname else "")
+            for col in schema.columns:
+                if col.name not in dists:
+                    raise ConfigError(f"no distribution for variable {col.name!r} ({what})")
+                for v in dists[col.name].configured_values():
+                    _flow_value(v, col.kind == NUMERIC, f"variable {col.name!r} ({what}): ")
+            served.setdefault(cname, []).append(dists)
+    return served
+
+
 def generate_chunks(profile: SyntheticProfile, schema: SourceSchema) -> Iterator[FlowChunk]:
     """Generate a deterministic synthetic flow stream for one source, as chunks.
 
     Variables are drawn per class segment; a segment's variant (when the
     class declares variants) decides which distribution serves each variable,
-    falling back to the class entry and then to ``default``. Each variable
-    is drawn for the whole source and then cut into chunks of
-    ``CHUNK_RECORDS`` rows. The seed fully determines the output.
+    as :func:`profile_distributions` resolves it. Each variable is drawn for
+    the whole source and then cut into chunks of ``CHUNK_RECORDS`` rows. The
+    seed fully determines the output.
     """
+    served = profile_distributions(profile, schema)
     rng = np.random.default_rng(profile.seed)
     names = [c for c, _ in profile.proportions]
-    for cname in names:
-        if cname not in schema.taxonomy:
-            raise ConfigError(f"profile class {cname!r} not in taxonomy")
     seq, seg = _class_sequence(profile, rng)
 
     # one variant draw per segment, assigned class by class in profile order
@@ -585,28 +632,19 @@ def generate_chunks(profile: SyntheticProfile, schema: SourceSchema) -> Iterator
     row_variant = seg_variant[seg]
 
     # the rows of each (class, variant) pair, in draw order
-    no_variants: tuple[Variant, ...] = (("", 1.0, {}),)
     groups = []
     for ci, cname in enumerate(names):
         in_class = seq == ci
-        for vi, (vname, _, overrides) in enumerate(profile.variants.get(cname) or no_variants):
+        for vi, dists in enumerate(served[cname]):
             slots = np.flatnonzero(in_class & (row_variant == vi))
             if len(slots):
-                groups.append((cname, vname, overrides, slots))
+                groups.append((dists, slots))
 
     columns: dict[str, list[object]] = {}
     for col in schema.columns:
         vals = np.full(profile.total, None, dtype=object)
-        for cname, vname, overrides, slots in groups:
-            dist = overrides.get(col.name)
-            if dist is None:
-                dist = profile.distributions.get(cname, {}).get(col.name)
-            if dist is None:
-                dist = profile.distributions.get("default", {}).get(col.name)
-            if dist is None:
-                what = f"class {cname!r}" + (f", variant {vname!r}" if vname else "")
-                raise ConfigError(f"no distribution for variable {col.name!r} ({what})")
-            vals[slots] = dist.draw(rng, len(slots), numeric=col.kind == NUMERIC)
+        for dists, slots in groups:
+            vals[slots] = dists[col.name].draw(rng, len(slots), numeric=col.kind == NUMERIC)
         columns[col.name] = vals.tolist()
 
     labels = list(map(names.__getitem__, seq.tolist()))
@@ -628,44 +666,33 @@ def generate_synthetic(profile: SyntheticProfile, schema: SourceSchema) -> Itera
 # Config loading
 
 
-# the keys each distribution kind reads, besides kind and missing_rate
-_DISTRIBUTION_ARGS = {
-    "choice": ("values",),
-    "uniform_int": ("lo", "hi"),
-    "uniform_float": ("lo", "hi"),
-    "constant": ("value",),
-    "mixture": ("components",),
-}
-
-
 def _parse_distribution(node: dict) -> Distribution:
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError(f"distribution must be a mapping with a 'kind': {node!r}")
     kind = node["kind"]
-    if kind not in _DISTRIBUTION_ARGS:
-        raise ConfigError(f"unknown distribution kind {kind!r}")
-    check_keys(node, ("kind", *_DISTRIBUTION_ARGS[kind], "missing_rate"), f"{kind} distribution key")
-    missing_rate = float(node.get("missing_rate", 0.0))
+    check_keys(node, ("kind", *_DISTRIBUTION_ARGS.get(kind, ()), "missing_rate"), f"{kind} distribution key")
+    fields = {"kind": kind, "missing_rate": float(node.get("missing_rate", 0.0))}
     if kind == "choice":
         raw = node.get("values")
         if not isinstance(raw, dict) or not raw:
             raise ConfigError("choice distribution needs a non-empty 'values' mapping")
-        values = tuple((v, float(w)) for v, w in raw.items())
-        return Distribution(kind="choice", values=values, missing_rate=missing_rate)
-    if kind in ("uniform_int", "uniform_float"):
-        lo, hi = float(node["lo"]), float(node["hi"])
-        if not -math.inf < lo < hi < math.inf:
-            raise ConfigError(f"{kind} requires finite lo < hi, got [{lo}, {hi})")
-        return Distribution(kind=kind, lo=lo, hi=hi, missing_rate=missing_rate)
-    if kind == "constant":
-        return Distribution(kind="constant", value=node["value"], missing_rate=missing_rate)
-    comps = node.get("components")
-    if not isinstance(comps, list) or not comps:
-        raise ConfigError("mixture distribution needs a 'components' list")
-    for c in comps:
-        check_keys(c, ("weight", "dist"), "mixture component key")
-    parsed = tuple((float(c["weight"]), _parse_distribution(c["dist"])) for c in comps)
-    return Distribution(kind="mixture", components=parsed, missing_rate=missing_rate)
+        fields["values"] = tuple((v, float(w)) for v, w in raw.items())
+    elif kind in ("uniform_int", "uniform_float"):
+        fields.update(lo=float(node["lo"]), hi=float(node["hi"]))
+    elif kind == "constant":
+        fields["value"] = node["value"]
+    elif kind == "mixture":
+        comps = node.get("components")
+        if not isinstance(comps, list) or not comps:
+            raise ConfigError("mixture distribution needs a 'components' list")
+        for c in comps:
+            check_keys(c, ("weight", "dist"), "mixture component key")
+        fields["components"] = tuple((float(c["weight"]), _parse_distribution(c["dist"])) for c in comps)
+    return Distribution(**fields)
+
+
+def _parse_distributions(node: object, key: str, path: str | Path) -> dict[str, Distribution]:
+    return {str(var): _parse_distribution(d) for var, d in as_mapping(node, key, path).items()}
 
 
 def taxonomy_from(doc: dict, path: str | Path) -> CanonicalTaxonomy:
@@ -679,6 +706,7 @@ _SOURCE_KEYS = ("dataset", "columns", "label_column", "class_map", "taxonomy", "
 _PROFILE_KEYS = ("proportions", "distributions", "variants", "burst", "seed", "total")
 
 
+@names_its_file
 def load_source_config(path: str | Path) -> SourceSchema:
     """Load a SourceSchema (and optional synthetic profile) from YAML."""
     doc = read_yaml_mapping(path)
@@ -691,7 +719,8 @@ def load_source_config(path: str | Path) -> SourceSchema:
         columns = tuple(Column(name=str(c["name"]), kind=str(c["kind"])) for c in doc["columns"])
         label_column = str(doc["label_column"])
         class_map = {str(k): str(v) for k, v in as_mapping(doc["class_map"], "class_map", path).items()}
-    except (KeyError, TypeError) as exc:
+        hint = int(doc["record_count_hint"]) if "record_count_hint" in doc else None
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: missing or malformed key: {exc}") from exc
     taxonomy = taxonomy_from(doc, path)
     profile = None
@@ -700,21 +729,18 @@ def load_source_config(path: str | Path) -> SourceSchema:
         check_keys(p, _PROFILE_KEYS, "profile key", path)
         try:
             distributions = {
-                str(cls): {
-                    str(var): _parse_distribution(d)
-                    for var, d in as_mapping(per_class, f"profile.distributions.{cls}", path).items()
-                }
+                str(cls): _parse_distributions(per_class, f"profile.distributions.{cls}", path)
                 for cls, per_class in as_mapping(p.get("distributions") or {}, "profile.distributions", path).items()
             }
             variants = {}
             for cls, per_class in as_mapping(p.get("variants") or {}, "profile.variants", path).items():
-                for node in as_mapping(per_class, f"profile.variants.{cls}", path).values():
+                for node in as_mapping(per_class, key := f"profile.variants.{cls}", path).values():
                     check_keys(node, ("weight", "distributions"), "variant key", path)
                 variants[str(cls)] = tuple(
                     (
                         str(vname),
                         float(node.get("weight", 1.0)),
-                        {str(var): _parse_distribution(d) for var, d in (node.get("distributions") or {}).items()},
+                        _parse_distributions(node.get("distributions") or {}, f"{key}.{vname}.distributions", path),
                     )
                     for vname, node in per_class.items()
                 )
@@ -731,7 +757,7 @@ def load_source_config(path: str | Path) -> SourceSchema:
                 background_run_mean=float(burst["background_run_mean"]) if "background_run_mean" in burst else None,
                 variants=variants,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: malformed profile: {exc}") from exc
     return SourceSchema(
         dataset_id=dataset_id,
@@ -739,6 +765,6 @@ def load_source_config(path: str | Path) -> SourceSchema:
         label_column=label_column,
         class_map=class_map,
         taxonomy=taxonomy,
-        record_count_hint=int(doc["record_count_hint"]) if "record_count_hint" in doc else None,
+        record_count_hint=hint,
         profile=profile,
     )

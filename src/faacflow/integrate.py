@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .faac import DerivedDataset
-from .files import check_keys, read_yaml_mapping
+from .files import check_keys, names_its_file, read_yaml_mapping
 
 log = logging.getLogger(__name__)
 
@@ -112,6 +112,7 @@ def distribution_report(dataset: DerivedDataset) -> list[dict[str, object]]:
     return out
 
 
+@names_its_file
 def load_integration_spec(path: str | Path) -> IntegrationSpec:
     """Load an integration spec from YAML (key: shared_classes)."""
     doc = read_yaml_mapping(path)

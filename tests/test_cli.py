@@ -570,6 +570,138 @@ def test_named_configs_are_read_before_any_work(cfg_dir, tmp_path, capsys, key, 
     assert not (tmp_path / "out").exists()
 
 
+def _mini_source(sid: str = "s3") -> dict:
+    """The parsed form of a mini plan's source: s3 unless ``sid`` says otherwise."""
+    return yaml.safe_load(SOURCE_TEMPLATE.format(sid=sid, proto="proto", port="port", size="bytes", bg="normal",
+                                                 dos="ddos", scan="sweep", seed=303))
+
+
+def _plan_ending_with(cfg_dir, tmp_path, source: Path, **named: Path) -> Path:
+    """A mini plan whose last source is ``source``, so that s1's and s2's files would be written before it."""
+    plan = tmp_path / "plan.yaml"
+    files = {"faac": cfg_dir / "mini_faac.yaml", **named}
+    plan.write_text(
+        "".join(f"{key}: {path}\n" for key, path in files.items())
+        + f"batches: 40\nsources: {{s1: {cfg_dir / 'source_s1.yaml'}, s2: {cfg_dir / 'source_s2.yaml'}, "
+        f"s3: {source}}}\n",
+        encoding="utf-8",
+    )
+    return plan
+
+
+DROP = object()  # an edit value that deletes its key
+SCAN_VARIANT = {"syn_scan": {"weight": 1.0, "distributions": {"port": {"kind": "uniform_int", "lo": 1, "hi": 1024}}}}
+# each fault: the edits to the mini source (key path, new value) and what its message says
+SOURCE_FAULTS = {
+    "variant_that_nothing_serves": (
+        [(("profile", "variants"), {"PortScanning": SCAN_VARIANT}),
+         (("profile", "distributions", "PortScanning", "bytes"), DROP)],
+        "no distribution for variable 'bytes' (class 'PortScanning', variant 'syn_scan')",
+    ),
+    "class_outside_the_taxonomy": ([(("profile", "proportions", "Exploits"), 0.0)],
+                                   "profile class 'Exploits' not in taxonomy"),
+    "text_in_a_numeric_choice": (
+        [(("profile", "distributions", "DoS", "port"), {"kind": "choice", "values": {"http": 0.85, 443: 0.15}})],
+        "variable 'port' (class 'DoS'): numeric value 'http' is not a finite number",
+    ),
+    "burst_without_background": ([(("profile", "proportions"), {"DoS": 0.6, "PortScanning": 0.4})],
+                                 "burst profiles require a Background class"),
+    "proportions_short_of_one": ([(("profile", "proportions", "Background"), 0.57)], "profile proportions sum to 0.9"),
+    "int_range_without_an_integer": (
+        [(("profile", "distributions", "PortScanning", "port"), {"kind": "uniform_int", "lo": 1, "hi": 1.5})],
+        "[int(lo), int(hi)) must hold an int64, got [1.0, 1.5)",
+    ),
+    "int_range_beyond_int64": (
+        [(("profile", "distributions", "DoS", "bytes"), {"kind": "uniform_int", "lo": 1e289, "hi": 1e290})],
+        "[int(lo), int(hi)) must hold an int64",
+    ),
+    "float_range_that_overflows": (
+        [(("profile", "distributions", "Background", "bytes"), {"kind": "uniform_float", "lo": -1e308, "hi": 1e308})],
+        "uniform_float requires finite lo < hi and hi - lo",
+    ),
+    "infinite_attack_runs": ([(("profile", "burst", "attack_run_mean"), float("inf"))],
+                             "burst run means must be finite and below 2**63, got (inf, 250.0)"),
+    "infinite_background_runs": ([(("profile", "burst", "background_run_mean"), float("inf"))],
+                                 "burst run means must be finite and below 2**63, got (150.0, inf)"),
+    "negative_seed": ([(("profile", "seed"), -2)], "profile seed must be a non-negative integer, got -2"),
+    "infinite_seed": ([(("profile", "seed"), float("inf"))], "malformed profile: cannot convert float infinity"),
+    "renamed_column": ([(("columns", 2, "name"), "octets")],
+                       "no distribution for variable 'octets' (class 'Background')"),
+    "dataset_id_with_a_slash": ([(("dataset", "id"), "s/3")], "dataset id 's/3' cannot name a file"),
+    "infinite_record_count_hint": ([(("record_count_hint",), float("inf"))],
+                                   "missing or malformed key: cannot convert float infinity"),
+    "variant_distributions_in_a_list": (
+        [(("profile", "variants"), {"DoS": {"flood": {"distributions": ["port"]}}})],
+        "profile.variants.DoS.flood.distributions must be a mapping, got ['port']",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["pipeline", "synth"])
+@pytest.mark.parametrize("edits, message", SOURCE_FAULTS.values(), ids=SOURCE_FAULTS)
+def test_source_profile_faults_exit_2_naming_the_source_before_any_output(cfg_dir, tmp_path, capsys, command, edits,
+                                                                          message):
+    source = _mini_source()
+    for (*parents, last), value in edits:
+        node = source
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    path = tmp_path / "source_s3.yaml"
+    path.write_text(yaml.safe_dump(source), encoding="utf-8")
+    config = _plan_ending_with(cfg_dir, tmp_path, path) if command == "pipeline" else path
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {path}: ") and err.count(str(path)) == 1, err
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_counter_config_outside_a_source_taxonomy_exits_2_naming_both_before_any_output(cfg_dir, tmp_path, capsys):
+    # s3 counts scans as DoS, and the counter configuration ranks PortScanning
+    source = _mini_source()
+    source.update(taxonomy=["Background", "DoS"], class_map={"normal": "Background", "ddos": "DoS", "sweep": "DoS"})
+    source["profile"]["proportions"] = {"Background": 0.6, "DoS": 0.4}
+    path = tmp_path / "source_s3.yaml"
+    path.write_text(yaml.safe_dump(source), encoding="utf-8")
+    faac = cfg_dir / "mini_faac.yaml"
+    message = f"{faac}: class_priority entry 'PortScanning' is not an attack class under the taxonomy of {path}"
+    derive = ["derive", "--config", str(faac), "--source", str(path), "--input", str(tmp_path / "s3_flows.csv"),
+              "--batches", "40"]
+    for argv in (["pipeline", "--config", str(_plan_ending_with(cfg_dir, tmp_path, path))], derive):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("batches, code", [("0", 2), ("100000", 3)], ids=["no_batches", "empty_batches"])
+def test_derive_plans_its_batches_before_any_output(cfg_dir, tmp_path, batches, code):
+    assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"), "--source", str(cfg_dir / "source_s1.yaml"),
+                 "--input", str(tmp_path / "s1_flows.csv"), "--batches", batches, "--count", "4000",
+                 "--out", str(tmp_path / "out")]) == code
+    assert not (tmp_path / "out").exists()
+
+
+LOADER_FAULTS = [
+    ("faac", MINI_FAAC.replace("lo: 1024, hi: 65536", "lo: 1000, hi: 65536"),
+     "variable 'dst_port': ranges of 'port_low' and 'port_high' overlap"),
+    ("integration", "shared_classes: [DoS]\n", "shared_classes must include 'Background'"),
+]
+
+
+@pytest.mark.parametrize("key, text, message", LOADER_FAULTS, ids=["overlapping_ranges", "no_background"])
+def test_counter_and_integration_faults_name_their_file_once(cfg_dir, tmp_path, capsys, key, text, message):
+    named = tmp_path / "named.yaml"
+    named.write_text(text, encoding="utf-8")
+    plan = _plan_ending_with(cfg_dir, tmp_path, cfg_dir / "source_s3.yaml", **{key: named})
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {named}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("models", [["lr"], ["lr", "rf"]], ids=["one_model", "two_models"])
 def test_holdout_pipeline_writes_the_report_of_the_study_run_directly(cfg_dir, tmp_path, capsys, models):
     plan = cfg_dir / f"holdout_{len(models)}.yaml"
@@ -745,6 +877,28 @@ def test_a_plan_with_any_one_leaf_replaced_never_crashes(cfg_dir, tmp_path, data
     event(f"exit {rc}")
     # 3 and 4 stay open to faults only the data shows, such as k above a class's row count
     assert rc in (0, 2, 3, 4), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    if rc == 2:
+        assert not (run / "out").exists(), stderr.getvalue()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_source_with_any_one_leaf_replaced_never_crashes(tmp_path, data):
+    source = _mini_source("s1")
+    *parents, last = data.draw(st.sampled_from(_leaves(source)), label="leaf")
+    node = source
+    for k in parents:
+        node = node[k]
+    # any positive total is valid, and synth generates that many flows
+    node[last] = data.draw(st.integers(-2, 4) if last == "total" else YAML_VALUES, label="value")
+    run = Path(tempfile.mkdtemp(dir=tmp_path))
+    (run / "source.yaml").write_text(yaml.safe_dump(source), encoding="utf-8")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        rc = main(["synth", "--config", str(run / "source.yaml"), "--out", str(run / "out")])
+    event(f"exit {rc}")
+    assert rc in (0, 2, 3), stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()
     if rc == 2:
         assert not (run / "out").exists(), stderr.getvalue()
