@@ -1,10 +1,12 @@
 """Command line interface and end-to-end pipeline driver.
 
 Subcommands: ``synth`` (generate flows), ``derive`` (flows to counters),
-``integrate`` (merge derived sets), ``evaluate`` (cross-validation and
-transfer), ``report`` (summarize an evaluation CSV), ``pipeline`` (all of
-them from one config, through :func:`orchestrate`). Exit codes: 0 success,
-2 configuration problem, 3 data problem, 4 evaluation problem.
+``report`` (summarize an evaluation CSV) and ``pipeline`` (derive, integrate
+and evaluate the sources of one plan, through :func:`orchestrate`). A plan
+source is a synthetic profile or a recorded flows file, and every evaluation
+runs on the datasets that derivation made, never on a derived sheet read back,
+which keeps 9 significant digits. Exit codes: 0 success, 2 configuration
+problem, 3 data problem, 4 evaluation problem.
 
 Every command that writes files also writes ``manifest.json`` holding the
 sha256 digest and byte size of each output (never a timestamp), so two runs
@@ -24,7 +26,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import __version__
 from .errors import ConfigError, DataError, EvaluationError, FaacflowError
@@ -44,11 +46,11 @@ from .evaluation import (
     write_report_csv,
     write_significance_csv,
 )
-from .faac import (DerivedDataset, FaacConfig, derive_dataset, load_faac_config, plan_batches, read_derived,
+from .faac import (DerivedDataset, FaacConfig, check_batch_count, derive_dataset, load_faac_config, plan_batches,
                    write_derived)
 from .files import as_bool, as_int, as_list, as_mapping, check_keys, read_yaml_mapping, write_csv
 from .hyperopt import check_budget, write_trial_log
-from .ingest import FlowChunk, SourceSchema, generate_chunks, load_source_config, parse_chunks, write_flows
+from .ingest import SourceSchema, generate_chunks, load_source_config, parse_chunks, write_flows
 # cli no longer calls the record-stream forms; perfbench's traced pass still wraps them here
 from .ingest import generate_synthetic, parse_flows  # noqa: F401
 from .integrate import IntegrationSpec, distribution_report, integrate, load_integration_spec
@@ -157,12 +159,10 @@ def cmd_derive(args: argparse.Namespace) -> int:
     schema = load_source_config(args.source)
     config = _source_counters(config, args.config, schema, args.source)
     n_records = args.count if args.count is not None else schema.record_count_hint
-    if n_records is not None:
-        plan_batches(n_records, args.batches)
+    check_batch_count(args.batches, "--batches")
+    dataset = _derive_flows(Path(args.input), schema, config, args.batches, n_records)
     out = _out_dir(args)
-    class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}  # raw or canonical names
-    chunks = parse_chunks(args.input, replace(schema, class_map=class_map))
-    dataset, path, dist_path = _derive_source(chunks, schema, config, args.batches, n_records, out)
+    path, dist_path = _write_dataset(dataset, out, schema.dataset_id)
     configs = [Path(args.config), Path(args.source)]
     _write_manifest(out, "derive", [path, dist_path], configs, args.seed, inputs=[Path(args.input)])
     print(
@@ -182,11 +182,18 @@ def _source_counters(config: FaacConfig, config_path: object, schema: SourceSche
         raise ConfigError(f"{config_path}: {exc} under the taxonomy of {source_path}") from None
 
 
-def _derive_source(chunks: Iterable[FlowChunk], schema: SourceSchema, config: FaacConfig, batches: int,
-                   n_records: int | None, out: Path) -> tuple[DerivedDataset, Path, Path]:
-    """Derive one source's flows by ``config``, from :func:`_source_counters`, and write its matrix and class sheet."""
-    dataset = derive_dataset(chunks, batches, config, n_records=n_records)
-    return (dataset, *_write_dataset(dataset, out, schema.dataset_id))
+def _derive_flows(path: Path, schema: SourceSchema, config: FaacConfig, batches: int,
+                  n_records: int | None) -> DerivedDataset:
+    """Derive a recorded flows file, whose labels may be raw or canonical class names, by ``config``
+    from :func:`_source_counters`; ``n_records`` is the declared count, if any. A data fault names the file."""
+    class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}
+    try:
+        return derive_dataset(parse_chunks(path, replace(schema, class_map=class_map)), batches, config,
+                              n_records=n_records)
+    except DataError as exc:
+        if str(exc).startswith(f"{path}: "):
+            raise
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _write_dataset(dataset: DerivedDataset, out: Path, stem: str) -> tuple[Path, Path]:
@@ -199,38 +206,21 @@ def _write_dataset(dataset: DerivedDataset, out: Path, stem: str) -> tuple[Path,
     return path, dist_path
 
 
-def cmd_integrate(args: argparse.Namespace) -> int:
-    if len(args.inputs) < 2:
-        raise ConfigError("integrate needs at least two derived files")
-    spec = load_integration_spec(args.config) if args.config else IntegrationSpec()
-    datasets = [read_derived(p) for p in args.inputs]
-    merged = integrate(datasets, spec)
-    out = _out_dir(args)
-    path, dist_path = _write_dataset(merged, out, "integrated")
-    configs = [Path(args.config)] if args.config else []
-    _write_manifest(
-        out, "integrate", [path, dist_path], configs, args.seed, inputs=[Path(p) for p in args.inputs]
-    )
-    print(f"wrote {merged.n_rows} rows over classes {list(merged.classes)} to {path}")
-    for row in distribution_report(merged):
-        print(f"  {row['origin']} {row['class']}: {row['rows']} rows ({row['fraction']:.4%})")
-    return EXIT_OK
-
-
 _SETTINGS_CHECKS = {"models": as_list, "k": as_int, "repetitions": as_int, "tune": as_bool, "tune_once": as_bool,
                     "n_init": as_int, "n_iter": as_int, "fixed_hyper": as_mapping}
 
 
-def _settings_from_doc(doc: dict, input_keys: tuple[str, ...], where: object, prefix: str = "") -> EvalSettings:
-    """Evaluation settings from a plan whose other keys must be among ``input_keys``.
+def _settings_from_doc(doc: dict, where: object) -> EvalSettings:
+    """Evaluation settings from a plan's ``evaluation`` block, whose other keys are ``singles`` and ``transfer``.
 
-    ``where`` and ``prefix`` name the file and the block in errors. Each
-    ``fixed_hyper`` entry must be a mapping of hyperparameters its model kind
-    has, each within the range ``learning.check_hyperparam`` allows, and ``k``,
-    ``repetitions``, ``n_init`` and ``n_iter`` within ``check_fold_count``'s,
-    ``check_repetitions``' and ``check_budget``'s.
+    ``where`` names the plan file in errors. Each ``fixed_hyper`` entry must
+    be a mapping of hyperparameters its model kind has, each within the range
+    ``learning.check_hyperparam`` allows, and ``k``, ``repetitions``, ``n_init``
+    and ``n_iter`` within ``check_fold_count``'s, ``check_repetitions``' and
+    ``check_budget``'s.
     """
-    check_keys(doc, (*_SETTINGS_CHECKS, *input_keys), "evaluation key", where)
+    check_keys(doc, (*_SETTINGS_CHECKS, "singles", "transfer"), "evaluation key", where)
+    prefix = "evaluation."
     fields = {k: check(doc[k], prefix + k, where) for k, check in _SETTINGS_CHECKS.items() if k in doc}
     fields["models"] = tuple(str(m) for m in fields.get("models", EvalSettings.models))
     settings = EvalSettings(**fields)
@@ -259,7 +249,7 @@ def _write_significance(report: EvalReport, out: Path, outputs: list[Path]) -> C
 
 
 def _evaluate(
-    singles: list[tuple[str | None, DerivedDataset]],
+    singles: list[tuple[str, DerivedDataset]],
     transfer: dict[str, DerivedDataset] | None,
     settings: EvalSettings, seed: int, out: Path, holdout: bool = False,
 ) -> list[Path]:
@@ -312,37 +302,6 @@ def _print_eval_summary(report: EvalReport, sig: Comparison) -> None:
             f"{a} vs {b}: not tested, {nonzero} nonzero paired differences "
             f"(a two-sided test needs at least {MIN_SIGNED_RANK_PAIRS})"
         )
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("evaluate requires --config pointing at an evaluation plan")
-    cfg_path = Path(args.config)
-    doc, resolve = _load_plan(cfg_path)
-    settings = _settings_from_doc(doc, ("single", "transfer", "seed"), cfg_path)
-    doc_seed = as_int(doc.get("seed", 0), "seed", cfg_path)
-    seed = doc_seed if args.seed is None else args.seed
-    data_paths: list[Path] = []
-    singles = []
-    for entry in as_list(doc.get("single") or [], "single", cfg_path):
-        if isinstance(entry, str):
-            entry = {"path": entry}
-        check_keys(entry, ("path", "name"), "single entry key", cfg_path)
-        if "path" not in entry:
-            raise ConfigError(f"{cfg_path}: single entry {entry!r} has no 'path' key")
-        data_paths.append(resolve("single", entry["path"]))
-        singles.append((str(entry["name"]) if "name" in entry else None, read_derived(data_paths[-1])))
-    transfer = {}
-    for name, p in as_mapping(doc.get("transfer") or {}, "transfer", cfg_path).items():
-        data_paths.append(resolve(f"transfer.{name}", p))
-        transfer[str(name)] = read_derived(data_paths[-1])
-    if not singles and not transfer:
-        raise ConfigError(f"{cfg_path}: no 'single' or 'transfer' inputs given")
-
-    out = _out_dir(args)
-    outputs = _evaluate(singles, transfer or None, settings, seed, out)
-    _write_manifest(out, "evaluate", outputs, [cfg_path], seed, inputs=data_paths)
-    return EXIT_OK
 
 
 def _write_plot_data(report: EvalReport, out: Path) -> list[Path]:
@@ -410,11 +369,14 @@ _PIPELINE_KEYS = ("seed", "batches", "faac", "sources", "integration", "evaluati
 def orchestrate(
     config_path: str | Path, out_dir: str | Path, seed: int | None = None, threads: int = 1
 ) -> dict[str, Path]:
-    """Run synth, derive, integrate, and evaluate from a single pipeline config.
+    """Derive, integrate and evaluate the sources of a single pipeline config.
 
     Returns the paths of everything written. Every value is checked and every
     path, relative to the config file, read before the output directory is made.
-    Each source's flows go to ``<id>_flows.csv`` and are derived from memory by ``derive``'s helper.
+    A source named by its config alone is synthetic: its flows go to
+    ``<id>_flows.csv`` and are derived from memory. A source ``{config, flows}``
+    is a recorded flows file, derived by ``derive``'s helper before the output
+    directory is made; it is not copied, and the manifest lists it as an input.
     """
     # forests grow serially; the keyword stays only for callers that pass threads=1
     if threads != 1:
@@ -429,7 +391,7 @@ def orchestrate(
     batches = as_int(doc.get("batches", 0), "batches", config_path)
     eval_doc = doc.get("evaluation")
     if eval_doc is not None:  # checked even when falsy; {} runs no evaluation below
-        settings = _settings_from_doc(eval_doc, ("singles", "transfer"), config_path, "evaluation.")
+        settings = _settings_from_doc(eval_doc, config_path)
     transfer = eval_doc.get("transfer", False) if eval_doc else False
     if not isinstance(transfer, bool) and transfer != "holdout":
         raise ConfigError(f"{config_path}: evaluation.transfer must be true, false or holdout, got {transfer!r}")
@@ -450,34 +412,48 @@ def orchestrate(
     counters: dict[str, FaacConfig] = {}
     # dataset id -> the source key whose outputs it names; the merge of two or more names 'integrated'
     owners = {"integrated": "the merged sources"} if len(sources) >= 2 else {}
+    flows: dict[str, Path] = {}  # source key -> the recorded flows file of a file source
     for name, src in sources.items():
-        configs.append(resolve(f"sources.{name}", src))
+        key = f"sources.{name}"
+        if isinstance(src, dict):
+            check_keys(src, ("config", "flows"), f"{key} key", config_path)
+            flows[str(name)] = resolve(f"{key}.flows", src.get("flows"))
+            key, src = f"{key}.config", src.get("config")
+        configs.append(resolve(key, src))
         schema = schemas[str(name)] = load_source_config(configs[-1])
         if (owner := owners.setdefault(schema.dataset_id, str(name))) != str(name):
             raise ConfigError(f"{config_path}: sources: {owner} and {name} both name dataset {schema.dataset_id!r}")
-        if schema.profile is None:
+        if str(name) not in flows and schema.profile is None:
             raise ConfigError(f"{configs[-1]}: source {name!r} has no synthetic profile to generate from")
         counters[str(name)] = _source_counters(faac_config, configs[1], schema, configs[-1])
         try:
-            plan_batches(schema.profile.total, batches)
+            check_batch_count(batches)
+            if str(name) not in flows:
+                plan_batches(schema.profile.total, batches)
         except (ConfigError, DataError) as exc:
             raise ConfigError(f"{config_path}: batches: {exc} (source {name!r})") from None
     spec = IntegrationSpec()
     if "integration" in doc:
         configs.append(resolve("integration", doc["integration"]))
         spec = load_integration_spec(configs[-1])
+    recorded = {name: _derive_flows(path, schemas[name], counters[name], batches, schemas[name].record_count_hint)
+                for name, path in flows.items()}
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
     derived: dict[str, DerivedDataset] = {}
     for name, schema in schemas.items():
-        profile = replace(schema.profile, seed=derive_seed(seed, "synth", name))
-        flows_path = artifacts[f"flows:{name}"] = out / f"{schema.dataset_id}_flows.csv"
-        chunks = list(generate_chunks(profile, schema))  # the whole source, held until it is derived
-        write_flows(chunks, schema, flows_path)
-        derived[name], *paths = _derive_source(chunks, schema, counters[name], batches, profile.total, out)
-        del chunks
+        if name in recorded:
+            derived[name] = recorded[name]
+        else:
+            profile = replace(schema.profile, seed=derive_seed(seed, "synth", name))
+            flows_path = artifacts[f"flows:{name}"] = out / f"{schema.dataset_id}_flows.csv"
+            chunks = list(generate_chunks(profile, schema))  # the whole source, held until it is derived
+            write_flows(chunks, schema, flows_path)
+            derived[name] = derive_dataset(chunks, batches, counters[name], n_records=profile.total)
+            del chunks
+        paths = _write_dataset(derived[name], out, schema.dataset_id)
         artifacts[f"derived:{name}"], artifacts[f"distribution:{name}"] = paths
 
     merged = None
@@ -503,7 +479,7 @@ def orchestrate(
                 save_model(model, model_path)
                 artifacts[f"model:{kind}"] = model_path
 
-    manifest = _write_manifest(out, "pipeline", list(artifacts.values()), configs, seed)
+    manifest = _write_manifest(out, "pipeline", list(artifacts.values()), configs, seed, inputs=list(flows.values()))
     artifacts["manifest"] = manifest
     return artifacts
 
@@ -546,18 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None, help="declared record count (enables streaming)")
     p.set_defaults(func=cmd_derive)
 
-    p = sub.add_parser("integrate", parents=[common], help="merge derived datasets over shared classes")
-    p.add_argument("inputs", nargs="*", help="derived CSV files")
-    p.set_defaults(func=cmd_integrate)
-
-    p = sub.add_parser("evaluate", parents=[common], help="cross-validate and transfer-test models")
-    p.set_defaults(func=cmd_evaluate)
-
     p = sub.add_parser("report", parents=[common], help="summarize an evaluation report CSV")
-    p.add_argument("--input", required=True, help="report.csv produced by evaluate")
+    p.add_argument("--input", required=True, help="report.csv written by pipeline")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("pipeline", parents=[common], help="synth, derive, integrate and evaluate from one config")
+    p = sub.add_parser("pipeline", parents=[common], help="derive, integrate and evaluate the sources of one plan")
     p.set_defaults(func=cmd_pipeline)
     return parser
 

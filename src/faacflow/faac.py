@@ -168,10 +168,15 @@ class BatchPlan:
         return self.n_records - self.batch_size * self.full_batches
 
 
+def check_batch_count(target_batches: int, key: str = "target batch count") -> None:
+    """Raise a ConfigError naming ``key`` unless ``target_batches`` is at least 1."""
+    if target_batches < 1:
+        raise ConfigError(f"{key} must be positive, got {target_batches}")
+
+
 def plan_batches(n_records: int, target_batches: int) -> BatchPlan:
     """Fix the batch size as floor(N / M); the tail that does not fill a batch is dropped."""
-    if target_batches < 1:
-        raise ConfigError(f"target batch count must be positive, got {target_batches}")
+    check_batch_count(target_batches)
     if n_records < 1:
         raise DataError(f"record count must be positive, got {n_records}")
     batch_size = n_records // target_batches

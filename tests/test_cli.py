@@ -156,6 +156,20 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _mini_plan(cfg_dir, path: Path, text: str, flows: Path | None = None) -> Path:
+    """Write the mini plan ``text`` to ``path`` over the configs in ``cfg_dir``; with ``flows``,
+    each source is the recorded flows file ``<flows>/<key>_flows.csv``."""
+    plan = yaml.safe_load(text)
+    plan["faac"] = str(cfg_dir / plan["faac"])
+    plan["sources"] = {
+        sid: str(cfg_dir / src) if flows is None
+        else {"config": str(cfg_dir / src), "flows": str(flows / f"{sid}_flows.csv")}
+        for sid, src in plan["sources"].items()
+    }
+    path.write_text(yaml.safe_dump(plan), encoding="utf-8")
+    return path
+
+
 def test_module_help_runs():
     # a fresh interpreter does not see pytest's pythonpath; hand it the source tree
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -164,7 +178,7 @@ def test_module_help_runs():
         [sys.executable, "-m", "faacflow", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
-    assert "synth" in proc.stdout and "evaluate" in proc.stdout
+    assert "{synth,derive,report,pipeline}" in proc.stdout
 
 
 def test_subcommand_round_trip(cfg_dir, tmp_path, capsys):
@@ -183,22 +197,12 @@ def test_subcommand_round_trip(cfg_dir, tmp_path, capsys):
         assert ds.n_rows == 40 and ds.n_features == 7
         assert int(ds.batch_sizes[0]) == 100
 
-    rc = main(["integrate", "--out", str(out),
-               str(out / "s1_derived.csv"), str(out / "s2_derived.csv")])
+    plan = _mini_plan(cfg_dir, tmp_path / "plan.yaml", PIPELINE, flows=out)
+    rc = main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(out)])
     assert rc == 0
     merged = read_derived(out / "integrated_derived.csv")
     assert merged.n_rows == 80
     assert set(merged.origins) == {"s1", "s2"}
-
-    eval_cfg = out / "eval.yaml"
-    eval_cfg.write_text(
-        "models: [lr]\nk: 2\nrepetitions: 2\n"
-        "single:\n  - {path: integrated_derived.csv, name: integrated}\n"
-        "transfer:\n  s1: s1_derived.csv\n  s2: s2_derived.csv\n",
-        encoding="utf-8",
-    )
-    rc = main(["evaluate", "--config", str(eval_cfg), "--seed", "5", "--out", str(out)])
-    assert rc == 0
     report_lines = (out / "report.csv").read_text(encoding="utf-8").splitlines()
     assert len(report_lines) > 1
 
@@ -222,24 +226,17 @@ def test_subcommands_write_the_bytes_orchestrate_writes(cfg_dir, tmp_path, capsy
                      "--source", str(cfg_dir / f"source_{sid}.yaml"),
                      "--input", str(sub / f"{sid}_flows.csv"),
                      "--batches", "40", "--out", str(sub)]) == 0
-    assert main(["integrate", "--out", str(sub),
-                 str(sub / "s1_derived.csv"), str(sub / "s2_derived.csv")]) == 0
-    # the same plan as PIPELINE's evaluation block
-    (sub / "eval.yaml").write_text(
-        "models: [lr]\nk: 2\nrepetitions: 2\n"
-        "single:\n  - {path: integrated_derived.csv, name: integrated}\n"
-        "transfer:\n  s1: s1_derived.csv\n  s2: s2_derived.csv\n",
-        encoding="utf-8",
-    )
-    assert main(["evaluate", "--config", str(sub / "eval.yaml"), "--seed", "5", "--out", str(sub)]) == 0
+    # PIPELINE over the flows that synth wrote
+    plan = _mini_plan(cfg_dir, tmp_path / "plan.yaml", PIPELINE, flows=sub)
+    assert main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(sub / "plan")]) == 0
 
     pipe = tmp_path / "pipe"
     orchestrate(cfg_dir / "pipeline.yaml", pipe, seed=5)
     capsys.readouterr()
     names = [f"{stem}_{kind}.csv" for stem in ("s1", "s2") for kind in ("flows", "derived", "distribution")]
-    names += ["integrated_derived.csv", "integrated_distribution.csv", "report.csv"]
+    names += ["plan/integrated_derived.csv", "plan/integrated_distribution.csv", "plan/report.csv"]
     for name in names:
-        assert (sub / name).read_bytes() == (pipe / name).read_bytes(), name
+        assert (sub / name).read_bytes() == (pipe / Path(name).name).read_bytes(), name
 
 
 def test_pipeline_sheets_are_the_sheets_derive_makes_of_its_flows(cfg_dir, tmp_path, capsys):
@@ -252,6 +249,66 @@ def test_pipeline_sheets_are_the_sheets_derive_makes_of_its_flows(cfg_dir, tmp_p
                      "--input", str(pipe / f"{sid}_flows.csv"), "--batches", "40", "--out", str(sub)]) == 0
         for name in (f"{sid}_derived.csv", f"{sid}_distribution.csv"):
             assert (sub / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
+TUNED_PIPELINE = PIPELINE.replace("repetitions: 2\n", "repetitions: 1\n  tune: true\n  n_init: 2\n  n_iter: 2\n")
+
+
+@pytest.mark.parametrize(
+    "text", [PIPELINE, TUNED_PIPELINE, HOLDOUT_PIPELINE.format(models="[lr, rf]")], ids=["transfer", "tuned", "holdout"]
+)
+def test_a_plan_over_the_flows_files_it_wrote_writes_the_same_bytes(cfg_dir, tmp_path, capsys, text):
+    first = orchestrate(_mini_plan(cfg_dir, tmp_path / "synth.yaml", text), tmp_path / "synth", seed=5)
+    plan = _mini_plan(cfg_dir, tmp_path / "recorded.yaml", text, flows=tmp_path / "synth")
+    out = tmp_path / "recorded"
+    assert main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(out)]) == 0
+    flows = sorted(p for p in first.values() if p.name.endswith("_flows.csv"))
+    kept = sorted(p.name for p in first.values() if p not in flows and p.name != "manifest.json")
+    assert sorted(p.name for p in out.iterdir()) == sorted([*kept, "manifest.json"])
+    for name in kept:
+        assert (out / name).read_bytes() == (tmp_path / "synth" / name).read_bytes(), name
+    kinds = {name.split("_")[0].split(".")[0] for name in kept}
+    assert {"report", "model", "integrated"} <= kinds and ("trials" in kinds) == ("tune: true" in text)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {p.name: sha256(p) for p in flows}
+
+
+FLOWS_HEADER, FLOW = "proto,dst_port,bytes,label\n", "tcp,80,500,background\n"
+FLOWS = FLOWS_HEADER + FLOW * 400
+RECORDED_FAULTS = {
+    # s1's value in the plan, its flows file's text, batches, exit code, the file named and what is said of it
+    "missing_flows_file": ("{config: <cfg>/source_s1.yaml, flows: s1.csv}", None, 40, 3, "s1.csv",
+                           "No such file or directory"),
+    "unknown_key": ("{config: <cfg>/source_s1.yaml, flows: s1.csv, label: x}", FLOWS, 40, 2, "plan.yaml",
+                    "unknown sources.s1 key 'label'; expected one of config, flows"),
+    "config_not_a_string": ("{config: 7, flows: s1.csv}", FLOWS, 40, 2, "plan.yaml",
+                            "sources.s1.config must be a path, got 7"),
+    "flows_not_a_string": ("{config: <cfg>/source_s1.yaml, flows: [s1.csv]}", FLOWS, 40, 2, "plan.yaml",
+                           "sources.s1.flows must be a path, got ['s1.csv']"),
+    "unmapped_class": ("{config: <cfg>/source_s1.yaml, flows: s1.csv}", FLOWS + "tcp,80,500,worm\n", 40, 3, "s1.csv",
+                       "line 402: class 'worm' has no mapping in schema 's1'"),
+    "too_few_records": ("{config: <cfg>/source_s1.yaml, flows: s1.csv}", FLOWS_HEADER + FLOW * 20, 40, 3, "s1.csv",
+                        "batch size would be zero: 20 records cannot fill 40 batches"),
+    "no_batches": ("{config: <cfg>/source_s1.yaml, flows: s1.csv}", FLOWS, 0, 2, "plan.yaml",
+                   "batches: target batch count must be positive, got 0 (source 's1')"),
+}
+
+
+@pytest.mark.parametrize(
+    "source, text, batches, code, named, message", RECORDED_FAULTS.values(), ids=RECORDED_FAULTS
+)
+def test_recorded_source_faults_exit_naming_their_file_before_any_output(cfg_dir, tmp_path, capsys, source, text,
+                                                                         batches, code, named, message):
+    if text is not None:
+        (tmp_path / "s1.csv").write_text(text, encoding="utf-8")
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(f"batches: {batches}\nfaac: {cfg_dir / 'mini_faac.yaml'}\n"
+                    f"sources: {{s1: {source.replace('<cfg>', str(cfg_dir))}, s2: {cfg_dir / 'source_s2.yaml'}}}\n",
+                    encoding="utf-8")
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(tmp_path / named) in err and message in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_single_source_may_be_named_integrated(cfg_dir, tmp_path, capsys):
@@ -269,19 +326,10 @@ def test_two_source_transfer_with_two_models_skips_the_significance_sheet(cfg_di
     for sid in ("s1", "s2"):
         assert main(["synth", "--config", str(cfg_dir / f"source_{sid}.yaml"),
                      "--seed", "5", "--out", str(out)]) == 0
-        assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),
-                     "--source", str(cfg_dir / f"source_{sid}.yaml"),
-                     "--input", str(out / f"{sid}_flows.csv"),
-                     "--batches", "40", "--out", str(out)]) == 0
-    eval_cfg = out / "eval.yaml"
-    eval_cfg.write_text(
-        "models: [lr, rf]\n"
-        "fixed_hyper:\n  rf: {n_trees: 5, max_depth: 4}\n"
-        "transfer:\n  s1: s1_derived.csv\n  s2: s2_derived.csv\n",
-        encoding="utf-8",
-    )
+    evaluation = "evaluation: {models: [lr, rf], fixed_hyper: {rf: {n_trees: 5, max_depth: 4}}, transfer: true}\n"
+    plan = _mini_plan(cfg_dir, tmp_path / "plan.yaml", PIPELINE.split("evaluation:")[0] + evaluation, flows=out)
     capsys.readouterr()
-    rc = main(["evaluate", "--config", str(eval_cfg), "--seed", "5", "--out", str(out)])
+    rc = main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(out)])
     assert rc == 0
     report = (out / "report.csv").read_text(encoding="utf-8")
     assert "cross-dataset,lr,s1,s2" in report and "cross-dataset,rf,s2,s1" in report
@@ -307,11 +355,7 @@ def test_exit_codes(cfg_dir, tmp_path):
 
 
 def test_unknown_evaluation_keys_are_rejected(cfg_dir, tmp_path, capsys):
-    plan = tmp_path / "typo.yaml"
-    plan.write_text("repetiton: 3\nsingle: [missing.csv]\n", encoding="utf-8")
-    assert main(["evaluate", "--config", str(plan), "--out", str(tmp_path)]) == 2
-    assert "'repetiton'" in capsys.readouterr().err
-    # a removed setting fails too, before any source is synthesized
+    # a removed setting fails before any source is synthesized
     pipeline = tmp_path / "pipeline.yaml"
     pipeline.write_text(
         f"batches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\nsources:\n  s1: {cfg_dir / 'source_s1.yaml'}\n"
@@ -326,8 +370,8 @@ def test_unknown_evaluation_keys_are_rejected(cfg_dir, tmp_path, capsys):
 def test_a_models_value_that_is_not_a_list_names_the_key(cfg_dir, tmp_path, capsys):
     # a string is not read one character at a time as the models 'l' and 'r'
     plan = tmp_path / "plan.yaml"
-    plan.write_text("models: lr\nsingle: [missing.csv]\n", encoding="utf-8")
-    assert main(["evaluate", "--config", str(plan), "--out", str(tmp_path)]) == 2
+    plan.write_text(_plan_with(cfg_dir, "evaluation.models", "lr"), encoding="utf-8")
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "out")]) == 2
     assert "models must be a list, got 'lr'" in capsys.readouterr().err
     pipeline = tmp_path / "pipeline.yaml"
     pipeline.write_text(
@@ -391,25 +435,8 @@ def test_pipeline_subcommand_writes_the_manifest_orchestrate_writes(cfg_dir, tmp
     assert not (tmp_path / "none").exists()
 
 
-@pytest.mark.parametrize(
-    "entry, message",
-    [("{name: x}", "has no 'path' key"), ("5", "expected a mapping of single entry keys, got 5"),
-     ("{path: a.csv, nme: x}", "unknown single entry key 'nme'")],
-    ids=["no_path", "not_a_mapping", "unknown_key"],
-)
-def test_malformed_single_entries_are_configuration_errors(tmp_path, capsys, entry, message):
-    plan = tmp_path / "plan.yaml"
-    plan.write_text(f"single:\n  - {entry}\n", encoding="utf-8")
-    assert main(["evaluate", "--config", str(plan), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: {plan}: ")
-    assert message in err
-
-
-def _plan_with(cfg_dir, command: str, key: str, value: str) -> str:
-    """A small plan for ``command`` whose ``key`` (``evaluation.k`` in a pipeline) holds ``value``."""
-    if command == "evaluate":
-        return f"models: [lr]\nsingle: [missing.csv]\n{key}: {value}\n"
+def _plan_with(cfg_dir, key: str, value: str) -> str:
+    """A small pipeline plan whose ``key`` (``evaluation.k`` for a key of the evaluation block) holds ``value``."""
     sources = ", ".join(f"{sid}: {cfg_dir / f'source_{sid}.yaml'}" for sid in ("s1", "s2", "s3"))
     top = {"seed": "5", "batches": "40", "faac": str(cfg_dir / "mini_faac.yaml"), "sources": f"{{{sources}}}"}
     evaluation = {"models": "[lr]", "k": "2", "repetitions": "1", "singles": "[integrated]"}
@@ -420,38 +447,34 @@ def _plan_with(cfg_dir, command: str, key: str, value: str) -> str:
 
 
 BAD_PLAN_VALUES = [
-    ("pipeline", "batches", "lots", "must be an integer, got 'lots'"),
-    ("pipeline", "seed", "seven", "must be an integer, got 'seven'"),
-    ("pipeline", "evaluation.k", "five", "must be an integer, got 'five'"),
-    ("pipeline", "evaluation.repetitions", "true", "must be an integer, got True"),
-    ("pipeline", "evaluation.n_init", "2.5", "must be an integer, got 2.5"),
-    ("pipeline", "evaluation.tune", "1", "must be true or false, got 1"),
-    ("pipeline", "evaluation.tune_once", "'yes'", "must be true or false, got 'yes'"),
-    ("pipeline", "evaluation.fixed_hyper", "[rf]", "must be a mapping, got ['rf']"),
-    ("pipeline", "evaluation.transfer", "1", "must be true, false or holdout, got 1"),
-    ("pipeline", "evaluation.transfer", "matrix", "must be true, false or holdout, got 'matrix'"),
-    ("evaluate", "seed", "seven", "must be an integer, got 'seven'"),
-    ("evaluate", "n_iter", "'4'", "must be an integer, got '4'"),
-    ("pipeline", "faac", "[a, b]", "must be a path, got ['a', 'b']"),
-    ("pipeline", "faac", "7", "must be a path, got 7"),
-    ("pipeline", "integration", "{shared_classes: [DoS]}", "must be a path, got {'shared_classes': ['DoS']}"),
-    ("pipeline", "evaluation.k", "1", "must be at least 2, got 1"),
-    ("pipeline", "evaluation.n_init", "0", "must be at least 1, got 0"),
-    ("pipeline", "evaluation.n_iter", "-1", "must be at least 0, got -1"),
-    ("evaluate", "k", "0", "must be at least 2, got 0"),
-    ("evaluate", "n_init", "-2", "must be at least 1, got -2"),
-    ("pipeline", "evaluation.repetitions", "0", "must be at least 1, got 0"),
-    ("evaluate", "repetitions", "0", "must be at least 1, got 0"),
+    ("batches", "lots", "must be an integer, got 'lots'"),
+    ("seed", "seven", "must be an integer, got 'seven'"),
+    ("evaluation.k", "five", "must be an integer, got 'five'"),
+    ("evaluation.repetitions", "true", "must be an integer, got True"),
+    ("evaluation.n_init", "2.5", "must be an integer, got 2.5"),
+    ("evaluation.tune", "1", "must be true or false, got 1"),
+    ("evaluation.tune_once", "'yes'", "must be true or false, got 'yes'"),
+    ("evaluation.fixed_hyper", "[rf]", "must be a mapping, got ['rf']"),
+    ("evaluation.transfer", "1", "must be true, false or holdout, got 1"),
+    ("evaluation.transfer", "matrix", "must be true, false or holdout, got 'matrix'"),
+    ("evaluation.n_iter", "'4'", "must be an integer, got '4'"),
+    ("faac", "[a, b]", "must be a path, got ['a', 'b']"),
+    ("faac", "7", "must be a path, got 7"),
+    ("integration", "{shared_classes: [DoS]}", "must be a path, got {'shared_classes': ['DoS']}"),
+    ("evaluation.k", "1", "must be at least 2, got 1"),
+    ("evaluation.n_init", "0", "must be at least 1, got 0"),
+    ("evaluation.n_iter", "-1", "must be at least 0, got -1"),
+    ("evaluation.k", "0", "must be at least 2, got 0"),
+    ("evaluation.n_init", "-2", "must be at least 1, got -2"),
+    ("evaluation.repetitions", "0", "must be at least 1, got 0"),
 ]
 
 
-@pytest.mark.parametrize(
-    "command, key, value, message", BAD_PLAN_VALUES, ids=[f"{c}-{k}-{v}" for c, k, v, _ in BAD_PLAN_VALUES]
-)
-def test_wrongly_typed_plan_values_exit_2_before_any_work(cfg_dir, tmp_path, capsys, command, key, value, message):
+@pytest.mark.parametrize("key, value, message", BAD_PLAN_VALUES, ids=[f"{k}-{v}" for k, v, _ in BAD_PLAN_VALUES])
+def test_wrongly_typed_plan_values_exit_2_before_any_work(cfg_dir, tmp_path, capsys, key, value, message):
     plan = tmp_path / "plan.yaml"
-    plan.write_text(_plan_with(cfg_dir, command, key, value), encoding="utf-8")
-    assert main([command, "--config", str(plan), "--seed", "5", "--out", str(tmp_path / "out")]) == 2
+    plan.write_text(_plan_with(cfg_dir, key, value), encoding="utf-8")
+    assert main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {plan}: {key} {message}")
     assert not (tmp_path / "out").exists()
@@ -461,7 +484,7 @@ BAD_PLAN_ENTRIES = [
     ("evaluation.fixed_hyper", "{lr: 5}", "evaluation.fixed_hyper.lr must be a mapping, got 5"),
     ("evaluation.fixed_hyper", "{lr: {lamda: 0.1}}", "evaluation.fixed_hyper.lr: unknown hyperparameter 'lamda'"),
     ("evaluation.singles", "[s9]", "evaluation.singles: unknown target 's9'"),
-    ("sources", "{s1: {x: 1}, s2: s2.yaml}", "sources.s1 must be a path, got {'x': 1}"),
+    ("sources", "{s1: {x: 1}, s2: s2.yaml}", "unknown sources.s1 key 'x'; expected one of config, flows"),
     ("sources", "{s1: null, s2: s2.yaml}", "sources.s1 must be a path, got None"),
     ("evaluation.repetiton", "3", "unknown evaluation key 'repetiton'"),
     ("evaluation.n_iter", "1000", "evaluation.n_init + n_iter must be at most the candidate set size 256"),
@@ -477,7 +500,7 @@ BAD_PLAN_ENTRIES = [
 @pytest.mark.parametrize("key, value, message", BAD_PLAN_ENTRIES, ids=[v for _, v, _ in BAD_PLAN_ENTRIES])
 def test_bad_plan_entries_exit_2_before_any_work(cfg_dir, tmp_path, capsys, key, value, message):
     plan = tmp_path / "plan.yaml"
-    plan.write_text(_plan_with(cfg_dir, "pipeline", key, value), encoding="utf-8")
+    plan.write_text(_plan_with(cfg_dir, key, value), encoding="utf-8")
     assert main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {plan}: {message}")
@@ -501,7 +524,7 @@ BAD_HYPERPARAMETERS = [
 )
 def test_hyperparameters_out_of_range_exit_2_before_any_work(cfg_dir, tmp_path, capsys, kind, name, value, message):
     plan = tmp_path / "plan.yaml"
-    plan.write_text(_plan_with(cfg_dir, "pipeline", "evaluation.fixed_hyper", f"{{{kind}: {{{name}: {value}}}}}"),
+    plan.write_text(_plan_with(cfg_dir, "evaluation.fixed_hyper", f"{{{kind}: {{{name}: {value}}}}}"),
                     encoding="utf-8")
     assert main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -685,6 +708,21 @@ def test_derive_plans_its_batches_before_any_output(cfg_dir, tmp_path, batches, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "flows, batches, code, message",
+    [("missing.csv", "40", 3, "missing.csv"), ("s1.csv", "0", 2, "configuration error: --batches must be positive")],
+    ids=["missing_input", "no_batches"],
+)
+def test_derive_rejects_its_input_and_batches_before_any_output(cfg_dir, tmp_path, capsys, flows, batches, code,
+                                                                 message):
+    # without --count the batches could only be planned once the whole file was read
+    (tmp_path / "s1.csv").write_text(FLOWS, encoding="utf-8")
+    assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"), "--source", str(cfg_dir / "source_s1.yaml"),
+                 "--input", str(tmp_path / flows), "--batches", batches, "--out", str(tmp_path / "out")]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 LOADER_FAULTS = [
     ("faac", MINI_FAAC.replace("lo: 1024, hi: 65536", "lo: 1000, hi: 65536"),
      "variable 'dst_port': ranges of 'port_low' and 'port_high' overlap"),
@@ -738,7 +776,7 @@ def test_thread_counts_other_than_one_are_rejected(cfg_dir, tmp_path, capsys):
         orchestrate(cfg_dir / "pipeline.yaml", out, seed=5, threads=2)
     assert list(out.iterdir()) == []
     with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--threads", "2"])
+        main(["pipeline", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 

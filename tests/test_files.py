@@ -198,8 +198,8 @@ def test_empty_config_files_fail_on_what_they_miss(tmp_path, capsys):
     assert load_integration_spec(empty) == IntegrationSpec()
 
     out = str(tmp_path / "out")
-    assert main(["evaluate", "--config", str(empty), "--out", out]) == 2
-    assert "no 'single' or 'transfer' inputs" in capsys.readouterr().err
+    assert main(["pipeline", "--config", str(empty), "--out", out]) == 2
+    assert "needs 'faac' and 'sources'" in capsys.readouterr().err
     assert main(["synth", "--config", str(empty), "--out", out]) == 2
     assert "'dataset'" in capsys.readouterr().err
     assert main(["derive", "--config", str(empty), "--source", str(empty), "--input", "flows.csv",
@@ -296,9 +296,10 @@ def test_blocks_of_the_wrong_type_exit_2_without_a_traceback(config_dir, tmp_pat
 
 def test_plan_blocks_of_the_wrong_type_are_configuration_errors(config_dir, tmp_path, capsys):
     plan = tmp_path / "eval.yaml"
-    plan.write_text("models: [lr]\ntransfer: [a, b]\n", encoding="utf-8")
-    assert main(["evaluate", "--config", str(plan), "--out", str(tmp_path / "out")]) == 2
-    assert f"{plan}: transfer must be a mapping, got ['a', 'b']" in capsys.readouterr().err
+    plan.write_text(f"batches: 4\nfaac: {config_dir / 'faac_reference.yaml'}\nsources: {{}}\n"
+                    "evaluation: {models: [lr], fixed_hyper: [a, b]}\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "out")]) == 2
+    assert f"{plan}: evaluation.fixed_hyper must be a mapping, got ['a', 'b']" in capsys.readouterr().err
     pipeline = tmp_path / "pipeline.yaml"
     pipeline.write_text(f"batches: 4\nfaac: {config_dir / 'faac_reference.yaml'}\nsources: [a, b]\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="sources must be a mapping"):
