@@ -88,13 +88,15 @@ def _write_manifest(
     configs: list[Path],
     seed: int | None,
     inputs: list[Path] | None = None,
+    base: Path | None = None,
 ) -> Path:
+    """Write ``manifest.json``; it keys each config and input by its path relative to ``base``, by default its name."""
     doc = {
         "command": command,
         "package_version": __version__,
         "seed": seed,
-        "configs": {p.name: _sha256(p) for p in configs},
-        "inputs": {p.name: _sha256(p) for p in (inputs or [])},
+        "configs": {os.path.relpath(p, base or p.parent): _sha256(p) for p in configs},
+        "inputs": {os.path.relpath(p, base or p.parent): _sha256(p) for p in (inputs or [])},
         "outputs": {
             p.name: {"sha256": _sha256(p), "bytes": p.stat().st_size} for p in sorted(outputs)
         },
@@ -377,6 +379,7 @@ def orchestrate(
     ``<id>_flows.csv`` and are derived from memory. A source ``{config, flows}``
     is a recorded flows file, derived by ``derive``'s helper before the output
     directory is made; it is not copied, and the manifest lists it as an input.
+    The manifest keys each config and input by its path relative to the plan's directory.
     """
     # forests grow serially; the keyword stays only for callers that pass threads=1
     if threads != 1:
@@ -479,7 +482,8 @@ def orchestrate(
                 save_model(model, model_path)
                 artifacts[f"model:{kind}"] = model_path
 
-    manifest = _write_manifest(out, "pipeline", list(artifacts.values()), configs, seed, inputs=list(flows.values()))
+    manifest = _write_manifest(out, "pipeline", list(artifacts.values()), configs, seed, inputs=list(flows.values()),
+                               base=config_path.parent)
     artifacts["manifest"] = manifest
     return artifacts
 

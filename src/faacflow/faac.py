@@ -22,7 +22,7 @@ import numpy as np
 from . import ingest
 from .errors import ConfigError, DataError
 from .files import as_list, as_mapping, check_keys, names_its_file, read_csv, read_yaml_mapping, write_csv
-from .ingest import DEFAULT_TAXONOMY, CanonicalTaxonomy, FlowChunk, FlowRecord, as_chunks, taxonomy_from
+from .ingest import DEFAULT_TAXONOMY, CanonicalTaxonomy, FlowChunk, FlowRecord, as_chunks, column_values, taxonomy_from
 
 EQUALS = "equals"
 IN_SET = "in_set"
@@ -191,9 +191,6 @@ def plan_batches(n_records: int, target_batches: int) -> BatchPlan:
     )
 
 
-_FLOAT_OR_MISSING = {float, type(None)}
-
-
 class _VariableCounter:
     """Compiled matchers for one canonical variable.
 
@@ -245,21 +242,14 @@ class _VariableCounter:
             hits.append(self.catch_idx)
         return hits
 
-    def count(self, values: list[object], n_batches: int, batch_size: int) -> np.ndarray:
-        """(n_batches, len(slots)) hit counts of consecutive whole batches."""
-        if self.ranges and set(map(type, values)) <= _FLOAT_OR_MISSING:
-            hits = self._float_hits(values)
-        else:
-            hits = self._value_hits(values)
+    def count(self, column: np.ndarray | list[object], n_batches: int, batch_size: int) -> np.ndarray:
+        """(n_batches, len(slots)) hit counts of consecutive whole batches of a column in a chunk's form."""
+        hits = self._value_hits(column) if isinstance(column, list) else self._float_hits(column)
         return hits.reshape(len(self.slots), n_batches, batch_size).sum(axis=2).T
 
-    def _float_hits(self, values: list[object]) -> np.ndarray:
-        """(slot, record) hits when every present value is a float: one comparison per range and token."""
-        x = np.array(values, dtype=np.float64)
-        # None reads as NaN, but a NaN value is present: take missing from `is None`
-        missing = np.zeros(len(x), dtype=bool)
-        nan_at = np.flatnonzero(np.isnan(x))
-        missing[nan_at] = [values[i] is None for i in nan_at]
+    def _float_hits(self, x: np.ndarray) -> np.ndarray:
+        """(slot, record) hits of a float64 column, NaN where missing: one comparison per range and token."""
+        missing = np.isnan(x)
         # a value equals at most one token of a feature, so or-ing counts each hit once
         hits = np.zeros((len(self.slots), len(x)), dtype=bool)
         for key, local in self.float_tokens:
@@ -285,8 +275,13 @@ class _VariableCounter:
         return np.take(table, codes, axis=1)  # C order, unlike table[:, codes]
 
 
-def _joined(parts: list[list]) -> list:
-    return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+def _joined(parts: list) -> np.ndarray | list:
+    """The parts, each an array or list in a chunk column's form, as one in that form."""
+    if len(parts) == 1:
+        return parts[0]
+    if all(isinstance(part, np.ndarray) for part in parts):
+        return np.concatenate(parts)
+    return list(chain.from_iterable(map(column_values, parts)))
 
 
 class _CompiledFaac:
@@ -306,7 +301,7 @@ class _CompiledFaac:
             [0] + [taxonomy.index_of(name) for name in config.full_priority()], dtype=np.int64
         )
 
-    def _resolve_keys(self, columns: dict[str, list[object]], origin: str) -> dict[str, str | None]:
+    def _resolve_keys(self, columns: dict[str, object], origin: str) -> dict[str, str | None]:
         """Map canonical variable -> the column of ``columns`` that holds it, if any."""
         aliases = self.config.aliases
         canon_of = {col: aliases.get(col, col) for col in columns}
@@ -367,7 +362,7 @@ class _CompiledFaac:
             parts = []
             for chunk, lo, hi, keys in segments:
                 column = chunk.columns.get(keys[counter.variable])  # type: ignore[arg-type]
-                parts.append([None] * (hi - lo) if column is None else column[lo:hi])
+                parts.append(np.full(hi - lo, np.nan) if column is None else column[lo:hi])
             counts[:, counter.slots] += counter.count(_joined(parts), n_batches, batch_size)
 
         n_classes = len(self.class_index)

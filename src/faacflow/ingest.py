@@ -86,17 +86,48 @@ class FlowRecord:
 class FlowChunk:
     """Consecutive flows, one column per variable.
 
-    ``columns`` maps variable name -> one value per row, each in the
-    :class:`FlowRecord` value form. ``labels`` and ``origins`` hold each
-    row's canonical class and origin tag. Every row has every column.
+    ``columns`` maps variable name -> one value per row in the form of
+    :func:`as_column`: a float64 array, NaN for None, when each value is None
+    or a float that is not NaN, as in every numeric column of a synthetic or
+    parsed source; otherwise a list of :class:`FlowRecord` values. ``labels``
+    and ``origins`` hold each row's canonical class and origin tag. Every row
+    has every column.
     """
 
-    columns: dict[str, list[object]]
+    columns: dict[str, np.ndarray | list[object]]
     labels: list[str]
     origins: list[str]
 
     def __len__(self) -> int:
         return len(self.labels)
+
+
+def as_column(values: np.ndarray | list[object]) -> np.ndarray | list[object]:
+    """A chunk's column of ``values``: a float64 array, NaN for None, when each value is None or a float
+    that is not NaN; otherwise the list itself. An array passes through."""
+    if isinstance(values, np.ndarray):
+        return values
+    kinds = {float, type(None)}
+    # a first value of another type, a categorical token say, settles it without a scan of the rest
+    if values and type(values[0]) not in kinds or not set(map(type, values)) <= kinds:
+        return values
+    x = np.array(values, dtype=np.float64)
+    nan_at = np.flatnonzero(np.isnan(x)).tolist()
+    return x if all(values[i] is None for i in nan_at) else values  # else a NaN value is present
+
+
+def column_values(column: np.ndarray | list[object]) -> list[object]:
+    """A column's values in the FlowRecord form: a list passes through, and an array's values
+    are floats, None for NaN, with one shared object per distinct value."""
+    if isinstance(column, list):
+        return column
+    # keyed by bits, not by value: np.unique merges -0.0 and 0.0
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    distinct = keys.view(np.float64)
+    shared = np.empty(len(distinct), dtype=object)
+    shared[:] = distinct.tolist()
+    shared[np.isnan(distinct)] = None
+    return shared[inverse].tolist()
 
 
 def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[FlowChunk]:
@@ -128,7 +159,7 @@ def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[Fl
             end = next(i for i, d in enumerate(dicts) if d.keys() != names)
             columns = {name: [d[name] for d in dicts[:end]] for name in names}
         yield FlowChunk(
-            columns=columns,
+            columns={name: as_column(values) for name, values in columns.items()},
             labels=[rec.label for rec in pending[:end]],
             origins=[rec.origin for rec in pending[:end]],
         )
@@ -137,10 +168,10 @@ def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[Fl
 
 
 def iter_records(chunks: Iterable[FlowChunk]) -> Iterator[FlowRecord]:
-    """The rows of each chunk as FlowRecords, in order."""
+    """The rows of each chunk as FlowRecords, in order; see :func:`column_values`."""
     for chunk in chunks:
         names = tuple(chunk.columns)
-        rows = zip(*chunk.columns.values()) if names else repeat((), len(chunk))
+        rows = zip(*map(column_values, chunk.columns.values())) if names else repeat((), len(chunk))
         for values, label, origin in zip(rows, chunk.labels, chunk.origins):
             yield FlowRecord(values=dict(zip(names, values)), label=label, origin=origin)
 
@@ -202,33 +233,37 @@ class Distribution:
         own = [v for v, _ in self.values] + ([self.value] if self.kind == "constant" else [])
         return own + [v for _, dist in self.components for v in dist.configured_values()]
 
-    def draw(self, rng: np.random.Generator, size: int, numeric: bool) -> list[object]:
+    def draw(self, rng: np.random.Generator, size: int, numeric: bool) -> np.ndarray | list[object]:
+        """``size`` values: numeric ones as a float64 array with NaN for missing, others as a list with None."""
         if self.kind == "choice":
             opts = [_flow_value(v, numeric) for v, _ in self.values]
             weights = np.array([w for _, w in self.values], dtype=float)
             weights = weights / weights.sum()
             idx = rng.choice(len(opts), size=size, p=weights)
-            out = list(map(opts.__getitem__, idx.tolist()))
+            out = np.array(opts, dtype=np.float64)[idx] if numeric else list(map(opts.__getitem__, idx.tolist()))
         elif self.kind == "uniform_int":
             draws = rng.integers(int(self.lo), int(self.hi), size=size)
-            out = draws.astype(np.float64).tolist() if numeric else list(map(str, draws.tolist()))
+            out = draws.astype(np.float64) if numeric else list(map(str, draws.tolist()))
         elif self.kind == "uniform_float":
             draws = rng.uniform(self.lo, self.hi, size=size)
-            out = draws.tolist() if numeric else [str(v) for v in draws]
+            out = draws if numeric else [str(v) for v in draws]
         elif self.kind == "constant":
-            out = [_flow_value(self.value, numeric)] * size
+            value = _flow_value(self.value, numeric)
+            out = np.full(size, value, dtype=np.float64) if numeric else [value] * size
         else:  # mixture
             weights = np.array([w for w, _ in self.components], dtype=float)
             weights = weights / weights.sum()
             which = rng.choice(len(self.components), size=size, p=weights)
-            scattered = np.full(size, None, dtype=object)
+            scattered = np.empty(size, dtype=np.float64 if numeric else object)
             for ci, (_, dist) in enumerate(self.components):
                 slots = np.flatnonzero(which == ci)
                 scattered[slots] = dist.draw(rng, len(slots), numeric)
-            out = scattered.tolist()
+            out = scattered if numeric else scattered.tolist()
         if self.missing_rate > 0.0:
             mask = rng.random(size) < self.missing_rate
-            if mask.any():
+            if numeric:
+                out[mask] = np.nan
+            elif mask.any():
                 masked = np.array(out, dtype=object)
                 masked[mask] = None
                 out = masked.tolist()
@@ -336,40 +371,31 @@ class SourceSchema:
         return replace(self, class_map={c: c for c in self.taxonomy.classes})
 
 
-def _convert(token: str, col: Column) -> object:
-    if token == "":
-        return None  # explicit missing marker
-    if col.kind == NUMERIC:
-        try:
-            v = float(token)
-        except ValueError:
-            raise DataError(f"non-numeric token {token!r} in numeric column {col.name!r}") from None
-        if not math.isfinite(v):
-            raise DataError(f"non-finite value {token!r} in numeric column {col.name!r}")
-        return v
-    return token
-
-
-def _convert_column(tokens: Sequence[str], col: Column, bad: dict[int, str]) -> list[object]:
-    """Values of one column's tokens; a token ``_convert`` rejects reads as None
-    and its row's first message goes into ``bad``."""
+def _convert_column(tokens: Sequence[str], col: Column, bad: dict[int, str]) -> np.ndarray | list[object]:
+    """Values of one column's tokens, a numeric column's as a float64 array with NaN for missing; a
+    numeric token that is not a finite number reads as missing and its row's first message goes into ``bad``."""
     if col.kind != NUMERIC:
         return [t or None for t in tokens] if "" in tokens else list(tokens)
+    empty = tokens.count("")
     try:
-        values = [float(t) if t else None for t in tokens] if "" in tokens else list(map(float, tokens))
+        floats = (float(t) if t else math.nan for t in tokens) if empty else map(float, tokens)
+        values = np.fromiter(floats, dtype=np.float64, count=len(tokens))
     except ValueError:
         pass  # some token is not a number
     else:
-        # a sum with a nan or infinite term is not finite
-        if math.isfinite(sum(filter(None, values))):  # type: ignore[arg-type]
+        # each empty token reads as NaN; any other value that is not finite is a fault
+        if len(values) - np.count_nonzero(np.isfinite(values)) == empty:
             return values
-    values = []
+    values = np.full(len(tokens), np.nan)
     for j, token in enumerate(tokens):
         try:
-            values.append(_convert(token, col))
-        except DataError as exc:
-            values.append(None)
-            bad.setdefault(j, str(exc))
+            v = float(token) if token else math.nan
+        except ValueError:
+            bad.setdefault(j, f"non-numeric token {token!r} in numeric column {col.name!r}")
+            continue
+        if token and not math.isfinite(v):
+            bad.setdefault(j, f"non-finite value {token!r} in numeric column {col.name!r}")
+        values[j] = v
     return values
 
 
@@ -437,8 +463,10 @@ class _BlockParser:
                 self.report(first_line + i, message, block.row(i))
         if bad or fatal:
             keep = [j for j in range(end) if j not in bad]
-            columns = {name: [values[j] for j in keep] for name, values in columns.items()}
+            columns = {name: values[keep] if isinstance(values, np.ndarray) else [values[j] for j in keep]
+                       for name, values in columns.items()}
             labels = [labels[j] for j in keep]
+        columns = {name: as_column(values) for name, values in columns.items()}
         return FlowChunk(columns=columns, labels=labels, origins=[self.schema.dataset_id] * len(labels)), fatal
 
 
@@ -503,20 +531,19 @@ def _format_value(v: object) -> str:
     return str(v)
 
 
-def _format_column(values: list[object]) -> Iterable[str]:
-    """The column's CSV fields, formatted as they are written: a list, or a lazy
-    map when each field is a float's repr, which never needs quoting."""
-    kinds = set(map(type, values))
+def _format_column(column: np.ndarray | list[object]) -> Iterable[str]:
+    """The column's CSV fields, formatted as they are written."""
+    if isinstance(column, np.ndarray):
+        fields = list(map(float.__repr__, column.tolist()))
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            fields[i] = ""
+        return fields
+    kinds = set(map(type, column))
     if kinds <= {str}:
-        return values  # type: ignore[return-value]
-    if kinds <= {float}:
-        return map(float.__repr__, values)
+        return column  # type: ignore[return-value]
     if kinds <= {str, type(None)}:
-        return [v or "" for v in values]  # type: ignore[misc]
-    if kinds <= {float, type(None)}:
-        fmt = float.__repr__
-        return ["" if v is None else fmt(v) for v in values]  # type: ignore[arg-type]
-    return list(map(_format_value, values))
+        return [v or "" for v in column]  # type: ignore[misc]
+    return list(map(_format_value, column))
 
 
 def write_flows(
@@ -640,18 +667,19 @@ def generate_chunks(profile: SyntheticProfile, schema: SourceSchema) -> Iterator
             if len(slots):
                 groups.append((dists, slots))
 
-    columns: dict[str, list[object]] = {}
+    columns: dict[str, np.ndarray | list[object]] = {}
     for col in schema.columns:
-        vals = np.full(profile.total, None, dtype=object)
+        numeric = col.kind == NUMERIC
+        vals = np.empty(profile.total, dtype=np.float64 if numeric else object)  # the groups fill every row
         for dists, slots in groups:
-            vals[slots] = dists[col.name].draw(rng, len(slots), numeric=col.kind == NUMERIC)
-        columns[col.name] = vals.tolist()
+            vals[slots] = dists[col.name].draw(rng, len(slots), numeric)
+        columns[col.name] = vals if numeric else vals.tolist()
 
     labels = list(map(names.__getitem__, seq.tolist()))
     for start in range(0, profile.total, CHUNK_RECORDS):
         rows = slice(start, start + CHUNK_RECORDS)
         yield FlowChunk(
-            columns={name: vals[rows] for name, vals in columns.items()},
+            columns={name: as_column(vals[rows]) for name, vals in columns.items()},
             labels=labels[rows],
             origins=[schema.dataset_id] * len(labels[rows]),
         )

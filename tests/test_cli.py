@@ -270,7 +270,30 @@ def test_a_plan_over_the_flows_files_it_wrote_writes_the_same_bytes(cfg_dir, tmp
     kinds = {name.split("_")[0].split(".")[0] for name in kept}
     assert {"report", "model", "integrated"} <= kinds and ("trials" in kinds) == ("tune: true" in text)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["inputs"] == {p.name: sha256(p) for p in flows}
+    # keyed by path relative to the plan, which sits beside synth/
+    assert manifest["inputs"] == {f"synth/{p.name}": sha256(p) for p in flows}
+
+
+def test_the_pipeline_manifest_keys_files_by_their_path_relative_to_the_plan(cfg_dir, tmp_path, capsys):
+    # two sources whose config files and flows files each share one name
+    for sid, sub in (("s1", "a"), ("s2", "b")):
+        assert main(["synth", "--config", str(cfg_dir / f"source_{sid}.yaml"), "--seed", "5",
+                     "--out", str(tmp_path / sub)]) == 0
+        (tmp_path / sub / f"{sid}_flows.csv").rename(tmp_path / sub / "flows.csv")
+        (tmp_path / sub / "source.yaml").write_bytes((cfg_dir / f"source_{sid}.yaml").read_bytes())
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(f"batches: 40\nfaac: {cfg_dir / 'mini_faac.yaml'}\nsources:\n"
+                    "  s1: {config: a/source.yaml, flows: a/flows.csv}\n"
+                    "  s2: {config: b/source.yaml, flows: b/flows.csv}\n", encoding="utf-8")
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {f"{d}/flows.csv": sha256(tmp_path / d / "flows.csv") for d in "ab"}
+    assert manifest["inputs"]["a/flows.csv"] != manifest["inputs"]["b/flows.csv"]
+    assert manifest["configs"] == {
+        "plan.yaml": sha256(plan),
+        os.path.relpath(cfg_dir / "mini_faac.yaml", tmp_path): sha256(cfg_dir / "mini_faac.yaml"),
+        **{f"{d}/source.yaml": sha256(tmp_path / d / "source.yaml") for d in "ab"},
+    }
 
 
 FLOWS_HEADER, FLOW = "proto,dst_port,bytes,label\n", "tcp,80,500,background\n"

@@ -21,6 +21,7 @@ from faacflow.faac import (
     FaacConfig,
     FeatureSpec,
     Matcher,
+    _CompiledFaac,
     derive_dataset,
     load_faac_config,
     plan_batches,
@@ -498,6 +499,35 @@ def test_records_round_trip_through_chunks(stream, chunk):
     assert from_chunks.X.tobytes() == from_records.X.tobytes()
     assert list(from_chunks.y) == list(from_records.y)
     assert from_chunks.origins == from_records.origins
+
+
+COLUMN_FLOATS = st.one_of(
+    st.none(),
+    st.sampled_from([-0.0, math.inf, -math.inf, 80.0, 443.0, 1e3, 1024.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), batch_size=st.integers(1, 5), n_batches=st.integers(1, 6), listed=st.booleans())
+def test_a_column_counts_and_writes_as_its_values_one_at_a_time(data, batch_size, n_batches, listed):
+    # ints and a NaN value keep a column a list; floats that are not NaN, and None, make it an array
+    extra = st.one_of(st.integers(-3, 70_000), st.just(NAN)) if listed else st.nothing()
+    values = data.draw(st.lists(st.one_of(COLUMN_FLOATS, extra), min_size=batch_size * n_batches,
+                                max_size=batch_size * n_batches))
+    (chunk,) = as_chunks([rec(port=v) for v in values])
+    column = chunk.columns["port"]
+    arrayed = all(v is None or type(v) is float and not math.isnan(v) for v in values)
+    assert isinstance(column, np.ndarray) == arrayed
+    assert column.dtype == np.float64 if arrayed else repr(column) == repr(values)
+    for counter in _CompiledFaac(PROP_CONFIG).counters:
+        got = counter.count(column, n_batches, batch_size)
+        want = np.zeros((n_batches, len(counter.slots)), dtype=np.int64)
+        for i, v in enumerate(values):
+            for j in counter.hits_of(v):
+                want[i // batch_size, j] += 1
+        assert got.tolist() == want.tolist(), counter.variable
+    assert list(ingest._format_column(column)) == list(map(ingest._format_value, values))
 
 
 def derived_digest(ds):

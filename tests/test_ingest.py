@@ -289,9 +289,13 @@ def test_distribution_draws_stay_in_bounds():
 def test_distribution_missing_rate():
     rng = np.random.default_rng(1)
     d = Distribution(kind="constant", value=1, missing_rate=0.5)
+    # a numeric draw is a float64 array with NaN for missing, a categorical one a list with None
     vals = d.draw(rng, 2_000, numeric=True)
-    frac = sum(v is None for v in vals) / len(vals)
-    assert 0.45 < frac < 0.55
+    assert vals.dtype == np.float64 and set(vals[~np.isnan(vals)].tolist()) == {1.0}
+    assert 0.45 < np.isnan(vals).mean() < 0.55
+    tokens = d.draw(rng, 2_000, numeric=False)
+    assert set(tokens) == {"1", None}
+    assert 0.45 < tokens.count(None) / len(tokens) < 0.55
 
 
 def test_mixture_distribution_blends_components():
@@ -389,10 +393,64 @@ def test_generated_chunks_are_the_chunks_parsed_from_their_csv():
     profile = SyntheticProfile(proportions=(("Background", 0.7), ("DoS", 0.3)), distributions=dists, total=5_000, seed=9)
     schema = tiny_schema(profile)
     chunks = list(ingest.generate_chunks(profile, schema))
+    assert all(np.isnan(c.columns["bytes"]).any() and None in c.columns["proto"] for c in chunks)
     buf = io.StringIO()
     write_flows(chunks, schema, buf)
     buf.seek(0)
-    assert list(ingest.parse_chunks(buf, schema.canonicalized())) == chunks
+    assert_same_chunks(list(ingest.parse_chunks(buf, schema.canonicalized())), chunks)
+
+
+def assert_same_chunks(got, want):
+    """Chunks alike column by column: a list by its values, an array bit for bit, so NaN in the same places."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.labels, a.origins) == (b.labels, b.origins)
+        assert list(a.columns) == list(b.columns)
+        for name, x in a.columns.items():
+            y = b.columns[name]
+            assert type(x) is type(y), name
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype == np.float64, name
+                assert np.array_equal(np.isnan(x), np.isnan(y)) and x.tobytes() == y.tobytes(), name
+            else:
+                assert repr(x) == repr(y), name
+
+
+def test_generated_numeric_columns_are_float64_arrays_that_read_back_as_records():
+    numeric = {
+        "bytes": Distribution(kind="uniform_float", lo=-1, hi=1, missing_rate=0.2),
+        "port": Distribution(kind="mixture", components=(
+            (1.0, Distribution(kind="choice", values=((-0.0, 1.0), (0.0, 1.0), (80, 1.0)))),
+            (1.0, Distribution(kind="uniform_int", lo=1024, hi=1030, missing_rate=0.3)),
+            (1.0, Distribution(kind="constant", value="4e3")),
+        )),
+    }
+    dists = {"default": {"proto": Distribution(kind="choice", values=(("tcp", 1.0), ("", 1.0))), **numeric}}
+    profile = SyntheticProfile(proportions=(("Background", 1.0),), distributions=dists, total=9_000, seed=3)
+    schema = SourceSchema(
+        dataset_id="arrays",
+        columns=(Column("proto", CATEGORICAL), Column("bytes", NUMERIC), Column("port", NUMERIC)),
+        label_column="cls",
+        class_map={},
+        profile=profile,
+    )
+    chunks = list(ingest.generate_chunks(profile, schema))
+    records = list(ingest.iter_records(chunks))
+    assert len(records) == 9_000 and len(chunks) == 3
+    assert all(isinstance(c.columns["proto"], list) for c in chunks)
+    for name in numeric:
+        columns = [c.columns[name] for c in chunks]
+        assert all(isinstance(x, np.ndarray) and x.dtype == np.float64 for x in columns)
+        x = np.concatenate(columns)
+        # repr tells -0.0 from 0.0
+        want = [None if np.isnan(v) else v for v in x.tolist()]
+        assert repr([r.values[name] for r in records]) == repr(want)
+        assert {type(r.values[name]) for r in records} == {float, type(None)}
+    ports = [r.values["port"] for r in records[:4096]]
+    distinct = {"-0.0", "0.0", "80.0", "4000.0", "None", *(f"{p}.0" for p in range(1024, 1030))}
+    assert {repr(v) for v in ports} == distinct
+    # one float object per distinct value of a chunk's column
+    assert len(set(map(id, ports))) == len(distinct)
 
 
 def test_generate_honors_proportions_and_class_distributions():
