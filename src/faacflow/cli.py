@@ -1,12 +1,12 @@
 """Command line interface and end-to-end pipeline driver.
 
-Subcommands: ``synth`` (generate flows), ``derive`` (flows to counters),
-``report`` (summarize an evaluation CSV) and ``pipeline`` (derive, integrate
-and evaluate the sources of one plan, through :func:`orchestrate`). A plan
-source is a synthetic profile or a recorded flows file, and every evaluation
-runs on the datasets that derivation made, never on a derived sheet read back,
-which keeps 9 significant digits. Exit codes: 0 success, 2 configuration
-problem, 3 data problem, 4 evaluation problem.
+Subcommands: ``pipeline`` (derive, integrate and evaluate the sources of one
+plan, through :func:`orchestrate`) and ``report`` (summarize an evaluation
+CSV). A plan source is a synthetic profile or a recorded flows file, so a plan
+of one source and no evaluation generates or derives that source alone. Every
+evaluation runs on the datasets that derivation made, never on a derived sheet
+read back, which keeps 9 significant digits. Exit codes: 0 success, 2
+configuration problem, 3 data problem, 4 evaluation problem.
 
 Every command that writes files also writes ``manifest.json`` holding the
 sha256 digest and byte size of each output (never a timestamp), so two runs
@@ -22,9 +22,7 @@ import logging
 import os
 import re
 import sys
-from collections import Counter
 from dataclasses import replace
-from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -106,12 +104,6 @@ def _write_manifest(
     return path
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "-", text)
 
@@ -131,49 +123,6 @@ def _load_plan(path: Path) -> tuple[dict, Callable[[str, object], Path]]:
 
 # ---------------------------------------------------------------------------
 # Subcommands
-
-
-def cmd_synth(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("synth requires --config pointing at a source description")
-    schema = load_source_config(args.config)
-    if schema.profile is None:
-        raise ConfigError(f"{args.config}: source has no synthetic profile")
-    profile = schema.profile
-    if args.seed is not None:
-        profile = replace(profile, seed=derive_seed(args.seed, "synth", schema.dataset_id))
-    out = _out_dir(args)
-    path = out / f"{schema.dataset_id}_flows.csv"
-    chunks = list(generate_chunks(profile, schema))
-    n = write_flows(chunks, schema, path)
-    counts = Counter(chain.from_iterable(chunk.labels for chunk in chunks))
-    _write_manifest(out, "synth", [path], [Path(args.config)], args.seed)
-    print(f"wrote {n} flows to {path}")
-    for name in sorted(counts):
-        print(f"  {name}: {counts[name]} ({counts[name] / n:.4%})")
-    return EXIT_OK
-
-
-def cmd_derive(args: argparse.Namespace) -> int:
-    if not args.config:
-        raise ConfigError("derive requires --config pointing at a counter configuration")
-    config = load_faac_config(args.config)
-    schema = load_source_config(args.source)
-    config = _source_counters(config, args.config, schema, args.source)
-    n_records = args.count if args.count is not None else schema.record_count_hint
-    check_batch_count(args.batches, "--batches")
-    dataset = _derive_flows(Path(args.input), schema, config, args.batches, n_records)
-    out = _out_dir(args)
-    path, dist_path = _write_dataset(dataset, out, schema.dataset_id)
-    configs = [Path(args.config), Path(args.source)]
-    _write_manifest(out, "derive", [path, dist_path], configs, args.seed, inputs=[Path(args.input)])
-    print(
-        f"wrote {dataset.n_rows} rows x {dataset.n_features} features to {path} "
-        f"(batch size {int(dataset.batch_sizes[0]) if dataset.n_rows else 0})"
-    )
-    for name, c in sorted(dataset.class_counts().items()):
-        print(f"  {name}: {c}")
-    return EXIT_OK
 
 
 def _source_counters(config: FaacConfig, config_path: object, schema: SourceSchema, source_path: object) -> FaacConfig:
@@ -344,7 +293,8 @@ def _write_plot_data(report: EvalReport, out: Path) -> list[Path]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     report = read_report_csv(args.input)
-    out = _out_dir(args)
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
     agg_path = out / "aggregate.csv"
     keys = ("setting", "model", "train_origin", "test_origin", "n_folds")
     aucs = ("mean_weighted_auc", "std_weighted_auc")
@@ -377,7 +327,7 @@ def orchestrate(
     path, relative to the config file, read before the output directory is made.
     A source named by its config alone is synthetic: its flows go to
     ``<id>_flows.csv`` and are derived from memory. A source ``{config, flows}``
-    is a recorded flows file, derived by ``derive``'s helper before the output
+    is a recorded flows file, derived by :func:`_derive_flows` before the output
     directory is made; it is not copied, and the manifest lists it as an input.
     The manifest keys each config and input by its path relative to the plan's directory.
     """
@@ -509,29 +459,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="root random seed")
     common.add_argument("--out", default=None, help="output directory (default: current)")
 
+    # the options follow the command: a subparser's defaults would overwrite any given before it
     parser = argparse.ArgumentParser(
         prog="faacflow",
         description="Harmonize flow datasets into counter matrices and evaluate classifiers on them.",
-        parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common], help="generate synthetic flows for a source")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("derive", parents=[common], help="derive the counter matrix from flows")
-    p.add_argument("--source", required=True, help="source schema YAML")
-    p.add_argument("--input", required=True, help="flows CSV to read")
-    p.add_argument("--batches", required=True, type=int, help="target number of batches")
-    p.add_argument("--count", type=int, default=None, help="declared record count (enables streaming)")
-    p.set_defaults(func=cmd_derive)
+    p = sub.add_parser("pipeline", parents=[common], help="derive, integrate and evaluate the sources of one plan")
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("report", parents=[common], help="summarize an evaluation report CSV")
     p.add_argument("--input", required=True, help="report.csv written by pipeline")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("pipeline", parents=[common], help="derive, integrate and evaluate the sources of one plan")
-    p.set_defaults(func=cmd_pipeline)
     return parser
 
 

@@ -244,6 +244,8 @@ class EvalSettings:
     ``tune_once`` tunes at the first repetition and fold per model and
     reuses the winner elsewhere; fixed_hyper (model -> hyperparams) applies
     when tuning is off. Tuning searches the built-in space of each model.
+    With ``tune_once``, cross-validation tunes on fold 1's training rows,
+    which later folds test on, so their scores may lean optimistic.
     """
 
     k: int = 5

@@ -168,10 +168,10 @@ class BatchPlan:
         return self.n_records - self.batch_size * self.full_batches
 
 
-def check_batch_count(target_batches: int, key: str = "target batch count") -> None:
-    """Raise a ConfigError naming ``key`` unless ``target_batches`` is at least 1."""
+def check_batch_count(target_batches: int) -> None:
+    """Raise a ConfigError unless ``target_batches`` is at least 1."""
     if target_batches < 1:
-        raise ConfigError(f"{key} must be positive, got {target_batches}")
+        raise ConfigError(f"target batch count must be positive, got {target_batches}")
 
 
 def plan_batches(n_records: int, target_batches: int) -> BatchPlan:
@@ -503,10 +503,10 @@ def write_derived(dataset: DerivedDataset, dest: str | Path | TextIO) -> int:
 
 
 def read_derived(path: str | Path | TextIO) -> DerivedDataset:
-    """Read a derived CSV back into memory.
+    """Read a derived CSV back into memory: a lossy view of the dataset that derivation made.
 
     Classes are collected in first-seen order with Background moved to the
-    front when present.
+    front when present, and each counter keeps the sheet's 9 significant digits.
     """
     reader = read_csv(path)
     try:

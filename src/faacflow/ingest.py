@@ -82,7 +82,7 @@ class FlowRecord:
     origin: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class FlowChunk:
     """Consecutive flows, one column per variable.
 
@@ -91,7 +91,8 @@ class FlowChunk:
     or a float that is not NaN, as in every numeric column of a synthetic or
     parsed source; otherwise a list of :class:`FlowRecord` values. ``labels``
     and ``origins`` hold each row's canonical class and origin tag. Every row
-    has every column.
+    has every column. A chunk equals only itself: a field-wise ``==`` would
+    ask an array column for one truth value.
     """
 
     columns: dict[str, np.ndarray | list[object]]

@@ -22,6 +22,7 @@ from faacflow.cli import main, orchestrate
 from faacflow.errors import ConfigError
 from faacflow.evaluation import EvalSettings, run_holdout_study, run_single_dataset, write_report_csv
 from faacflow.faac import load_faac_config, read_derived
+from faacflow.files import read_csv
 from faacflow.ingest import load_source_config
 from faacflow.learning import load_model
 
@@ -170,6 +171,22 @@ def _mini_plan(cfg_dir, path: Path, text: str, flows: Path | None = None) -> Pat
     return path
 
 
+def _one_source_plan(path: Path, faac: Path, key: str, source: Path, flows: Path | None = None,
+                     batches: int = 40, seed: int = 5) -> Path:
+    """Write to ``path`` a plan of one source and no evaluation: ``source`` keyed by ``key`` is synthetic, or
+    with ``flows`` the config of that recorded flows file."""
+    entry = str(source) if flows is None else {"config": str(source), "flows": str(flows)}
+    plan = {"seed": seed, "batches": batches, "faac": str(faac), "sources": {key: entry}}
+    path.write_text(yaml.safe_dump(plan), encoding="utf-8")
+    return path
+
+
+def _with_count(source: Path, path: Path, count: int) -> Path:
+    """Write to ``path`` a copy of the source config ``source`` that declares ``count`` records."""
+    path.write_text(source.read_text(encoding="utf-8") + f"record_count_hint: {count}\n", encoding="utf-8")
+    return path
+
+
 def test_module_help_runs():
     # a fresh interpreter does not see pytest's pythonpath; hand it the source tree
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -178,22 +195,20 @@ def test_module_help_runs():
         [sys.executable, "-m", "faacflow", "--help"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
-    assert "{synth,derive,report,pipeline}" in proc.stdout
+    assert "{pipeline,report}" in proc.stdout
 
 
 def test_subcommand_round_trip(cfg_dir, tmp_path, capsys):
     out = tmp_path / "run"
+    faac = cfg_dir / "mini_faac.yaml"
     for sid in ("s1", "s2"):
-        rc = main(["synth", "--config", str(cfg_dir / f"source_{sid}.yaml"),
-                   "--seed", "5", "--out", str(out)])
-        assert rc == 0
+        source = cfg_dir / f"source_{sid}.yaml"
+        plan = _one_source_plan(tmp_path / f"synth_{sid}.yaml", faac, sid, source)
+        assert main(["pipeline", "--config", str(plan), "--out", str(out)]) == 0
         assert (out / f"{sid}_flows.csv").exists()
-        rc = main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),
-                   "--source", str(cfg_dir / f"source_{sid}.yaml"),
-                   "--input", str(out / f"{sid}_flows.csv"),
-                   "--batches", "40", "--out", str(out)])
-        assert rc == 0
-        ds = read_derived(out / f"{sid}_derived.csv")
+        plan = _one_source_plan(tmp_path / f"derive_{sid}.yaml", faac, sid, source, flows=out / f"{sid}_flows.csv")
+        assert main(["pipeline", "--config", str(plan), "--out", str(out / "parsed")]) == 0
+        ds = read_derived(out / "parsed" / f"{sid}_derived.csv")
         assert ds.n_rows == 40 and ds.n_features == 7
         assert int(ds.batch_sizes[0]) == 100
 
@@ -217,36 +232,38 @@ def test_subcommand_round_trip(cfg_dir, tmp_path, capsys):
     assert "weighted AUC" in summary
 
 
-def test_subcommands_write_the_bytes_orchestrate_writes(cfg_dir, tmp_path, capsys):
+def test_one_source_plans_write_the_bytes_a_two_source_plan_writes(cfg_dir, tmp_path, capsys):
     sub = tmp_path / "sub"
+    faac = cfg_dir / "mini_faac.yaml"
     for sid in ("s1", "s2"):
-        assert main(["synth", "--config", str(cfg_dir / f"source_{sid}.yaml"),
-                     "--seed", "5", "--out", str(sub)]) == 0
-        assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),
-                     "--source", str(cfg_dir / f"source_{sid}.yaml"),
-                     "--input", str(sub / f"{sid}_flows.csv"),
-                     "--batches", "40", "--out", str(sub)]) == 0
-    # PIPELINE over the flows that synth wrote
+        source = cfg_dir / f"source_{sid}.yaml"
+        plan = _one_source_plan(tmp_path / f"synth_{sid}.yaml", faac, sid, source)
+        assert main(["pipeline", "--config", str(plan), "--out", str(sub)]) == 0
+        plan = _one_source_plan(tmp_path / f"derive_{sid}.yaml", faac, sid, source, flows=sub / f"{sid}_flows.csv")
+        assert main(["pipeline", "--config", str(plan), "--out", str(sub / "parsed")]) == 0
+    # PIPELINE over the flows that the one-source plans wrote
     plan = _mini_plan(cfg_dir, tmp_path / "plan.yaml", PIPELINE, flows=sub)
     assert main(["pipeline", "--config", str(plan), "--seed", "5", "--out", str(sub / "plan")]) == 0
 
     pipe = tmp_path / "pipe"
     orchestrate(cfg_dir / "pipeline.yaml", pipe, seed=5)
     capsys.readouterr()
-    names = [f"{stem}_{kind}.csv" for stem in ("s1", "s2") for kind in ("flows", "derived", "distribution")]
+    names = [f"{d}{stem}_{kind}.csv" for stem in ("s1", "s2") for d in ("", "parsed/")
+             for kind in ("derived", "distribution")]
+    names += ["s1_flows.csv", "s2_flows.csv"]
     names += ["plan/integrated_derived.csv", "plan/integrated_distribution.csv", "plan/report.csv"]
     for name in names:
         assert (sub / name).read_bytes() == (pipe / Path(name).name).read_bytes(), name
 
 
-def test_pipeline_sheets_are_the_sheets_derive_makes_of_its_flows(cfg_dir, tmp_path, capsys):
-    # pipeline derives each source from the flows in memory, derive from the CSV the pipeline wrote
+def test_pipeline_sheets_are_the_sheets_a_one_source_plan_makes_of_its_flows(cfg_dir, tmp_path, capsys):
+    # pipeline derives each source from the flows in memory, a recorded source from the CSV the pipeline wrote
     pipe, sub = tmp_path / "pipe", tmp_path / "sub"
     assert main(["pipeline", "--config", str(cfg_dir / "pipeline.yaml"), "--out", str(pipe)]) == 0
     for sid in ("s1", "s2"):
-        assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),
-                     "--source", str(cfg_dir / f"source_{sid}.yaml"),
-                     "--input", str(pipe / f"{sid}_flows.csv"), "--batches", "40", "--out", str(sub)]) == 0
+        plan = _one_source_plan(tmp_path / f"{sid}.yaml", cfg_dir / "mini_faac.yaml", sid,
+                                cfg_dir / f"source_{sid}.yaml", flows=pipe / f"{sid}_flows.csv")
+        assert main(["pipeline", "--config", str(plan), "--out", str(sub)]) == 0
         for name in (f"{sid}_derived.csv", f"{sid}_distribution.csv"):
             assert (sub / name).read_bytes() == (pipe / name).read_bytes(), name
 
@@ -277,8 +294,9 @@ def test_a_plan_over_the_flows_files_it_wrote_writes_the_same_bytes(cfg_dir, tmp
 def test_the_pipeline_manifest_keys_files_by_their_path_relative_to_the_plan(cfg_dir, tmp_path, capsys):
     # two sources whose config files and flows files each share one name
     for sid, sub in (("s1", "a"), ("s2", "b")):
-        assert main(["synth", "--config", str(cfg_dir / f"source_{sid}.yaml"), "--seed", "5",
-                     "--out", str(tmp_path / sub)]) == 0
+        synth = _one_source_plan(tmp_path / f"synth_{sid}.yaml", cfg_dir / "mini_faac.yaml", sid,
+                                 cfg_dir / f"source_{sid}.yaml")
+        assert main(["pipeline", "--config", str(synth), "--out", str(tmp_path / sub)]) == 0
         (tmp_path / sub / f"{sid}_flows.csv").rename(tmp_path / sub / "flows.csv")
         (tmp_path / sub / "source.yaml").write_bytes((cfg_dir / f"source_{sid}.yaml").read_bytes())
     plan = tmp_path / "plan.yaml"
@@ -347,8 +365,9 @@ def test_two_source_transfer_with_two_models_skips_the_significance_sheet(cfg_di
     # one transfer row per model and direction: two paired differences, too few for a test
     out = tmp_path / "run"
     for sid in ("s1", "s2"):
-        assert main(["synth", "--config", str(cfg_dir / f"source_{sid}.yaml"),
-                     "--seed", "5", "--out", str(out)]) == 0
+        synth = _one_source_plan(tmp_path / f"synth_{sid}.yaml", cfg_dir / "mini_faac.yaml", sid,
+                                 cfg_dir / f"source_{sid}.yaml")
+        assert main(["pipeline", "--config", str(synth), "--out", str(out)]) == 0
     evaluation = "evaluation: {models: [lr, rf], fixed_hyper: {rf: {n_trees: 5, max_depth: 4}}, transfer: true}\n"
     plan = _mini_plan(cfg_dir, tmp_path / "plan.yaml", PIPELINE.split("evaluation:")[0] + evaluation, flows=out)
     capsys.readouterr()
@@ -364,14 +383,15 @@ def test_two_source_transfer_with_two_models_skips_the_significance_sheet(cfg_di
 
 
 def test_exit_codes(cfg_dir, tmp_path):
-    assert main(["synth", "--out", str(tmp_path)]) == 2  # no config given
-    assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),
-                 "--source", str(cfg_dir / "source_s1.yaml"),
-                 "--input", str(tmp_path / "missing.csv"),
-                 "--batches", "10", "--out", str(tmp_path)]) == 3
+    faac = cfg_dir / "mini_faac.yaml"
+    assert main(["pipeline", "--out", str(tmp_path)]) == 2  # no config given
+    missing = _one_source_plan(tmp_path / "missing.yaml", faac, "s1", cfg_dir / "source_s1.yaml",
+                               flows=tmp_path / "missing.csv", batches=10)
+    assert main(["pipeline", "--config", str(missing), "--out", str(tmp_path)]) == 3
     bad = tmp_path / "bad.yaml"
     bad.write_text("taxonomy: [Background\n", encoding="utf-8")
-    assert main(["synth", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    plan = _one_source_plan(tmp_path / "plan.yaml", faac, "s1", bad)
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path)]) == 2
     empty = tmp_path / "empty_report.csv"
     empty.write_text("", encoding="utf-8")
     assert main(["report", "--input", str(empty), "--out", str(tmp_path)]) == 4
@@ -683,9 +703,9 @@ SOURCE_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("command", ["pipeline", "synth"])
+@pytest.mark.parametrize("plan", ["last_of_three", "alone"])
 @pytest.mark.parametrize("edits, message", SOURCE_FAULTS.values(), ids=SOURCE_FAULTS)
-def test_source_profile_faults_exit_2_naming_the_source_before_any_output(cfg_dir, tmp_path, capsys, command, edits,
+def test_source_profile_faults_exit_2_naming_the_source_before_any_output(cfg_dir, tmp_path, capsys, plan, edits,
                                                                           message):
     source = _mini_source()
     for (*parents, last), value in edits:
@@ -698,8 +718,11 @@ def test_source_profile_faults_exit_2_naming_the_source_before_any_output(cfg_di
             node[last] = value
     path = tmp_path / "source_s3.yaml"
     path.write_text(yaml.safe_dump(source), encoding="utf-8")
-    config = _plan_ending_with(cfg_dir, tmp_path, path) if command == "pipeline" else path
-    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    if plan == "alone":
+        config = _one_source_plan(tmp_path / "plan.yaml", cfg_dir / "mini_faac.yaml", "s3", path)
+    else:
+        config = _plan_ending_with(cfg_dir, tmp_path, path)
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {path}: ") and err.count(str(path)) == 1, err
     assert message in err
@@ -715,33 +738,36 @@ def test_a_counter_config_outside_a_source_taxonomy_exits_2_naming_both_before_a
     path.write_text(yaml.safe_dump(source), encoding="utf-8")
     faac = cfg_dir / "mini_faac.yaml"
     message = f"{faac}: class_priority entry 'PortScanning' is not an attack class under the taxonomy of {path}"
-    derive = ["derive", "--config", str(faac), "--source", str(path), "--input", str(tmp_path / "s3_flows.csv"),
-              "--batches", "40"]
-    for argv in (["pipeline", "--config", str(_plan_ending_with(cfg_dir, tmp_path, path))], derive):
-        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    recorded = _one_source_plan(tmp_path / "recorded.yaml", faac, "s3", path, flows=tmp_path / "s3_flows.csv")
+    for plan in (_plan_ending_with(cfg_dir, tmp_path, path), recorded):
+        assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("batches, code", [("0", 2), ("100000", 3)], ids=["no_batches", "empty_batches"])
-def test_derive_plans_its_batches_before_any_output(cfg_dir, tmp_path, batches, code):
-    assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"), "--source", str(cfg_dir / "source_s1.yaml"),
-                 "--input", str(tmp_path / "s1_flows.csv"), "--batches", batches, "--count", "4000",
-                 "--out", str(tmp_path / "out")]) == code
+@pytest.mark.parametrize("batches, code", [(0, 2), (100000, 3)], ids=["no_batches", "empty_batches"])
+def test_a_recorded_source_with_a_declared_count_plans_its_batches_before_any_output(cfg_dir, tmp_path, batches,
+                                                                                     code):
+    source = _with_count(cfg_dir / "source_s1.yaml", tmp_path / "source_s1.yaml", 4000)
+    plan = _one_source_plan(tmp_path / "plan.yaml", cfg_dir / "mini_faac.yaml", "s1", source,
+                            flows=tmp_path / "s1_flows.csv", batches=batches)
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "out")]) == code
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "flows, batches, code, message",
-    [("missing.csv", "40", 3, "missing.csv"), ("s1.csv", "0", 2, "configuration error: --batches must be positive")],
+    [("missing.csv", 40, 3, "missing.csv"),
+     ("s1.csv", 0, 2, "batches: target batch count must be positive, got 0 (source 's1')")],
     ids=["missing_input", "no_batches"],
 )
-def test_derive_rejects_its_input_and_batches_before_any_output(cfg_dir, tmp_path, capsys, flows, batches, code,
-                                                                 message):
-    # without --count the batches could only be planned once the whole file was read
+def test_a_recorded_source_rejects_its_input_and_batches_before_any_output(cfg_dir, tmp_path, capsys, flows, batches,
+                                                                            code, message):
+    # without a declared count the batches could only be planned once the whole file was read
     (tmp_path / "s1.csv").write_text(FLOWS, encoding="utf-8")
-    assert main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"), "--source", str(cfg_dir / "source_s1.yaml"),
-                 "--input", str(tmp_path / flows), "--batches", batches, "--out", str(tmp_path / "out")]) == code
+    plan = _one_source_plan(tmp_path / "plan.yaml", cfg_dir / "mini_faac.yaml", "s1", cfg_dir / "source_s1.yaml",
+                            flows=tmp_path / flows, batches=batches)
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "out")]) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -792,6 +818,16 @@ def test_holdout_pipeline_writes_the_report_of_the_study_run_directly(cfg_dir, t
             assert f"    held-out {held}{tag}: pair {pair.weighted_auc:.4f} vs best single {best:.4f}" in held_out
 
 
+def test_options_before_the_command_are_rejected_not_dropped(cfg_dir, tmp_path, capsys):
+    # a subparser's default None would replace a --config or --out given before the command
+    for argv in (["--config", str(cfg_dir / "pipeline.yaml"), "pipeline"], ["--out", str(tmp_path / "out"), "pipeline"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("faacflow: error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_thread_counts_other_than_one_are_rejected(cfg_dir, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
@@ -806,24 +842,25 @@ def test_thread_counts_other_than_one_are_rejected(cfg_dir, tmp_path, capsys):
 
 def test_declared_count_mismatch_is_a_data_error(cfg_dir, tmp_path):
     out = tmp_path / "d"
-    assert main(["synth", "--config", str(cfg_dir / "source_s1.yaml"),
-                 "--seed", "1", "--out", str(out)]) == 0
-    rc = main(["derive", "--config", str(cfg_dir / "mini_faac.yaml"),
-               "--source", str(cfg_dir / "source_s1.yaml"),
-               "--input", str(out / "s1_flows.csv"),
-               "--batches", "40", "--count", "999999", "--out", str(out)])
-    assert rc == 3
+    faac = cfg_dir / "mini_faac.yaml"
+    synth = _one_source_plan(tmp_path / "synth.yaml", faac, "s1", cfg_dir / "source_s1.yaml", seed=1)
+    assert main(["pipeline", "--config", str(synth), "--out", str(out)]) == 0
+    source = _with_count(cfg_dir / "source_s1.yaml", tmp_path / "source_s1.yaml", 999999)
+    plan = _one_source_plan(tmp_path / "plan.yaml", faac, "s1", source, flows=out / "s1_flows.csv")
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "counted")]) == 3
+    assert not (tmp_path / "counted").exists()
 
 
 def test_manifest_digests_are_reproducible(cfg_dir, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
+    plan = _one_source_plan(tmp_path / "plan.yaml", cfg_dir / "mini_faac.yaml", "s1", cfg_dir / "source_s1.yaml")
     for out in (out_a, out_b):
-        assert main(["synth", "--config", str(cfg_dir / "source_s1.yaml"),
-                     "--seed", "9", "--out", str(out)]) == 0
+        assert main(["pipeline", "--config", str(plan), "--seed", "9", "--out", str(out)]) == 0
     manifest = json.loads((out_a / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["command"] == "synth" and manifest["seed"] == 9
-    assert manifest["configs"]["source_s1.yaml"] == sha256(cfg_dir / "source_s1.yaml")
+    assert manifest["command"] == "pipeline" and manifest["seed"] == 9
+    source = cfg_dir / "source_s1.yaml"
+    assert manifest["configs"][os.path.relpath(source, tmp_path)] == sha256(source)
     entry = manifest["outputs"]["s1_flows.csv"]
     assert entry["sha256"] == sha256(out_a / "s1_flows.csv")
     assert entry["bytes"] == (out_a / "s1_flows.csv").stat().st_size
@@ -831,8 +868,7 @@ def test_manifest_digests_are_reproducible(cfg_dir, tmp_path):
     assert (out_a / "manifest.json").read_bytes() == (out_b / "manifest.json").read_bytes()
 
     out_c = tmp_path / "c"
-    assert main(["synth", "--config", str(cfg_dir / "source_s1.yaml"),
-                 "--seed", "10", "--out", str(out_c)]) == 0
+    assert main(["pipeline", "--config", str(plan), "--seed", "10", "--out", str(out_c)]) == 0
     changed = json.loads((out_c / "manifest.json").read_text(encoding="utf-8"))
     assert changed["outputs"]["s1_flows.csv"]["sha256"] != entry["sha256"]
 
@@ -886,15 +922,16 @@ def test_benchmark_shaped_sources_derive_under_their_own_taxonomy(config_dir, tm
     assert text.count(f" {total}\n") == 2  # the profile total and the record count hint
     source = tmp_path / f"{name}.yaml"
     source.write_text(text.replace(f" {total}\n", " 3000\n"), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["synth", "--config", str(source), "--out", str(tmp_path)]) == 0
-    flow_classes = {line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()[1:]}
-    # flows of classes the counter configuration's taxonomy lacks
-    assert flow_classes - set(load_faac_config(config_dir / "faac_reference.yaml").taxonomy.classes)
     schema = load_source_config(source)
+    faac = config_dir / "faac_reference.yaml"
+    synth = _one_source_plan(tmp_path / "synth.yaml", faac, schema.dataset_id, source, batches=200)
+    assert main(["pipeline", "--config", str(synth), "--out", str(tmp_path)]) == 0
     flows = tmp_path / f"{schema.dataset_id}_flows.csv"
-    assert main(["derive", "--config", str(config_dir / "faac_reference.yaml"), "--source", str(source),
-                 "--input", str(flows), "--batches", "200", "--out", str(tmp_path / "derived")]) == 0
+    _, *rows = read_csv(flows)
+    # flows of classes the counter configuration's taxonomy lacks
+    assert {row[-1] for row in rows} - set(load_faac_config(faac).taxonomy.classes)
+    plan = _one_source_plan(tmp_path / "plan.yaml", faac, schema.dataset_id, source, flows=flows, batches=200)
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "derived")]) == 0
     dataset = read_derived(tmp_path / "derived" / f"{schema.dataset_id}_derived.csv")
     assert set(dataset.classes) <= set(schema.taxonomy.classes)
     assert dataset.n_rows >= 200
@@ -945,19 +982,20 @@ def test_a_plan_with_any_one_leaf_replaced_never_crashes(cfg_dir, tmp_path, data
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_a_source_with_any_one_leaf_replaced_never_crashes(tmp_path, data):
+def test_a_source_with_any_one_leaf_replaced_never_crashes(cfg_dir, tmp_path, data):
     source = _mini_source("s1")
     *parents, last = data.draw(st.sampled_from(_leaves(source)), label="leaf")
     node = source
     for k in parents:
         node = node[k]
-    # any positive total is valid, and synth generates that many flows
+    # any positive total fills one batch, and the plan generates that many flows
     node[last] = data.draw(st.integers(-2, 4) if last == "total" else YAML_VALUES, label="value")
     run = Path(tempfile.mkdtemp(dir=tmp_path))
     (run / "source.yaml").write_text(yaml.safe_dump(source), encoding="utf-8")
+    plan = _one_source_plan(run / "plan.yaml", cfg_dir / "mini_faac.yaml", "s1", run / "source.yaml", batches=1)
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        rc = main(["synth", "--config", str(run / "source.yaml"), "--out", str(run / "out")])
+        rc = main(["pipeline", "--config", str(plan), "--out", str(run / "out")])
     event(f"exit {rc}")
     assert rc in (0, 2, 3), stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()

@@ -176,17 +176,26 @@ def test_distribution_values_are_checked_on_load(config_dir, tmp_path, old, new,
         load_source_config(path)
 
 
-def test_synth_on_a_negative_weight_is_a_configuration_error(config_dir, tmp_path, capsys):
+def _one_source_plan(path: Path, faac: Path, source: Path, flows: Path | None = None) -> Path:
+    """Write to ``path`` a plan of one source at 4 batches and no evaluation: ``source`` is synthetic, or with
+    ``flows`` the config of that recorded flows file."""
+    entry = str(source) if flows is None else {"config": str(source), "flows": str(flows)}
+    path.write_text(yaml.safe_dump({"batches": 4, "faac": str(faac), "sources": {"s": entry}}), encoding="utf-8")
+    return path
+
+
+def test_a_negative_weight_in_a_plan_source_is_a_configuration_error(config_dir, tmp_path, capsys):
     text = (config_dir / "source_alpha.yaml").read_text(encoding="utf-8")
     path = tmp_path / "negative.yaml"
     path.write_text(text.replace("{tcp: 0.9, udp: 0.08,", "{tcp: 0.9, udp: -0.9,", 1), encoding="utf-8")
     out = tmp_path / "out"
-    assert main(["synth", "--config", str(path), "--seed", "1", "--out", str(out)]) == 2
+    plan = _one_source_plan(tmp_path / "plan.yaml", config_dir / "faac_reference.yaml", path)
+    assert main(["pipeline", "--config", str(plan), "--seed", "1", "--out", str(out)]) == 2
     assert "must be non-negative" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_empty_config_files_fail_on_what_they_miss(tmp_path, capsys):
+def test_empty_config_files_fail_on_what_they_miss(config_dir, tmp_path, capsys):
     empty = tmp_path / "empty.yaml"
     empty.write_text("", encoding="utf-8")
     with pytest.raises(ConfigError, match="'features'"):
@@ -200,11 +209,13 @@ def test_empty_config_files_fail_on_what_they_miss(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert main(["pipeline", "--config", str(empty), "--out", out]) == 2
     assert "needs 'faac' and 'sources'" in capsys.readouterr().err
-    assert main(["synth", "--config", str(empty), "--out", out]) == 2
+    source = _one_source_plan(tmp_path / "source.yaml", config_dir / "faac_reference.yaml", empty)
+    assert main(["pipeline", "--config", str(source), "--out", out]) == 2
     assert "'dataset'" in capsys.readouterr().err
-    assert main(["derive", "--config", str(empty), "--source", str(empty), "--input", "flows.csv",
-                 "--batches", "4", "--out", out]) == 2
+    faac = _one_source_plan(tmp_path / "faac.yaml", empty, empty, flows=tmp_path / "flows.csv")
+    assert main(["pipeline", "--config", str(faac), "--out", out]) == 2
     assert "'features'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _faacflow(argv: list[str]) -> subprocess.CompletedProcess:
@@ -218,12 +229,12 @@ def _faacflow(argv: list[str]) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize(
     "command, name, code, kind",
     [
-        ("synth", "bytes.yaml", 2, "configuration error"),
-        ("synth", "directory.yaml", 2, "configuration error"),
-        ("derive", "bytes.csv", 3, "data error"),
+        ("source", "bytes.yaml", 2, "configuration error"),
+        ("source", "directory.yaml", 2, "configuration error"),
+        ("flows", "bytes.csv", 3, "data error"),
         ("report", "bytes.csv", 3, "data error"),
     ],
-    ids=["synth_config_not_utf8", "synth_config_directory", "derive_input_not_utf8", "report_input_not_utf8"],
+    ids=["source_config_not_utf8", "source_config_directory", "flows_not_utf8", "report_input_not_utf8"],
 )
 def test_unreadable_files_exit_with_their_code_without_a_traceback(config_dir, tmp_path, command, name, code, kind):
     path = tmp_path / name
@@ -234,13 +245,14 @@ def test_unreadable_files_exit_with_their_code_without_a_traceback(config_dir, t
     else:
         path.write_bytes(b"src_port,label\n\xff,Background\n")
     out = str(tmp_path / "out")
-    argv = {
-        "synth": ["synth", "--config", str(path), "--out", out],
-        "derive": ["derive", "--config", str(config_dir / "faac_reference.yaml"),
-                   "--source", str(config_dir / "source_alpha.yaml"), "--input", str(path), "--batches", "4",
-                   "--out", out],
-        "report": ["report", "--input", str(path), "--out", out],
-    }[command]
+    faac, plan = config_dir / "faac_reference.yaml", tmp_path / "plan.yaml"
+    if command == "source":
+        argv = ["pipeline", "--config", str(_one_source_plan(plan, faac, path)), "--out", out]
+    elif command == "flows":
+        recorded = _one_source_plan(plan, faac, config_dir / "source_alpha.yaml", flows=path)
+        argv = ["pipeline", "--config", str(recorded), "--out", out]
+    else:
+        argv = ["report", "--input", str(path), "--out", out]
     proc = _faacflow(argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -253,7 +265,8 @@ def test_missing_files_stay_data_errors(config_dir, tmp_path, capsys):
         read_yaml_mapping(missing)
     with pytest.raises(FileNotFoundError):
         list(read_csv(tmp_path / "missing.csv"))
-    assert main(["synth", "--config", str(missing), "--out", str(tmp_path / "out")]) == 3
+    plan = _one_source_plan(tmp_path / "plan.yaml", config_dir / "faac_reference.yaml", missing)
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "out")]) == 3
     assert str(missing) in capsys.readouterr().err
 
 
@@ -283,12 +296,12 @@ def test_blocks_of_the_wrong_type_exit_2_without_a_traceback(config_dir, tmp_pat
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
     out = tmp_path / "out"
+    plan = tmp_path / "plan.yaml"
     if name.startswith("source"):
-        argv = ["synth", "--config", str(path), "--out", str(out)]
+        _one_source_plan(plan, config_dir / "faac_reference.yaml", path)
     else:
-        argv = ["derive", "--config", str(path), "--source", str(config_dir / "source_alpha.yaml"),
-                "--input", str(tmp_path / "flows.csv"), "--batches", "4", "--out", str(out)]
-    proc = _faacflow(argv)
+        _one_source_plan(plan, path, config_dir / "source_alpha.yaml", flows=tmp_path / "flows.csv")
+    proc = _faacflow(["pipeline", "--config", str(plan), "--out", str(out)])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert f"configuration error: {path}: {key} must be a " in proc.stderr

@@ -386,7 +386,7 @@ def test_generate_is_deterministic_and_respects_total():
 
 
 def test_generated_chunks_are_the_chunks_parsed_from_their_csv():
-    # the pipeline derives the chunks it generates; derive, the chunks parsed from the file written
+    # the pipeline derives the chunks it generates; a recorded source, the chunks parsed from the file written
     proto = Distribution(kind="choice", values=(("tcp", 0.4), ("", 0.2), (" udp", 0.2), ('a,"b"', 0.2)),
                          missing_rate=0.1)
     dists = {"default": {"proto": proto, "bytes": Distribution(kind="uniform_float", lo=-1, hi=1e6, missing_rate=0.1)}}
@@ -414,6 +414,14 @@ def assert_same_chunks(got, want):
                 assert np.array_equal(np.isnan(x), np.isnan(y)) and x.tobytes() == y.tobytes(), name
             else:
                 assert repr(x) == repr(y), name
+
+
+def test_a_chunk_equals_only_itself():
+    # a field-wise == would ask the dict of array columns for one truth value and raise
+    a = ingest.FlowChunk({"bytes": np.array([1.0, 2.0])}, ["Background", "DoS"], ["s", "s"])
+    b = ingest.FlowChunk({"bytes": np.array([1.0, 2.0])}, ["Background", "DoS"], ["s", "s"])
+    assert (a == b) is False and (a != b) is True
+    assert a == a and [a] == [a] and a in [b, a]
 
 
 def test_generated_numeric_columns_are_float64_arrays_that_read_back_as_records():
