@@ -45,7 +45,7 @@ from .evaluation import (
     write_significance_csv,
 )
 from .faac import (DerivedDataset, FaacConfig, check_batch_count, derive_dataset, load_faac_config, plan_batches,
-                   write_derived)
+                   resolve_columns, write_derived)
 from .files import as_bool, as_int, as_list, as_mapping, check_keys, read_yaml_mapping, write_csv
 from .hyperopt import check_budget, write_trial_log
 from .ingest import SourceSchema, generate_chunks, load_source_config, parse_chunks, write_flows
@@ -126,21 +126,24 @@ def _load_plan(path: Path) -> tuple[dict, Callable[[str, object], Path]]:
 
 
 def _source_counters(config: FaacConfig, config_path: object, schema: SourceSchema, source_path: object) -> FaacConfig:
-    """The counter config under the source's own taxonomy, which derivation counts its flows by."""
+    """The counter config under the source's own taxonomy, which derivation counts its flows by, once
+    the source's columns resolve onto its variables: no two columns may alias one variable."""
     try:
-        return replace(config, taxonomy=schema.taxonomy)
+        counters = replace(config, taxonomy=schema.taxonomy)
+        resolve_columns(counters, schema.column_names)
     except ConfigError as exc:
         raise ConfigError(f"{config_path}: {exc} under the taxonomy of {source_path}") from None
+    except DataError as exc:
+        raise ConfigError(f"{config_path}: {exc} in {source_path}") from None
+    return counters
 
 
 def _derive_flows(path: Path, schema: SourceSchema, config: FaacConfig, batches: int,
                   n_records: int | None) -> DerivedDataset:
     """Derive a recorded flows file, whose labels may be raw or canonical class names, by ``config``
     from :func:`_source_counters`; ``n_records`` is the declared count, if any. A data fault names the file."""
-    class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}
     try:
-        return derive_dataset(parse_chunks(path, replace(schema, class_map=class_map)), batches, config,
-                              n_records=n_records)
+        return derive_dataset(parse_chunks(path, schema), batches, config, n_records=n_records)
     except DataError as exc:
         if str(exc).startswith(f"{path}: "):
             raise
@@ -175,6 +178,8 @@ def _settings_from_doc(doc: dict, where: object) -> EvalSettings:
     fields = {k: check(doc[k], prefix + k, where) for k, check in _SETTINGS_CHECKS.items() if k in doc}
     fields["models"] = tuple(str(m) for m in fields.get("models", EvalSettings.models))
     settings = EvalSettings(**fields)
+    if len(set(settings.models)) != len(settings.models):  # each would fit every fold twice
+        raise ConfigError(f"{where}: {prefix}models lists an entry twice: {list(settings.models)}")
     hypers = {kind: as_mapping(h, f"{prefix}fixed_hyper.{kind}", where) for kind, h in settings.fixed_hyper.items()}
     try:
         for kind in settings.models:
@@ -306,7 +311,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     outputs = [agg_path]
     outputs.extend(_write_plot_data(report, out))
     sig = _write_significance(report, out, outputs)
-    _write_manifest(out, "report", outputs, [], args.seed, inputs=[Path(args.input)])
+    _write_manifest(out, "report", outputs, [], None, inputs=[Path(args.input)])
     _print_eval_summary(report, sig)
     return EXIT_OK
 
@@ -349,9 +354,13 @@ def orchestrate(
     if not isinstance(transfer, bool) and transfer != "holdout":
         raise ConfigError(f"{config_path}: evaluation.transfer must be true, false or holdout, got {transfer!r}")
     sources = as_mapping(doc["sources"], "sources", config_path)
+    if not sources:
+        raise ConfigError(f"{config_path}: sources: a plan needs at least one source")
     if len(sources) < (needed := {True: 2, "holdout": 3}.get(transfer, 0)):
         raise ConfigError(f"{config_path}: evaluation.transfer: {str(transfer).lower()} needs {needed} or more sources")
     targets = [str(t) for t in as_list((eval_doc or {}).get("singles") or [], "evaluation.singles", config_path)]
+    if len(set(targets)) != len(targets):  # each would be evaluated twice
+        raise ConfigError(f"{config_path}: evaluation.singles lists an entry twice: {targets}")
     for target in targets:
         if target == "integrated" and len(sources) < 2:
             raise ConfigError(f"{config_path}: evaluation.singles: 'integrated' needs at least two sources")
@@ -454,23 +463,22 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to the command's YAML configuration")
-    common.add_argument("--seed", type=int, default=None, help="root random seed")
-    common.add_argument("--out", default=None, help="output directory (default: current)")
-
-    # the options follow the command: a subparser's defaults would overwrite any given before it
+    # the options follow the command, and each command takes only the options it reads
     parser = argparse.ArgumentParser(
         prog="faacflow",
         description="Harmonize flow datasets into counter matrices and evaluate classifiers on them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pipeline", parents=[common], help="derive, integrate and evaluate the sources of one plan")
+    p = sub.add_parser("pipeline", help="derive, integrate and evaluate the sources of one plan")
+    p.add_argument("--config", help="path to the pipeline plan (YAML)")
+    p.add_argument("--seed", type=int, default=None, help="root random seed (default: the plan's seed)")
+    p.add_argument("--out", default=None, help="output directory (default: current)")
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("report", parents=[common], help="summarize an evaluation report CSV")
+    p = sub.add_parser("report", help="summarize an evaluation report CSV")
     p.add_argument("--input", required=True, help="report.csv written by pipeline")
+    p.add_argument("--out", default=None, help="output directory (default: current)")
     p.set_defaults(func=cmd_report)
     return parser
 

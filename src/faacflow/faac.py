@@ -284,6 +284,21 @@ def _joined(parts: list) -> np.ndarray | list:
     return list(chain.from_iterable(map(column_values, parts)))
 
 
+def resolve_columns(config: FaacConfig, names: Iterable[str]) -> dict[str, str | None]:
+    """Map each counted variable to the column of ``names`` that holds it under ``config.aliases``, if any.
+
+    Raises DataError when two columns alias one counted variable.
+    """
+    canon_of = {name: config.aliases.get(name, name) for name in names}
+    resolved: dict[str, str | None] = {}
+    for variable in dict.fromkeys(spec.variable for spec in config.features):
+        keys = [name for name, canon in canon_of.items() if canon == variable]
+        if len(keys) > 1:
+            raise DataError(f"columns {sorted(keys)} all alias variable {variable!r}")
+        resolved[variable] = keys[0] if keys else None
+    return resolved
+
+
 class _CompiledFaac:
     """Config compiled for counting chunks of whole batches."""
 
@@ -301,20 +316,6 @@ class _CompiledFaac:
             [0] + [taxonomy.index_of(name) for name in config.full_priority()], dtype=np.int64
         )
 
-    def _resolve_keys(self, columns: dict[str, object], origin: str) -> dict[str, str | None]:
-        """Map canonical variable -> the column of ``columns`` that holds it, if any."""
-        aliases = self.config.aliases
-        canon_of = {col: aliases.get(col, col) for col in columns}
-        resolved: dict[str, str | None] = {}
-        for counter in self.counters:
-            keys = [col for col, canon in canon_of.items() if canon == counter.variable]
-            if len(keys) > 1:
-                raise DataError(
-                    f"origin {origin!r}: columns {sorted(keys)} all alias variable {counter.variable!r}"
-                )
-            resolved[counter.variable] = keys[0] if keys else None
-        return resolved
-
     def _check_batch(self, labels: list[str], origins: list[str]) -> None:
         """Raise for the first record that leaves the batch's origin or the taxonomy."""
         origin = origins[0]
@@ -326,14 +327,14 @@ class _CompiledFaac:
             self.config.taxonomy.index_of(label)
 
     def count_chunk(
-        self, pieces: list[tuple[FlowChunk, int, int]], batch_size: int
+        self, pieces: list[tuple[FlowChunk, int, int]], batch_size: int, columns: dict[str, str | None]
     ) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Hit counts, label indices and origins of whole batches.
 
         ``pieces`` are row ranges ``(chunk, lo, hi)`` that together hold the
-        batches in order. Each batch reads every variable from the column
-        its first row's chunk resolves; a row of a later chunk without that
-        column counts as missing.
+        batches in order. ``columns``, from :func:`resolve_columns`, names the
+        column each variable is read from; a variable without one counts as
+        missing in every row.
         """
         labels = _joined([c.labels[lo:hi] for c, lo, hi in pieces])
         origins = _joined([c.origins[lo:hi] for c, lo, hi in pieces])
@@ -344,26 +345,11 @@ class _CompiledFaac:
                 stop = start + batch_size
                 self._check_batch(labels[start:stop], origins[start:stop])
 
-        # row ranges that read one column set: a piece splits where its first batch starts
-        segments = []
-        offset = 0
-        keys: dict[str, str | None] = {}
-        for chunk, lo, hi in pieces:
-            split = lo + -offset % batch_size
-            if split > lo:
-                segments.append((chunk, lo, min(split, hi), keys))
-            if split < hi:
-                keys = self._resolve_keys(chunk.columns, chunk.origins[split])
-                segments.append((chunk, split, hi, keys))
-            offset += hi - lo
-
         counts = np.zeros((n_batches, self.n_features), dtype=np.int64)
         for counter in self.counters:
-            parts = []
-            for chunk, lo, hi, keys in segments:
-                column = chunk.columns.get(keys[counter.variable])  # type: ignore[arg-type]
-                parts.append(np.full(hi - lo, np.nan) if column is None else column[lo:hi])
-            counts[:, counter.slots] += counter.count(_joined(parts), n_batches, batch_size)
+            name = columns[counter.variable]
+            column = np.full(n, np.nan) if name is None else _joined([c.columns[name][lo:hi] for c, lo, hi in pieces])
+            counts[:, counter.slots] += counter.count(column, n_batches, batch_size)
 
         n_classes = len(self.class_index)
         codes = np.fromiter(map(self.class_index.__getitem__, labels), dtype=np.int64, count=n)
@@ -408,12 +394,6 @@ class DerivedDataset:
     def label_names(self) -> tuple[str, ...]:
         return tuple(self.classes[i] for i in self.y)
 
-    def class_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for name in self.label_names():
-            out[name] = out.get(name, 0) + 1
-        return out
-
     def take(self, rows: np.ndarray) -> "DerivedDataset":
         return DerivedDataset(
             feature_names=self.feature_names,
@@ -436,9 +416,11 @@ def derive_dataset(
     Records are counted in chunks of whole batches: ``ingest.CHUNK_RECORDS``
     rounded down to a multiple of the batch size, or one batch when a
     batch is larger. A record stream is gathered into chunks first
-    (``ingest.as_chunks``). ``n_records`` enables single-pass streaming
-    with memory proportional to one chunk; when omitted, the stream is
-    materialized to count its rows.
+    (``ingest.as_chunks``). A stream has one column set: the first chunk's
+    columns resolve onto the counted variables once (:func:`resolve_columns`),
+    and a later chunk that names other columns is a DataError. ``n_records``
+    enables single-pass streaming with memory proportional to one chunk; when
+    omitted, the stream is materialized to count its rows.
     """
     stream = as_chunks(records)
     if n_records is None:
@@ -454,6 +436,7 @@ def derive_dataset(
     y = np.empty(plan.full_batches, dtype=np.int64)
     origins: list[str] = []
     chunk: FlowChunk | None = None
+    names: set[str] | None = None  # the first chunk's columns
     pos = 0  # rows of chunk already counted
     done = 0
     while done < plan.full_batches:
@@ -467,13 +450,18 @@ def derive_dataset(
                     raise DataError(
                         f"stream ended after {done * size + got} records; {plan.n_records} were declared"
                     )
+                if names is None:
+                    columns, names = resolve_columns(config, chunk.columns), set(chunk.columns)
+                elif chunk.columns.keys() != names:
+                    raise DataError(f"after {done * size + got} records a chunk names columns "
+                                    f"{sorted(chunk.columns)}, not the stream's {sorted(names)}")
                 continue
             take = min(len(chunk) - pos, want - got)
             pieces.append((chunk, pos, pos + take))
             pos += take
             got += take
         n_full = want // size
-        counts, labels, chunk_origins = compiled.count_chunk(pieces, size)
+        counts, labels, chunk_origins = compiled.count_chunk(pieces, size, columns)
         rows[done : done + n_full] = counts / size
         y[done : done + n_full] = labels
         origins.extend(chunk_origins)

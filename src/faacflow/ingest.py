@@ -5,9 +5,10 @@ file. Flows move between stages as :class:`FlowChunk` objects: up to
 ``CHUNK_RECORDS`` consecutive flows held one column per variable, so
 generating, formatting, parsing and counting each work a column at a time.
 Parsing maps each source label to a canonical class name through the
-schema's ``class_map`` and streams chunks in file order with memory bounded
-by one chunk. :func:`as_chunks` and :func:`iter_records` convert between
-chunks and the one-flow-at-a-time :class:`FlowRecord` form.
+schema's ``class_map``, or else reads it as a class name of the schema's
+taxonomy, and streams chunks in file order with memory bounded by one
+chunk. :func:`as_chunks` and :func:`iter_records` convert between chunks
+and the one-flow-at-a-time :class:`FlowRecord` form.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
 from typing import Callable, TextIO
@@ -135,8 +136,8 @@ def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[Fl
     """The stream as chunks, in order.
 
     A stream of chunks passes through. A stream of records is gathered into
-    chunks of up to ``CHUNK_RECORDS`` rows; a record whose variable
-    names differ from those of the chunk being gathered starts a new one.
+    chunks of up to ``CHUNK_RECORDS`` rows; a record whose variable names
+    differ from those of the stream's first record is a DataError.
     """
     it = iter(stream)
     first = next(it, None)
@@ -144,28 +145,28 @@ def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[Fl
         yield first
         yield from it
         return
+    names = () if first is None else tuple(first.values)
     pending = [] if first is None else [first, *islice(it, CHUNK_RECORDS - 1)]
+    seen = 0  # records in the chunks yielded
     while pending:
         dicts = [rec.values for rec in pending]
-        names = dicts[0].keys()
-        columns = None
+        try:
+            columns = {name: [d[name] for d in dicts] for name in names}
+        except KeyError:
+            columns = None
         # equal sizes and every name of the first record present: equal names
-        if list(map(len, dicts)).count(len(names)) == len(dicts):
-            try:
-                columns = {name: [d[name] for d in dicts] for name in names}
-            except KeyError:
-                pass
-        end = len(pending)
-        if columns is None:
-            end = next(i for i, d in enumerate(dicts) if d.keys() != names)
-            columns = {name: [d[name] for d in dicts[:end]] for name in names}
+        if columns is None or list(map(len, dicts)).count(len(names)) != len(dicts):
+            i = next(i for i, d in enumerate(dicts) if d.keys() != set(names))
+            raise DataError(
+                f"record {seen + i + 1} names columns {sorted(dicts[i])}, not the stream's {sorted(names)}"
+            )
         yield FlowChunk(
             columns={name: as_column(values) for name, values in columns.items()},
-            labels=[rec.label for rec in pending[:end]],
-            origins=[rec.origin for rec in pending[:end]],
+            labels=[rec.label for rec in pending],
+            origins=[rec.origin for rec in pending],
         )
-        pending = pending[end:]
-        pending.extend(islice(it, CHUNK_RECORDS - len(pending)))
+        seen += len(pending)
+        pending = list(islice(it, CHUNK_RECORDS))
 
 
 def iter_records(chunks: Iterable[FlowChunk]) -> Iterator[FlowRecord]:
@@ -367,10 +368,6 @@ class SourceSchema:
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def canonicalized(self) -> "SourceSchema":
-        """Schema for re-parsing the canonical CSV form (identity class map)."""
-        return replace(self, class_map={c: c for c in self.taxonomy.classes})
-
 
 def _convert_column(tokens: Sequence[str], col: Column, bad: dict[int, str]) -> np.ndarray | list[object]:
     """Values of one column's tokens, a numeric column's as a float64 array with NaN for missing; a
@@ -411,6 +408,8 @@ class _BlockParser:
         on_error: Callable[[RowError], None] | None,
     ) -> None:
         self.schema = schema
+        # a label maps by the class map, else as a class name of the taxonomy
+        self.class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}
         self.fields = list(zip(schema.columns, positions))
         self.label_pos = label_pos
         self.width = max([label_pos, *positions]) + 1
@@ -447,7 +446,7 @@ class _BlockParser:
         bad: dict[int, str] = {}  # index into the rows of tokens -> message
         columns = {col.name: _convert_column(tokens[p], col, bad) for col, p in self.fields}
         raw_labels = list(map(str.strip, tokens[self.label_pos]))
-        labels = list(map(self.schema.class_map.get, raw_labels))
+        labels = list(map(self.class_map.get, raw_labels))
 
         end = len(labels)  # the first row whose class has no mapping, if any
         if None in labels:
@@ -528,7 +527,7 @@ def _format_value(v: object) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return float.__repr__(v)  # a numpy float's own repr names its type
     return str(v)
 
 
@@ -554,7 +553,7 @@ def write_flows(
 
     Takes chunks or records, and picks one formatter per column of a chunk.
     Returns the number of rows written. ``parse_flows`` on the result with
-    ``schema.canonicalized()`` reproduces the records exactly.
+    ``schema`` reproduces the records exactly.
     """
     names = schema.column_names
     blocks = ([*(_format_column(chunk.columns[c]) for c in names), chunk.labels] for chunk in as_chunks(records))

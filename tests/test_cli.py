@@ -537,6 +537,10 @@ BAD_PLAN_ENTRIES = [
     ("evaluation.models", "[svm]", "evaluation.models: unknown model kind 'svm'; expected 'lr' or 'rf'"),
     ("sources", "{s1: <cfg>/source_s1.yaml, s2: <cfg>/source_integrated.yaml}",
      "sources: the merged sources and s2 both name dataset 'integrated'"),
+    ("sources", "{}", "sources: a plan needs at least one source"),
+    ("evaluation.models", "[lr, lr]", "evaluation.models lists an entry twice: ['lr', 'lr']"),
+    ("evaluation.singles", "[integrated, integrated]",
+     "evaluation.singles lists an entry twice: ['integrated', 'integrated']"),
 ]
 
 
@@ -745,6 +749,26 @@ def test_a_counter_config_outside_a_source_taxonomy_exits_2_naming_both_before_a
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("plan", ["last_of_three", "recorded_alone"])
+def test_two_columns_that_alias_one_variable_exit_2_naming_both_configs_before_any_output(cfg_dir, tmp_path, capsys,
+                                                                                          plan):
+    # the counter configuration aliases port onto dst_port, which s3 also names
+    source = _mini_source()
+    source["columns"].append({"name": "dst_port", "kind": "numeric"})
+    source["profile"]["distributions"]["default"] = {"dst_port": {"kind": "uniform_int", "lo": 1, "hi": 1024}}
+    path = tmp_path / "source_s3.yaml"
+    path.write_text(yaml.safe_dump(source), encoding="utf-8")
+    faac = cfg_dir / "mini_faac.yaml"
+    if plan == "recorded_alone":
+        config = _one_source_plan(tmp_path / "plan.yaml", faac, "s3", path, flows=tmp_path / "s3_flows.csv")
+    else:
+        config = _plan_ending_with(cfg_dir, tmp_path, path)
+    assert main(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    message = f"{faac}: columns ['dst_port', 'port'] all alias variable 'dst_port' in {path}"
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("batches, code", [(0, 2), (100000, 3)], ids=["no_batches", "empty_batches"])
 def test_a_recorded_source_with_a_declared_count_plans_its_batches_before_any_output(cfg_dir, tmp_path, batches,
                                                                                      code):
@@ -826,6 +850,25 @@ def test_options_before_the_command_are_rejected_not_dropped(cfg_dir, tmp_path, 
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("faacflow: error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_each_command_takes_only_the_options_it_reads(cfg_dir, tmp_path, capsys):
+    plan = tmp_path / "plan.yaml"
+    plan.write_text(_plan_with(cfg_dir, "seed", "5"), encoding="utf-8")
+    assert main(["pipeline", "--config", str(plan), "--out", str(tmp_path / "run")]) == 0
+    report = tmp_path / "run" / "report.csv"
+    # report reads no plan and draws nothing; pipeline reads no report
+    for argv in (["report", "--config", str(plan), "--input", str(report)],
+                 ["report", "--seed", "3", "--input", str(report)],
+                 ["pipeline", "--config", str(plan), "--input", str(report)]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("faacflow: error: unrecognized arguments: ")
+    assert not (tmp_path / "out").exists()
+    assert main(["report", "--input", str(report), "--out", str(tmp_path / "summary")]) == 0
+    assert json.loads((tmp_path / "summary" / "manifest.json").read_text(encoding="utf-8"))["seed"] is None
 
 
 def test_thread_counts_other_than_one_are_rejected(cfg_dir, tmp_path, capsys):

@@ -26,6 +26,7 @@ from faacflow.faac import (
     load_faac_config,
     plan_batches,
     read_derived,
+    resolve_columns,
     write_derived,
 )
 from faacflow.ingest import (
@@ -299,18 +300,36 @@ def test_label_matches_brute_force_recount(counts):
     assert proto_sum == pytest.approx(1.0, abs=1e-12)
 
 
-def test_a_batch_reads_the_columns_its_first_record_names():
-    # dport aliases port; a record that names the other column reads as missing,
-    # also when the column change starts a new chunk inside the batch
+def test_a_stream_whose_column_set_changes_is_a_data_error():
+    # dport aliases port, yet a stream has one column set: a record or chunk that names
+    # other columns is a fault, also when it would start a new chunk inside a batch
     cfg = replace(small_config(), aliases={"dport": "port"})
-    records = [rec(proto="tcp", port=80.0), rec(proto="tcp", dport=80.0),
-               rec(proto="tcp", dport=443.0), rec(proto="tcp", port=443.0)]
+    records = [rec(proto="tcp", port=80.0), rec(proto="tcp", port=443.0),
+               rec(proto="tcp", dport=443.0), rec(proto="tcp", port=80.0)]
+    chunks = [ingest.FlowChunk({"proto": ["tcp"] * 2, "port": np.array([80.0, 443.0])}, ["Background"] * 2,
+                               ["src"] * 2),
+              ingest.FlowChunk({"proto": ["tcp"] * 2, "dport": np.array([443.0, 80.0])}, ["Background"] * 2,
+                               ["src"] * 2)]
     for chunk in (1, 3, ingest.CHUNK_RECORDS):
         with mock.patch.object(ingest, "CHUNK_RECORDS", chunk):
-            ds = derive_dataset(records, 2, cfg)
-        for row in ds.X:
-            counts = dict(zip(ds.feature_names, row))
-            assert (counts["port_web"], counts["port_missing"]) == (0.5, 0.5)
+            with pytest.raises(DataError, match=r"record 3 names columns \['dport', 'proto'\], not the stream's"):
+                derive_dataset(records, 2, cfg)
+            with pytest.raises(DataError, match=r"record 3 names columns"):
+                list(as_chunks(iter(records)))
+            with pytest.raises(DataError, match=r"after 2 records a chunk names columns \['dport', 'proto'\]"):
+                derive_dataset(chunks, 2, cfg)
+            with pytest.raises(DataError, match=r"after 2 records a chunk names columns"):
+                derive_dataset(iter(chunks), 2, cfg, n_records=4)
+    # the same keys in another order are the same column set
+    counts, _ = one_batch([rec(proto="tcp", port=80.0), rec(port=443.0, proto="tcp")], cfg)
+    assert (counts["port_web"], counts["port_missing"], counts["proto_tcp"]) == (1.0, 0.0, 1.0)
+
+
+def test_two_columns_that_alias_one_variable_are_a_data_error():
+    cfg = replace(small_config(), aliases={"dport": "port"})
+    with pytest.raises(DataError, match=r"columns \['dport', 'port'\] all alias variable 'port'"):
+        derive_dataset([rec(proto="tcp", port=80.0, dport=80.0)], 1, cfg)
+    assert resolve_columns(cfg, ["dport", "proto", "other"]) == {"proto": "proto", "port": "dport"}
 
 
 def test_mixed_origin_batch_is_rejected():
@@ -448,24 +467,24 @@ def recount(records, batch_size, n_batches, config):
 @st.composite
 def mixed_streams(draw):
     batch_size = draw(st.integers(min_value=1, max_value=6))
+    # a stream has one column set
+    layout = {var: col for var, cols in LAYOUTS.items() if (col := draw(st.sampled_from(cols))) is not None}
     records = []
     for s in range(draw(st.integers(min_value=1, max_value=4))):
-        layout = {var: draw(st.sampled_from(cols)) for var, cols in LAYOUTS.items()}
         # size always takes the float path; port and proto may hold any type
         kinds = {var: FLOATS if var == "size" else draw(st.sampled_from([FLOATS, MIXED])) for var in layout}
         for _ in range(draw(st.integers(min_value=1, max_value=4))):
             for i in range(batch_size):
-                values = {}
-                for var, col in layout.items():
-                    # later records of a batch may lack a column the first one has
-                    if col is not None and (i == 0 or draw(st.integers(0, 5)) > 0):
-                        values[col] = draw(kinds[var])
+                # later records of a batch may hold the missing marker where the first one has a value
+                values = {col: draw(kinds[var]) if i == 0 or draw(st.integers(0, 5)) > 0 else None
+                          for var, col in layout.items()}
                 label = draw(st.sampled_from(TAX.classes))
                 records.append(FlowRecord(values=values, label=label, origin=f"src{s}"))
     n_batches = len(records) // batch_size
     # a tail shorter than the batch count leaves the batch size at floor(N / M)
     for _ in range(draw(st.integers(min_value=0, max_value=min(batch_size, n_batches) - 1))):
-        records.append(FlowRecord(values={"port": 1.0}, label="DoS", origin=records[-1].origin))
+        values = {col: 1.0 if var == "port" else None for var, col in layout.items()}
+        records.append(FlowRecord(values=values, label="DoS", origin=records[-1].origin))
     return records, batch_size, n_batches
 
 
@@ -572,7 +591,7 @@ def test_parsed_stream_bytes_match_the_recorded_digest(config_dir, tmp_path):
     schema, records = synth_records(config_dir, "gamma")
     path = tmp_path / "gamma.csv"
     write_flows(records, schema, path)
-    stream = parse_flows(path, schema.canonicalized())
+    stream = parse_flows(path, schema)
     ds = derive_dataset(stream, 7, faac, n_records=len(records))
     assert derived_digest(ds) == PARSED_DIGEST
 
@@ -598,7 +617,7 @@ def test_chunk_path_bytes_match_the_recorded_digests(config_dir, tmp_path, name)
     # gamma at target 7 is PARSED_DIGEST
     targets = (7, 300, 3001) if name == "gamma" else (300, 3001)
     for target in targets:
-        stream = parse_chunks(path, schema.canonicalized())
+        stream = parse_chunks(path, schema)
         ds = derive_dataset(stream, target, faac, n_records=profile.total)
         assert derived_digest(ds) == DERIVED_DIGESTS[(name, target)], (name, target)
 
