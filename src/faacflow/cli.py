@@ -178,6 +178,8 @@ def _settings_from_doc(doc: dict, where: object) -> EvalSettings:
     fields = {k: check(doc[k], prefix + k, where) for k, check in _SETTINGS_CHECKS.items() if k in doc}
     fields["models"] = tuple(str(m) for m in fields.get("models", EvalSettings.models))
     settings = EvalSettings(**fields)
+    if not settings.models:  # nothing would be evaluated
+        raise ConfigError(f"{where}: {prefix}models: an evaluation needs at least one model")
     if len(set(settings.models)) != len(settings.models):  # each would fit every fold twice
         raise ConfigError(f"{where}: {prefix}models lists an entry twice: {list(settings.models)}")
     hypers = {kind: as_mapping(h, f"{prefix}fixed_hyper.{kind}", where) for kind, h in settings.fixed_hyper.items()}
@@ -344,9 +346,11 @@ def orchestrate(
     check_keys(doc, _PIPELINE_KEYS, "pipeline key", config_path)
     if "faac" not in doc or "sources" not in doc:
         raise ConfigError(f"{config_path}: pipeline needs 'faac' and 'sources' keys")
+    if "batches" not in doc:
+        raise ConfigError(f"{config_path}: batches: a plan needs a target batch count")
     doc_seed = as_int(doc.get("seed", 0), "seed", config_path)
     seed = doc_seed if seed is None else seed
-    batches = as_int(doc.get("batches", 0), "batches", config_path)
+    batches = as_int(doc["batches"], "batches", config_path)
     eval_doc = doc.get("evaluation")
     if eval_doc is not None:  # checked even when falsy; {} runs no evaluation below
         settings = _settings_from_doc(eval_doc, config_path)

@@ -6,8 +6,6 @@ DataError -> 3, EvaluationError -> 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 class FaacflowError(Exception):
     """Base class for all toolkit errors."""
@@ -24,14 +22,3 @@ class DataError(FaacflowError):
 class EvaluationError(FaacflowError):
     """An evaluation run failed; message carries (repetition, fold) context."""
 
-
-@dataclass(frozen=True)
-class RowError:
-    """A recoverable per-row parse problem. Parsing continues past it."""
-
-    line_no: int
-    message: str
-    raw: tuple[str, ...]
-
-    def __str__(self) -> str:
-        return f"line {self.line_no}: {self.message}"

@@ -316,34 +316,21 @@ class _CompiledFaac:
             [0] + [taxonomy.index_of(name) for name in config.full_priority()], dtype=np.int64
         )
 
-    def _check_batch(self, labels: list[str], origins: list[str]) -> None:
-        """Raise for the first record that leaves the batch's origin or the taxonomy."""
-        origin = origins[0]
-        for label, other in zip(labels, origins):
-            if other != origin:
-                raise DataError(
-                    f"batch mixes origins {origin!r} and {other!r}; derive each source separately"
-                )
-            self.config.taxonomy.index_of(label)
-
     def count_chunk(
         self, pieces: list[tuple[FlowChunk, int, int]], batch_size: int, columns: dict[str, str | None]
-    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """Hit counts, label indices and origins of whole batches.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Hit counts and label indices of whole batches.
 
         ``pieces`` are row ranges ``(chunk, lo, hi)`` that together hold the
         batches in order. ``columns``, from :func:`resolve_columns`, names the
         column each variable is read from; a variable without one counts as
-        missing in every row.
+        missing in every row. A label outside the taxonomy is a DataError.
         """
         labels = _joined([c.labels[lo:hi] for c, lo, hi in pieces])
-        origins = _joined([c.origins[lo:hi] for c, lo, hi in pieces])
         n = len(labels)
         n_batches = n // batch_size
-        if not set(labels) <= self.class_index.keys() or origins.count(origins[0]) != n:
-            for start in range(0, n, batch_size):
-                stop = start + batch_size
-                self._check_batch(labels[start:stop], origins[start:stop])
+        if not set(labels) <= self.class_index.keys():
+            self.config.taxonomy.index_of(next(name for name in labels if name not in self.class_index))
 
         counts = np.zeros((n_batches, self.n_features), dtype=np.int64)
         for counter in self.counters:
@@ -358,7 +345,7 @@ class _CompiledFaac:
         ranked = class_counts.reshape(n_batches, n_classes)[:, self.ranked]
         # Background wins only when the batch holds no attack record
         ranked[:, 0] = 0
-        return counts, self.ranked[ranked.argmax(axis=1)], origins[::batch_size]
+        return counts, self.ranked[ranked.argmax(axis=1)]
 
 
 @dataclass(eq=False)
@@ -416,9 +403,10 @@ def derive_dataset(
     Records are counted in chunks of whole batches: ``ingest.CHUNK_RECORDS``
     rounded down to a multiple of the batch size, or one batch when a
     batch is larger. A record stream is gathered into chunks first
-    (``ingest.as_chunks``). A stream has one column set: the first chunk's
-    columns resolve onto the counted variables once (:func:`resolve_columns`),
-    and a later chunk that names other columns is a DataError. ``n_records``
+    (``ingest.as_chunks``). A stream has one column set and one origin: the
+    first chunk's columns resolve onto the counted variables once
+    (:func:`resolve_columns`), every row takes its origin, and a later chunk
+    that names other columns or another origin is a DataError. ``n_records``
     enables single-pass streaming with memory proportional to one chunk; when
     omitted, the stream is materialized to count its rows.
     """
@@ -434,9 +422,9 @@ def derive_dataset(
 
     rows = np.empty((plan.full_batches, compiled.n_features), dtype=np.float64)
     y = np.empty(plan.full_batches, dtype=np.int64)
-    origins: list[str] = []
     chunk: FlowChunk | None = None
     names: set[str] | None = None  # the first chunk's columns
+    origin = ""  # and its origin
     pos = 0  # rows of chunk already counted
     done = 0
     while done < plan.full_batches:
@@ -451,27 +439,29 @@ def derive_dataset(
                         f"stream ended after {done * size + got} records; {plan.n_records} were declared"
                     )
                 if names is None:
-                    columns, names = resolve_columns(config, chunk.columns), set(chunk.columns)
+                    columns, names, origin = resolve_columns(config, chunk.columns), set(chunk.columns), chunk.origin
                 elif chunk.columns.keys() != names:
                     raise DataError(f"after {done * size + got} records a chunk names columns "
                                     f"{sorted(chunk.columns)}, not the stream's {sorted(names)}")
+                elif chunk.origin != origin:
+                    raise DataError(f"after {done * size + got} records a chunk has origin {chunk.origin!r}, "
+                                    f"not the stream's {origin!r}; derive each source separately")
                 continue
             take = min(len(chunk) - pos, want - got)
             pieces.append((chunk, pos, pos + take))
             pos += take
             got += take
         n_full = want // size
-        counts, labels, chunk_origins = compiled.count_chunk(pieces, size, columns)
+        counts, labels = compiled.count_chunk(pieces, size, columns)
         rows[done : done + n_full] = counts / size
         y[done : done + n_full] = labels
-        origins.extend(chunk_origins)
         done += n_full
     return DerivedDataset(
         feature_names=config.feature_names,
         X=rows,
         y=y,
         classes=config.taxonomy.classes,
-        origins=tuple(origins),
+        origins=(origin,) * plan.full_batches,
         batch_sizes=np.full(plan.full_batches, size, dtype=np.int64),
     )
 

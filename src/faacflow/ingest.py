@@ -4,11 +4,13 @@ A source dataset is described by a :class:`SourceSchema` loaded from a YAML
 file. Flows move between stages as :class:`FlowChunk` objects: up to
 ``CHUNK_RECORDS`` consecutive flows held one column per variable, so
 generating, formatting, parsing and counting each work a column at a time.
-Parsing maps each source label to a canonical class name through the
+A stream holds one source: every chunk carries its dataset id as its
+origin. Parsing maps each source label to a canonical class name through the
 schema's ``class_map``, or else reads it as a class name of the schema's
 taxonomy, and streams chunks in file order with memory bounded by one
-chunk. :func:`as_chunks` and :func:`iter_records` convert between chunks
-and the one-flow-at-a-time :class:`FlowRecord` form.
+chunk; a row it skips is a warning on this module's logger.
+:func:`as_chunks` and :func:`iter_records` convert between chunks and the
+one-flow-at-a-time :class:`FlowRecord` form.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
-from .errors import ConfigError, DataError, RowError
-from .files import (CsvBlock, as_list, as_mapping, check_keys, names_its_file, read_csv_blocks, read_yaml_mapping,
-                    write_csv_blocks)
+from .errors import ConfigError, DataError
+from .files import (CsvBlock, as_int, as_list, as_mapping, check_keys, names_its_file, read_csv_blocks,
+                    read_yaml_mapping, write_csv_blocks)
 
 log = logging.getLogger(__name__)
 
@@ -85,20 +87,20 @@ class FlowRecord:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class FlowChunk:
-    """Consecutive flows, one column per variable.
+    """Consecutive flows of one source, one column per variable.
 
     ``columns`` maps variable name -> one value per row in the form of
     :func:`as_column`: a float64 array, NaN for None, when each value is None
     or a float that is not NaN, as in every numeric column of a synthetic or
     parsed source; otherwise a list of :class:`FlowRecord` values. ``labels``
-    and ``origins`` hold each row's canonical class and origin tag. Every row
-    has every column. A chunk equals only itself: a field-wise ``==`` would
-    ask an array column for one truth value.
+    holds each row's canonical class, and ``origin`` the source's tag, which
+    every row shares. Every row has every column. A chunk equals only itself:
+    a field-wise ``==`` would ask an array column for one truth value.
     """
 
     columns: dict[str, np.ndarray | list[object]]
     labels: list[str]
-    origins: list[str]
+    origin: str
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -136,8 +138,9 @@ def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[Fl
     """The stream as chunks, in order.
 
     A stream of chunks passes through. A stream of records is gathered into
-    chunks of up to ``CHUNK_RECORDS`` rows; a record whose variable names
-    differ from those of the stream's first record is a DataError.
+    chunks of up to ``CHUNK_RECORDS`` rows. A stream has one source and one
+    column set: a record whose origin or variable names differ from those of
+    the stream's first record is a DataError.
     """
     it = iter(stream)
     first = next(it, None)
@@ -146,6 +149,7 @@ def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[Fl
         yield from it
         return
     names = () if first is None else tuple(first.values)
+    origin = "" if first is None else first.origin
     pending = [] if first is None else [first, *islice(it, CHUNK_RECORDS - 1)]
     seen = 0  # records in the chunks yielded
     while pending:
@@ -155,15 +159,20 @@ def as_chunks(stream: Iterable[FlowRecord] | Iterable[FlowChunk]) -> Iterator[Fl
         except KeyError:
             columns = None
         # equal sizes and every name of the first record present: equal names
-        if columns is None or list(map(len, dicts)).count(len(names)) != len(dicts):
-            i = next(i for i, d in enumerate(dicts) if d.keys() != set(names))
+        if (columns is None or list(map(len, dicts)).count(len(names)) != len(dicts)
+                or [rec.origin for rec in pending].count(origin) != len(pending)):
+            i, rec = next((i, rec) for i, rec in enumerate(pending)
+                          if rec.values.keys() != set(names) or rec.origin != origin)
+            if rec.origin != origin:
+                raise DataError(f"record {seen + i + 1} has origin {rec.origin!r}, not the stream's {origin!r}; "
+                                "derive each source separately")
             raise DataError(
-                f"record {seen + i + 1} names columns {sorted(dicts[i])}, not the stream's {sorted(names)}"
+                f"record {seen + i + 1} names columns {sorted(rec.values)}, not the stream's {sorted(names)}"
             )
         yield FlowChunk(
             columns={name: as_column(values) for name, values in columns.items()},
             labels=[rec.label for rec in pending],
-            origins=[rec.origin for rec in pending],
+            origin=origin,
         )
         seen += len(pending)
         pending = list(islice(it, CHUNK_RECORDS))
@@ -174,8 +183,8 @@ def iter_records(chunks: Iterable[FlowChunk]) -> Iterator[FlowRecord]:
     for chunk in chunks:
         names = tuple(chunk.columns)
         rows = zip(*map(column_values, chunk.columns.values())) if names else repeat((), len(chunk))
-        for values, label, origin in zip(rows, chunk.labels, chunk.origins):
-            yield FlowRecord(values=dict(zip(names, values)), label=label, origin=origin)
+        for values, label in zip(rows, chunk.labels):
+            yield FlowRecord(values=dict(zip(names, values)), label=label, origin=chunk.origin)
 
 
 @dataclass(frozen=True)
@@ -397,37 +406,26 @@ def _convert_column(tokens: Sequence[str], col: Column, bad: dict[int, str]) -> 
     return values
 
 
-class _BlockParser:
-    """Turns blocks of CSV rows into chunks, one column at a time."""
+def parse_chunks(source: str | Path | TextIO | Iterable[str], schema: SourceSchema) -> Iterator[FlowChunk]:
+    """Stream the FlowChunks of one source, whose origin is the schema's dataset id, from comma-separated text.
 
-    def __init__(
-        self,
-        schema: SourceSchema,
-        positions: list[int],
-        label_pos: int,
-        on_error: Callable[[RowError], None] | None,
-    ) -> None:
-        self.schema = schema
-        # a label maps by the class map, else as a class name of the taxonomy
-        self.class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}
-        self.fields = list(zip(schema.columns, positions))
-        self.label_pos = label_pos
-        self.width = max([label_pos, *positions]) + 1
-        self.on_error = on_error
+    The first line may be a header naming the schema columns (any order);
+    without one, fields are positional: variable columns in schema order,
+    label last. A malformed row is skipped with a warning on the
+    ``faacflow.ingest`` logger, ``skipping row: line <n>: <why>``; an
+    unmapped class name is fatal. Rows are read ``CHUNK_RECORDS`` at a time
+    and each block's skipped rows are logged before its chunk is yielded; a
+    fatal row ends the stream after the chunk of the rows before it.
+    """
+    # a label maps by the class map, else as a class name of the taxonomy
+    class_map = {**{name: name for name in schema.taxonomy.classes}, **schema.class_map}
 
-    def report(self, line_no: int, message: str, row: list[str]) -> None:
-        err = RowError(line_no=line_no, message=message, raw=tuple(row))
-        if self.on_error is not None:
-            self.on_error(err)
-        else:
-            log.warning("skipping row: %s", err)
-
-    def parse(self, block: CsvBlock, first_line: int) -> tuple[FlowChunk, DataError | None]:
+    def parse(block: CsvBlock, first_line: int) -> tuple[FlowChunk, DataError | None]:
         """The block's records and, when a row's class has no mapping, the fatal error.
 
-        Rows from the fatal one on are left out, and so are their row errors.
+        Rows from the fatal one on are left out, and so are their warnings.
+        ``positions``, ``label_pos`` and ``width`` are read from the first line below.
         """
-        width = self.width
         short: dict[int, str] = {}  # block index -> message
         if block.columns is not None and len(block.columns) >= width:
             where: Sequence[int] = range(len(block))
@@ -444,9 +442,9 @@ class _BlockParser:
                 good = [rows[i] for i in where]
             tokens = list(zip(*good)) or [()] * width  # rows may be longer than width, never shorter
         bad: dict[int, str] = {}  # index into the rows of tokens -> message
-        columns = {col.name: _convert_column(tokens[p], col, bad) for col, p in self.fields}
-        raw_labels = list(map(str.strip, tokens[self.label_pos]))
-        labels = list(map(self.class_map.get, raw_labels))
+        columns = {col.name: _convert_column(tokens[p], col, bad) for col, p in zip(schema.columns, positions)}
+        raw_labels = list(map(str.strip, tokens[label_pos]))
+        labels = list(map(class_map.get, raw_labels))
 
         end = len(labels)  # the first row whose class has no mapping, if any
         if None in labels:
@@ -455,36 +453,20 @@ class _BlockParser:
         if end < len(labels):
             fatal = DataError(
                 f"line {first_line + where[end]}: class {raw_labels[end]!r} has no mapping "
-                f"in schema {self.schema.dataset_id!r}"
+                f"in schema {schema.dataset_id!r}"
             )
         stop = where[end] if fatal else len(block)
         for i, message in sorted([*short.items(), *((where[j], msg) for j, msg in bad.items())]):
             if i < stop:
-                self.report(first_line + i, message, block.row(i))
+                log.warning("skipping row: line %d: %s", first_line + i, message)
         if bad or fatal:
             keep = [j for j in range(end) if j not in bad]
             columns = {name: values[keep] if isinstance(values, np.ndarray) else [values[j] for j in keep]
                        for name, values in columns.items()}
             labels = [labels[j] for j in keep]
         columns = {name: as_column(values) for name, values in columns.items()}
-        return FlowChunk(columns=columns, labels=labels, origins=[self.schema.dataset_id] * len(labels)), fatal
+        return FlowChunk(columns=columns, labels=labels, origin=schema.dataset_id), fatal
 
-
-def parse_chunks(
-    source: str | Path | TextIO | Iterable[str],
-    schema: SourceSchema,
-    on_error: Callable[[RowError], None] | None = None,
-) -> Iterator[FlowChunk]:
-    """Stream FlowChunks from comma-separated text.
-
-    The first line may be a header naming the schema columns (any order);
-    without one, fields are positional: variable columns in schema order,
-    label last. Malformed rows are reported through ``on_error`` (default:
-    warning log) and skipped; an unmapped class name is fatal. Rows are
-    read ``CHUNK_RECORDS`` at a time and each block's rows are
-    reported before its chunk is yielded; a fatal row ends the stream after
-    the chunk of the rows before it.
-    """
     with read_csv_blocks(source) as reader:
         line_no = 0
         while (row := reader.row()) is not None:
@@ -496,15 +478,14 @@ def parse_chunks(
         stripped = [t.strip() for t in row]
         if set(stripped) >= set(schema.column_names) | {schema.label_column}:
             header_index = {name: i for i, name in enumerate(stripped)}
-            parser = _BlockParser(
-                schema, [header_index[c.name] for c in schema.columns], header_index[schema.label_column], on_error
-            )
+            *positions, label_pos = (header_index[name] for name in (*schema.column_names, schema.label_column))
             line_no += 1
         else:
-            parser = _BlockParser(schema, list(range(len(schema.columns))), len(schema.columns), on_error)
+            *positions, label_pos = range(len(schema.columns) + 1)
             reader.unread(row)
+        width = max([label_pos, *positions]) + 1
         while block := reader.block(CHUNK_RECORDS):
-            chunk, fatal = parser.parse(block, line_no)
+            chunk, fatal = parse(block, line_no)
             line_no += len(block)
             del block  # free the rows before the next block is read
             if len(chunk):
@@ -514,13 +495,9 @@ def parse_chunks(
                 raise fatal
 
 
-def parse_flows(
-    source: str | Path | TextIO | Iterable[str],
-    schema: SourceSchema,
-    on_error: Callable[[RowError], None] | None = None,
-) -> Iterator[FlowRecord]:
+def parse_flows(source: str | Path | TextIO | Iterable[str], schema: SourceSchema) -> Iterator[FlowRecord]:
     """Stream FlowRecords from comma-separated text: :func:`parse_chunks` row by row."""
-    return iter_records(parse_chunks(source, schema, on_error))
+    return iter_records(parse_chunks(source, schema))
 
 
 def _format_value(v: object) -> str:
@@ -681,7 +658,7 @@ def generate_chunks(profile: SyntheticProfile, schema: SourceSchema) -> Iterator
         yield FlowChunk(
             columns={name: as_column(vals[rows]) for name, vals in columns.items()},
             labels=labels[rows],
-            origins=[schema.dataset_id] * len(labels[rows]),
+            origin=schema.dataset_id,
         )
 
 
@@ -747,9 +724,11 @@ def load_source_config(path: str | Path) -> SourceSchema:
         columns = tuple(Column(name=str(c["name"]), kind=str(c["kind"])) for c in doc["columns"])
         label_column = str(doc["label_column"])
         class_map = {str(k): str(v) for k, v in as_mapping(doc["class_map"], "class_map", path).items()}
-        hint = int(doc["record_count_hint"]) if "record_count_hint" in doc else None
+        hint = as_int(doc["record_count_hint"], "record_count_hint", path) if "record_count_hint" in doc else None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: missing or malformed key: {exc}") from exc
+    if hint is not None and hint < 1:
+        raise ConfigError(f"{path}: record_count_hint must be at least 1, got {hint}")
     taxonomy = taxonomy_from(doc, path)
     profile = None
     if "profile" in doc:
@@ -779,8 +758,8 @@ def load_source_config(path: str | Path) -> SourceSchema:
                     (str(k), float(v)) for k, v in as_mapping(p["proportions"], "profile.proportions", path).items()
                 ),
                 distributions=distributions,
-                total=int(p["total"]),
-                seed=int(p["seed"]),
+                total=as_int(p["total"], "profile.total", path),
+                seed=as_int(p["seed"], "profile.seed", path),
                 attack_run_mean=float(burst["attack_run_mean"]) if "attack_run_mean" in burst else None,
                 background_run_mean=float(burst["background_run_mean"]) if "background_run_mean" in burst else None,
                 variants=variants,

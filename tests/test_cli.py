@@ -479,12 +479,15 @@ def test_pipeline_subcommand_writes_the_manifest_orchestrate_writes(cfg_dir, tmp
 
 
 def _plan_with(cfg_dir, key: str, value: str) -> str:
-    """A small pipeline plan whose ``key`` (``evaluation.k`` for a key of the evaluation block) holds ``value``."""
+    """A small pipeline plan whose ``key`` (``evaluation.k`` for a key of the evaluation block) holds ``value``,
+    or lacks it for the value ``<absent>``."""
     sources = ", ".join(f"{sid}: {cfg_dir / f'source_{sid}.yaml'}" for sid in ("s1", "s2", "s3"))
     top = {"seed": "5", "batches": "40", "faac": str(cfg_dir / "mini_faac.yaml"), "sources": f"{{{sources}}}"}
     evaluation = {"models": "[lr]", "k": "2", "repetitions": "1", "singles": "[integrated]"}
     block, _, name = key.rpartition(".")
     (evaluation if block else top)[name] = value.replace("<cfg>", str(cfg_dir))
+    if value == "<absent>":
+        del (evaluation if block else top)[name]
     top["evaluation"] = "{" + ", ".join(f"{k}: {v}" for k, v in evaluation.items()) + "}"
     return "".join(f"{k}: {v}\n" for k, v in top.items())
 
@@ -541,6 +544,8 @@ BAD_PLAN_ENTRIES = [
     ("evaluation.models", "[lr, lr]", "evaluation.models lists an entry twice: ['lr', 'lr']"),
     ("evaluation.singles", "[integrated, integrated]",
      "evaluation.singles lists an entry twice: ['integrated', 'integrated']"),
+    ("evaluation.models", "[]", "evaluation.models: an evaluation needs at least one model"),
+    ("batches", "<absent>", "batches: a plan needs a target batch count"),
 ]
 
 
@@ -694,12 +699,18 @@ SOURCE_FAULTS = {
     "infinite_background_runs": ([(("profile", "burst", "background_run_mean"), float("inf"))],
                                  "burst run means must be finite and below 2**63, got (150.0, inf)"),
     "negative_seed": ([(("profile", "seed"), -2)], "profile seed must be a non-negative integer, got -2"),
-    "infinite_seed": ([(("profile", "seed"), float("inf"))], "malformed profile: cannot convert float infinity"),
+    "infinite_seed": ([(("profile", "seed"), float("inf"))], "profile.seed must be an integer, got inf"),
+    "boolean_seed": ([(("profile", "seed"), True)], "profile.seed must be an integer, got True"),
+    "fractional_total": ([(("profile", "total"), 4000.7)], "profile.total must be an integer, got 4000.7"),
+    "boolean_total": ([(("profile", "total"), True)], "profile.total must be an integer, got True"),
     "renamed_column": ([(("columns", 2, "name"), "octets")],
                        "no distribution for variable 'octets' (class 'Background')"),
     "dataset_id_with_a_slash": ([(("dataset", "id"), "s/3")], "dataset id 's/3' cannot name a file"),
     "infinite_record_count_hint": ([(("record_count_hint",), float("inf"))],
-                                   "missing or malformed key: cannot convert float infinity"),
+                                   "record_count_hint must be an integer, got inf"),
+    "negative_record_count_hint": ([(("record_count_hint",), -5)], "record_count_hint must be at least 1, got -5"),
+    "zero_record_count_hint": ([(("record_count_hint",), 0)], "record_count_hint must be at least 1, got 0"),
+    "boolean_record_count_hint": ([(("record_count_hint",), True)], "record_count_hint must be an integer, got True"),
     "variant_distributions_in_a_list": (
         [(("profile", "variants"), {"DoS": {"flood": {"distributions": ["port"]}}})],
         "profile.variants.DoS.flood.distributions must be a mapping, got ['port']",

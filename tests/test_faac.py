@@ -306,10 +306,8 @@ def test_a_stream_whose_column_set_changes_is_a_data_error():
     cfg = replace(small_config(), aliases={"dport": "port"})
     records = [rec(proto="tcp", port=80.0), rec(proto="tcp", port=443.0),
                rec(proto="tcp", dport=443.0), rec(proto="tcp", port=80.0)]
-    chunks = [ingest.FlowChunk({"proto": ["tcp"] * 2, "port": np.array([80.0, 443.0])}, ["Background"] * 2,
-                               ["src"] * 2),
-              ingest.FlowChunk({"proto": ["tcp"] * 2, "dport": np.array([443.0, 80.0])}, ["Background"] * 2,
-                               ["src"] * 2)]
+    chunks = [ingest.FlowChunk({"proto": ["tcp"] * 2, "port": np.array([80.0, 443.0])}, ["Background"] * 2, "src"),
+              ingest.FlowChunk({"proto": ["tcp"] * 2, "dport": np.array([443.0, 80.0])}, ["Background"] * 2, "src")]
     for chunk in (1, 3, ingest.CHUNK_RECORDS):
         with mock.patch.object(ingest, "CHUNK_RECORDS", chunk):
             with pytest.raises(DataError, match=r"record 3 names columns \['dport', 'proto'\], not the stream's"):
@@ -332,10 +330,23 @@ def test_two_columns_that_alias_one_variable_are_a_data_error():
     assert resolve_columns(cfg, ["dport", "proto", "other"]) == {"proto": "proto", "port": "dport"}
 
 
-def test_mixed_origin_batch_is_rejected():
-    records = [rec(origin="a", proto="tcp", port=80.0), rec(origin="b", proto="tcp", port=80.0)]
-    with pytest.raises(DataError, match="mixes origins"):
-        derive_dataset(records, 1, small_config())
+def test_a_stream_whose_origin_changes_at_a_batch_boundary_is_a_data_error():
+    # a stream holds one source, so no batch of it could mix two; still the second source is a fault
+    records = [rec(origin="a", proto="tcp", port=80.0)] * 2 + [rec(origin="b", proto="tcp", port=80.0)] * 2
+    chunks = [ingest.FlowChunk({"proto": ["tcp"] * 2, "port": np.array([80.0, 80.0])}, ["Background"] * 2, origin)
+              for origin in ("a", "b")]
+    for chunk in (1, 2, 3, ingest.CHUNK_RECORDS):
+        with mock.patch.object(ingest, "CHUNK_RECORDS", chunk):
+            with pytest.raises(DataError, match=r"record 3 has origin 'b', not the stream's 'a'; derive each source "
+                                                r"separately"):
+                derive_dataset(records, 2, small_config())
+            with pytest.raises(DataError, match=r"record 3 has origin 'b'"):
+                derive_dataset(iter(records), 2, small_config(), n_records=4)
+            with pytest.raises(DataError, match=r"after 2 records a chunk has origin 'b', not the stream's 'a'; "
+                                                r"derive each source separately"):
+                derive_dataset(chunks, 2, small_config())
+            with pytest.raises(DataError, match=r"after 2 records a chunk has origin 'b'"):
+                derive_dataset(iter(chunks), 2, small_config(), n_records=4)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +480,9 @@ def mixed_streams(draw):
     batch_size = draw(st.integers(min_value=1, max_value=6))
     # a stream has one column set
     layout = {var: col for var, cols in LAYOUTS.items() if (col := draw(st.sampled_from(cols))) is not None}
+    origin = draw(st.sampled_from(["src0", "src1"]))  # a stream has one origin
     records = []
-    for s in range(draw(st.integers(min_value=1, max_value=4))):
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
         # size always takes the float path; port and proto may hold any type
         kinds = {var: FLOATS if var == "size" else draw(st.sampled_from([FLOATS, MIXED])) for var in layout}
         for _ in range(draw(st.integers(min_value=1, max_value=4))):
@@ -479,12 +491,12 @@ def mixed_streams(draw):
                 values = {col: draw(kinds[var]) if i == 0 or draw(st.integers(0, 5)) > 0 else None
                           for var, col in layout.items()}
                 label = draw(st.sampled_from(TAX.classes))
-                records.append(FlowRecord(values=values, label=label, origin=f"src{s}"))
+                records.append(FlowRecord(values=values, label=label, origin=origin))
     n_batches = len(records) // batch_size
     # a tail shorter than the batch count leaves the batch size at floor(N / M)
     for _ in range(draw(st.integers(min_value=0, max_value=min(batch_size, n_batches) - 1))):
         values = {col: 1.0 if var == "port" else None for var, col in layout.items()}
-        records.append(FlowRecord(values=values, label="DoS", origin=records[-1].origin))
+        records.append(FlowRecord(values=values, label="DoS", origin=origin))
     return records, batch_size, n_batches
 
 
